@@ -44,14 +44,13 @@ func main() {
 		seed      = flag.Uint64("seed", 0, "adaptive engines: RNG seed (0 = derive deterministically from engine and space)")
 		space     = flag.String("space", "table3", "design space: table3 (the paper's grid at -tpp) or jan2025 (quantity-cap lattice)")
 		eval      = flag.String("eval", "scalar", "cache-miss evaluator: scalar (per-design workers) or batch (struct-of-arrays sweep, bit-identical results)")
-		cacheDir  = flag.String("cache-dir", "", "persist evaluated points under this directory so repeated sweeps survive restarts (empty = memory-only, no disk writes)")
 		traceOut  = flag.String("trace", "", "dump the sweep's span trace as JSON to this file (\"-\" = stderr)")
 	)
 	flag.Parse()
 	if err := run(options{
 		tpp: *tpp, model: *modelName, rule: *rule, objective: *objective, top: *top,
 		engine: *engine, budget: *budget, seed: *seed, space: *space, traceOut: *traceOut,
-		eval: *eval, cacheDir: *cacheDir,
+		eval: *eval,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "acrdse:", err)
 		os.Exit(1)
@@ -70,7 +69,6 @@ type options struct {
 	space     string
 	traceOut  string
 	eval      string
-	cacheDir  string
 }
 
 // dumpTrace writes the recorder's spans and stage histograms as JSON to
@@ -155,9 +153,9 @@ func run(o options) error {
 	if rule == "oct2023" {
 		devBW = []float64{500, 700, 900}
 	}
-	ex, err := core.CachedExplorer(o.eval == "batch", o.cacheDir)
-	if err != nil {
-		return err
+	ex := dse.NewExplorer()
+	if o.eval == "batch" {
+		ex = ex.WithBatch()
 	}
 	points, err := ex.RunContext(ctx, dse.Table3(tpp, devBW), w)
 	if rec != nil {
@@ -240,15 +238,10 @@ func runAdaptive(ctx context.Context, o options, w model.Workload, rec *obs.Reco
 	}
 
 	// nil keeps the runner's default (scalar) explorer; -eval batch routes
-	// the engines' generation sweeps through the struct-of-arrays path,
-	// and -cache-dir persists evaluated points across runs.
+	// the engines' generation sweeps through the struct-of-arrays path.
 	var ex *dse.Explorer
-	if o.eval == "batch" || o.cacheDir != "" {
-		var err error
-		ex, err = core.CachedExplorer(o.eval == "batch", o.cacheDir)
-		if err != nil {
-			return err
-		}
+	if o.eval == "batch" {
+		ex = dse.NewBatchExplorer()
 	}
 	out, err := core.AdaptiveSearchContext(ctx, ex, o.engine, prob, o.budget, o.seed)
 	if rec != nil {

@@ -61,25 +61,6 @@ type DesignReport struct {
 	Oct2023Consumer   policy.Classification
 }
 
-// CachedExplorer builds an explorer for command-line wiring: scalar or
-// batch (struct-of-arrays) cache-miss evaluation, with a persistent disk
-// tier attached under cacheDir when non-empty (the directory is created
-// if needed) so evaluated points survive process restarts. An empty
-// cacheDir returns a plain default explorer — memory-only, nothing ever
-// written to disk.
-func CachedExplorer(batch bool, cacheDir string) (*dse.Explorer, error) {
-	ex := dse.NewExplorer()
-	if batch {
-		ex = ex.WithBatch()
-	}
-	if cacheDir != "" {
-		if err := ex.AttachDiskCache(cacheDir); err != nil {
-			return nil, fmt.Errorf("core: attaching persistent result cache: %w", err)
-		}
-	}
-	return ex, nil
-}
-
 // Evaluate produces a DesignReport for a configuration and workload.
 func Evaluate(cfg arch.Config, w model.Workload) (DesignReport, error) {
 	g, err := ir.Lower(w)

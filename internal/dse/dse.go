@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"sort"
 	"strconv"
@@ -23,6 +24,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/perf"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -203,14 +205,13 @@ type Explorer struct {
 	Wafer cost.Wafer
 	// Parallelism bounds worker goroutines; 0 means GOMAXPROCS.
 	Parallelism int
-	// Cache memoises evaluated points by PointKey in the tiered content-
-	// addressed store (memory LRU, optional disk tier, single-flight
-	// dedup of concurrent identical evaluations) so overlapping grids
-	// (and repeated service requests) skip re-simulation. The key covers
-	// the config and workload only: explorers whose Sim engine or Wafer
-	// model differ from the defaults must not share a cache (set it to
-	// nil, or give each explorer its own — and never point a disk tier
-	// written under one engine at another). Nil disables caching.
+	// Cache memoises evaluated points by PointKey in the in-memory
+	// content-addressed store (an LRU plus single-flight dedup of
+	// concurrent identical evaluations) so overlapping grids (and repeated
+	// service requests) skip re-simulation. The key covers the config and
+	// workload only: explorers whose Sim engine or Wafer model differ from
+	// the defaults must not share a cache (set it to nil, or give each
+	// explorer its own). Nil disables caching.
 	Cache *store.Tiered[Point]
 	// Batch, when non-nil, routes cache-miss evaluation through the
 	// struct-of-arrays evaluator in internal/batch instead of the
@@ -256,12 +257,49 @@ func (e *Explorer) WithBatch() *Explorer {
 	return &c
 }
 
+// PointKey returns the content address of one evaluation: the IR content
+// hashes of the configuration (display name excluded) and the workload.
+// It is total — no lowering or validation — so arbitrary inputs are
+// safe, and it is checked by acrlint's memokey analyzer: every tracked
+// field of both parameters must fold into the key.
+func PointKey(cfg arch.Config, w model.Workload) store.Key {
+	return store.Key{Hi: ir.ConfigHash(cfg), Lo: ir.WorkloadHash(w)}
+}
+
+// NewPointStore returns the result store the explorer and the serving
+// layer share: a sharded memory LRU (non-positive shards =
+// lru.DefaultShards) sized in entries and byte-accounted with a deep
+// Point sizer.
+func NewPointStore(entries, shards int) *store.Tiered[Point] {
+	return store.NewTiered(store.NewMemorySized(entries, shards, pointSize))
+}
+
+var (
+	pointStaticSize = int(reflect.TypeOf(Point{}).Size())
+	timeStaticSize  = int(reflect.TypeOf(perf.Time{}).Size())
+)
+
+// pointSize deep-estimates one point's resident bytes for the memory
+// tier's accounting: the struct itself plus the op slices and name
+// strings it points at.
+func pointSize(p Point) int {
+	n := pointStaticSize +
+		len(p.Config.Name) + len(p.Result.Config.Name) + len(p.Result.Workload.Model.Name)
+	for i := range p.Result.PrefillOps {
+		n += timeStaticSize + len(p.Result.PrefillOps[i].Name)
+	}
+	for i := range p.Result.DecodeOps {
+		n += timeStaticSize + len(p.Result.DecodeOps[i].Name)
+	}
+	return n
+}
+
 // CacheKey returns the canonical result-cache key for one evaluation in
 // its legacy string form — PointKey's hex rendering, which is also the
-// memory tier's LRU key and the disk tier's file name. The hashes are
-// name-invariant and sensitive to every simulation-relevant field, and
-// CacheKey is total — it never lowers or validates the workload, so
-// arbitrary (fuzzer-supplied) inputs are safe.
+// memory tier's LRU key. The hashes are name-invariant and sensitive to
+// every simulation-relevant field, and CacheKey is total — it never
+// lowers or validates the workload, so arbitrary (fuzzer-supplied)
+// inputs are safe.
 func CacheKey(cfg arch.Config, w model.Workload) string {
 	return PointKey(cfg, w).String()
 }
@@ -386,8 +424,8 @@ func (e *Explorer) evaluateOne(ctx context.Context, cfg arch.Config, g ir.Graph,
 	}
 	// Miss: compute under the store's single-flight layer, so concurrent
 	// identical sweeps share one evaluation. The span's cache attribute
-	// records what actually happened — "miss" (simulated here), "disk"
-	// (another process's persisted result), or "flight" (shared a racing
+	// records what actually happened — "miss" (simulated here), "hit"
+	// (a racing caller filled memory first), or "flight" (shared a racing
 	// caller's computation) — which is what the single-flight tests count.
 	p, out, err := e.Cache.Compute(ctx, key, func(ctx context.Context) (Point, error) {
 		r, err := e.Sim.SimulateGraphContext(ctx, cfg, g)

@@ -5,12 +5,15 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 func TestTable3GridSizesMatchPaper(t *testing.T) {
@@ -272,6 +275,67 @@ func TestCacheSkipsReSimulation(t *testing.T) {
 	}
 	if after := e.Cache.Stats(); after.Hits != warm.Hits {
 		t.Errorf("different workload produced spurious hits: %+v", after)
+	}
+}
+
+// TestConcurrentIdenticalSweepsSingleFlight runs the same grid from many
+// goroutines over one shared explorer and proves — by counting the
+// dse.evaluate spans whose cache attribute says "miss" — that each unique
+// design was simulated exactly once; every other lookup was served by the
+// memory tier or by sharing a racing caller's in-flight computation.
+func TestConcurrentIdenticalSweepsSingleFlight(t *testing.T) {
+	const sweeps = 8
+	rec := obs.NewRecorder(0)
+	ctx := obs.WithRecorder(context.Background(), rec)
+	ex := NewExplorer()
+	w := model.PaperWorkload(model.Llama3_8B())
+	g := smallGrid(4800)
+	unique := g.Size()
+
+	var wg sync.WaitGroup
+	errs := make([]error, sweeps)
+	for i := 0; i < sweeps; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = ex.RunContext(ctx, g, w)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	outcomes := make(map[string]int)
+	for _, sp := range rec.Spans() {
+		if sp.Name != "dse.evaluate" {
+			continue
+		}
+		for _, a := range sp.Attrs {
+			if a.Key == "cache" {
+				outcomes[a.Value.(string)]++
+			}
+		}
+	}
+	total := 0
+	for _, n := range outcomes {
+		total += n
+	}
+	if total != sweeps*unique {
+		t.Fatalf("recorded %d evaluate outcomes, want %d (%v)", total, sweeps*unique, outcomes)
+	}
+	if outcomes[store.Miss.String()] != unique {
+		t.Errorf("%d simulations for %d unique designs (%v)",
+			outcomes[store.Miss.String()], unique, outcomes)
+	}
+	st := ex.Cache.Stats()
+	if st.Misses != uint64(unique) {
+		t.Errorf("store counted %d misses, want %d", st.Misses, unique)
+	}
+	if st.Hits != uint64(sweeps*unique-unique) {
+		t.Errorf("store counted %d hits, want %d", st.Hits, sweeps*unique-unique)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 
 // journal.go persists the job queue across restarts. Every accepted DSE
 // or search job writes its spec (the validated request, verbatim JSON)
-// into a store.Files tier under <cache-dir>/jobs; when the job reaches a
+// into a store.Files store under <cache-dir>/jobs; when the job reaches a
 // terminal state the record gains the status snapshot, result included.
 // On startup the journal is replayed: finished jobs stay poll-able (and
 // ETag-cacheable) from their persisted records, unfinished ones are
@@ -97,9 +97,8 @@ type jobRecord struct {
 }
 
 // jobRecordCodec stores journal records as JSON inside the store.Files
-// container. The package's cache codecs are hand-written binary for
-// decode speed; the journal writes a few records per job lifetime, so
-// self-describing JSON (debuggable with cat) is the better trade here.
+// container: the journal writes a few records per job lifetime, so
+// self-describing JSON (debuggable with cat) beats a binary layout.
 type jobRecordCodec struct{}
 
 func (jobRecordCodec) Version() string { return "jobrec-v1" }

@@ -91,8 +91,8 @@ type QueueSnapshot struct {
 // MetricsSnapshot is the full /metrics document. Cache summarises the
 // shared result store's top-level outcomes (kept for compatibility);
 // Store breaks every cache layer out per tier — the result store's
-// "mem"/"disk"/"flight" tiers, the job-coalescing flight "jobs.dse", and
-// the perf engine's component memo tables "perf.*".
+// "mem" and "flight" tiers and the perf engine's component memo tables
+// "perf.*".
 type MetricsSnapshot struct {
 	UptimeSeconds float64                     `json:"uptime_seconds"`
 	Requests      map[string]EndpointSnapshot `json:"requests"`

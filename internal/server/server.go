@@ -5,9 +5,9 @@
 // Synchronous endpoints answer directly; heavy DSE sweeps go through an
 // async job API backed by a bounded worker-pool queue with per-job
 // context cancellation and deadlines. Every simulation, synchronous or
-// queued, flows through one shared dse.Explorer whose tiered result store
-// (package store: sharded memory LRU, optional persistent disk tier,
-// single-flight dedup) makes repeated and overlapping sweeps cheap. The
+// queued, flows through one shared dse.Explorer whose result store
+// (package store: sharded memory LRU plus single-flight dedup) makes
+// repeated, overlapping and concurrent identical sweeps cheap. The
 // observability surface — /healthz, /metrics with request counts, latency
 // histograms, cache hit ratio and queue depth, plus structured request
 // logging — rides on the standard library alone.
@@ -74,14 +74,12 @@ type Config struct {
 	// CacheEntries bounds the shared result cache; 0 means
 	// dse.DefaultCacheEntries, negative disables caching.
 	CacheEntries int
-	// CacheDir, when non-empty, attaches a persistent disk tier under
-	// this directory to the shared result store — evaluated points
-	// survive restarts, and a warm directory serves repeat sweeps from
-	// disk instead of re-simulating — and enables the job journal under
+	// CacheDir, when non-empty, enables the job journal under
 	// <CacheDir>/jobs: accepted DSE/search jobs persist their specs and
 	// terminal results, so finished jobs stay poll-able across restarts
-	// and unfinished ones resume. Empty (the default) keeps everything
-	// in memory — nothing is ever written to disk.
+	// and unfinished ones resume. Nothing else is written there;
+	// evaluated points stay in memory. Empty (the default) keeps
+	// everything in memory — nothing is ever written to disk.
 	CacheDir string
 	// RateLimit, when positive, throttles job submissions (POST /v1/dse
 	// and /v1/search) per client IP to this many requests per second;
@@ -120,10 +118,6 @@ type Server struct {
 	obs     *obs.Recorder // nil when TraceCapacity < 0
 	log     *slog.Logger
 	mux     *http.ServeMux
-	// dseFlights coalesces identical queued sweeps: jobs with the same
-	// dseJobKey share one execution, and followers return the leader's
-	// DSEResult (cache deltas included) without re-running the grid.
-	dseFlights store.Flight[DSEResult]
 	// journal persists job specs and terminal results under
 	// <CacheDir>/jobs; nil without a cache directory.
 	journal *journal
@@ -159,16 +153,6 @@ func New(cfg Config) *Server {
 	case cfg.CacheEntries > 0:
 		ex.Cache = newPointCache(cfg.CacheEntries)
 	}
-	if cfg.CacheDir != "" && ex.Cache != nil {
-		if err := ex.AttachDiskCache(cfg.CacheDir); err != nil {
-			// Serve memory-only rather than refuse to start: a bad cache
-			// dir degrades warm restarts, not correctness.
-			cfg.Logger.Warn("persistent result cache disabled",
-				"dir", cfg.CacheDir, "err", err)
-		} else {
-			cfg.Logger.Info("persistent result cache attached", "dir", cfg.CacheDir)
-		}
-	}
 	s := &Server{
 		cfg:      cfg,
 		explorer: ex,
@@ -191,7 +175,7 @@ func New(cfg Config) *Server {
 	if cfg.CacheDir != "" {
 		jl, err := openJournal(cfg.CacheDir, s.obs, s.log)
 		if err != nil {
-			// Like a bad cache dir: degrade durability, not availability.
+			// Degrade durability, not availability.
 			s.log.Warn("job journal disabled", "dir", cfg.CacheDir, "err", err)
 		} else {
 			s.journal = jl
@@ -544,7 +528,6 @@ type dseJob struct {
 	top       int
 	rule      string
 	objective string
-	eval      string
 	ex        *dse.Explorer
 }
 
@@ -583,7 +566,6 @@ func (s *Server) parseDSE(req DSERequest) (*dseJob, error) {
 		top:       req.Top,
 		rule:      req.Rule,
 		objective: req.Objective,
-		eval:      req.Eval,
 		ex:        s.explorer,
 	}
 	if dj.top <= 0 {
@@ -595,10 +577,8 @@ func (s *Server) parseDSE(req DSERequest) (*dseJob, error) {
 	if dj.objective == "" {
 		dj.objective = "ttft"
 	}
-	switch dj.eval {
-	case "":
-		dj.eval = "scalar"
-	case "scalar":
+	switch req.Eval {
+	case "", "scalar":
 	case "batch":
 		dj.ex = s.batchEx
 	default:
@@ -613,10 +593,11 @@ func (s *Server) parseDSE(req DSERequest) (*dseJob, error) {
 // enqueueDSE submits a validated DSE job — under a fresh ID from HTTP
 // (id ""), or a journalled job's original ID on replay. The stream hub
 // exists before the submit so the stream cannot miss a frame, and the
-// spec is journalled once the job has an ID.
+// spec is journalled once the job has an ID. Every job runs its own
+// sweep; concurrent identical designs are still simulated once, through
+// the point store's single-flight layer.
 func (s *Server) enqueueDSE(dj *dseJob, sc obs.SpanContext, id string) (*Job, error) {
 	hub := newStreamHub(dj.metric, dse.MetricArea, dj.keep)
-	key := dseJobKey(dj.grid, dj.wl, dj.rule, dj.objective, dj.top, dj.eval)
 	enqueuedAt := time.Now()
 	fn := func(ctx context.Context) (any, error) {
 		ctx = sc.Attach(ctx)
@@ -626,24 +607,13 @@ func (s *Server) enqueueDSE(dj *dseJob, sc obs.SpanContext, id string) (*Job, er
 		defer jsp.End()
 		jsp.SetStr("grid", dj.grid.Name)
 		jsp.SetInt("designs", dj.grid.Size())
-		// Identical queued sweeps coalesce: one worker runs the grid, the
-		// others share its DSEResult the moment it lands. Only the leader
-		// sweeps, so only its hub streams per-point frames; followers
-		// stream their terminal summary alone.
-		res, shared, err := s.dseFlights.Do(ctx, key, func() (DSEResult, error) {
-			return s.runDSE(dse.WithProgress(ctx, hub.point), dj)
-		})
+		res, err := s.runDSE(dse.WithProgress(ctx, hub.point), dj)
 		if err != nil {
 			return nil, err
 		}
-		// Followers report the leader's cache deltas — the /metrics-visible
-		// evidence the sweep was served without re-simulation.
 		if s.explorer.Cache != nil {
 			jsp.SetInt("cache_hits", int(res.CacheHits))
 			jsp.SetInt("cache_misses", int(res.CacheMisses))
-		}
-		if shared {
-			jsp.SetStr("coalesced", "true")
 		}
 		return res, nil
 	}
@@ -666,8 +636,7 @@ func (s *Server) submitNamed(id string, fn JobFunc) (*Job, error) {
 	return s.queue.SubmitNamed(id, fn)
 }
 
-// runDSE executes the sweep and assembles the DSEResult — the flight
-// leader's half of a DSE job.
+// runDSE executes the sweep and assembles the DSEResult.
 func (s *Server) runDSE(ctx context.Context, dj *dseJob) (DSEResult, error) {
 	start := time.Now()
 	var before store.Stats
@@ -1050,7 +1019,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			tiers[name] = st
 		}
 	}
-	tiers["jobs.dse"] = s.dseFlights.Stats()
 	if s.explorer.Sim != nil && s.explorer.Sim.Engine != nil {
 		for name, st := range s.explorer.Sim.Engine.MemoStats() {
 			tiers[name] = st

@@ -18,9 +18,7 @@ import (
 // terminal summary frame carrying the job's final status. The frames
 // ride the dse.WithProgress callback, so the scalar worker pool and the
 // struct-of-arrays batch evaluator both stream without touching their
-// hot paths. Coalesced sweeps (flight followers sharing a leader's
-// DSEResult) stream only their summary frame — the per-point progress
-// belongs to the leader's job.
+// hot paths.
 
 // StreamPoint is one design on the wire: the summary fields plus the
 // point's coordinates on the running front's axes (for DSE jobs X is
@@ -238,9 +236,15 @@ func (h *streamHub) finalFrames() []StreamFrame {
 // registerStream attaches a hub to a job ID, pruning hubs whose jobs the
 // queue has since evicted so the registry stays bounded alongside the
 // queue's own retention map.
+//
+// The job is already queued, so a worker may have run it to a terminal
+// state before the hub was registered, when the terminal hook found no
+// hub to finish. The hub is therefore finished here when the job is
+// already terminal. The check follows the registration, and the hook
+// runs after the job's terminal transition, so every job's hub is
+// finished at least once; finish is idempotent.
 func (s *Server) registerStream(id string, h *streamHub) {
 	s.streamMu.Lock()
-	defer s.streamMu.Unlock()
 	if len(s.streams) >= maxRetainedJobs {
 		for old := range s.streams {
 			// Unordered sweep: eligibility depends only on queue
@@ -251,6 +255,10 @@ func (s *Server) registerStream(id string, h *streamHub) {
 		}
 	}
 	s.streams[id] = h
+	s.streamMu.Unlock()
+	if job, ok := s.queue.Get(id); ok && job.State().Terminal() {
+		h.finish(job.Status())
+	}
 }
 
 func (s *Server) stream(id string) *streamHub {

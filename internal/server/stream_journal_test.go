@@ -3,14 +3,18 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/dse"
 	"repro/internal/perf"
 )
 
@@ -179,6 +183,180 @@ func TestJobStreamUnknownJob404s(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("stream of unknown job: %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestStreamHubRegisteredAfterJobTerminal is the regression for the hub
+// registration race: the queue may run a job to its terminal state
+// before enqueueDSE/enqueueSearch register its stream hub, when the
+// terminal hook finds no hub to finish. That interleaving is forced
+// here — the job finishes and the hook returns before registration —
+// and the stream must still deliver the summary frame.
+func TestStreamHubRegisteredAfterJobTerminal(t *testing.T) {
+	s, ts := newTestServer(t)
+	hooked := make(chan struct{})
+	s.queue.SetTerminalHook(func(st JobStatus) {
+		s.onJobTerminal(st)
+		close(hooked)
+	})
+	job, err := s.queue.Submit(func(context.Context) (any, error) { return "done", nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-hooked
+	s.registerStream(job.ID, newStreamHub(dse.MetricTTFT, dse.MetricArea, func(dse.Point) bool { return true }))
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/jobs/"+job.ID+"/stream", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("stream of a finished job: %v", err)
+	}
+	defer resp.Body.Close()
+	frames := readFrames(t, resp.Body)
+	if len(frames) != 1 || frames[0].Type != "summary" || frames[0].Status == nil ||
+		frames[0].Status.ID != job.ID || frames[0].Status.State != "succeeded" {
+		t.Fatalf("stream frames = %+v, want the job's succeeded summary alone", frames)
+	}
+}
+
+// TestIdenticalDSEJobsEachStreamAndSimulateOnce submits four identical
+// Table 3 sweeps at once with the default evaluator and releases them
+// together onto four workers. Every job runs and streams its own sweep,
+// while the point store's single-flight layer still simulates each of
+// the grid's 512 designs exactly once across the four.
+func TestIdenticalDSEJobsEachStreamAndSimulateOnce(t *testing.T) {
+	const jobs = 4
+	s := New(Config{
+		Workers: jobs,
+		Backlog: 2 * jobs,
+		Logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+
+	// Occupy every worker so the sweeps stay queued until each stream
+	// has subscribed, then start together.
+	release := make(chan struct{})
+	start := sync.OnceFunc(func() { close(release) })
+	defer start() // a failed check must not leave the sweeps queued
+	for i := 0; i < jobs; i++ {
+		if _, err := s.queue.Submit(func(ctx context.Context) (any, error) {
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+			return nil, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before MetricsSnapshot
+	getJSON(t, ts.URL+"/metrics", &before)
+
+	ids := make([]string, jobs)
+	for i := range ids {
+		resp, body := postJSON(t, ts.URL+"/v1/dse", table3Body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("enqueue %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		var enq EnqueueResponse
+		if err := json.Unmarshal(body, &enq); err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = enq.JobID
+	}
+
+	frames := make([][]StreamFrame, jobs)
+	errs := make([]error, jobs)
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func(i int, id string) {
+			defer wg.Done()
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/stream")
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			dec := json.NewDecoder(resp.Body)
+			for {
+				var f StreamFrame
+				if err := dec.Decode(&f); err == io.EOF {
+					return
+				} else if err != nil {
+					errs[i] = err
+					return
+				}
+				frames[i] = append(frames[i], f)
+			}
+		}(i, id)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for _, id := range ids {
+		hub := s.stream(id)
+		for {
+			hub.mu.Lock()
+			subscribed := len(hub.subs) > 0
+			hub.mu.Unlock()
+			if subscribed {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("stream of %s never subscribed", id)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	start()
+	wg.Wait()
+
+	var top []DesignSummary
+	for i, id := range ids {
+		if errs[i] != nil {
+			t.Fatalf("stream of %s: %v", id, errs[i])
+		}
+		st := pollJob(t, ts.URL, id)
+		if st.State != "succeeded" {
+			t.Fatalf("job %s: %s (%s)", id, st.State, st.Error)
+		}
+		res := decodeDSEResult(t, st)
+		if res.Designs != 512 || len(res.Top) != 3 {
+			t.Fatalf("job %s: result covers %d designs with %d top, want 512 and 3", id, res.Designs, len(res.Top))
+		}
+		if i == 0 {
+			top = res.Top
+		} else if !reflect.DeepEqual(res.Top, top) {
+			t.Errorf("job %s top = %+v, want %+v", id, res.Top, top)
+		}
+
+		points := 0
+		for _, f := range frames[i] {
+			if f.Type == "point" {
+				points++
+			}
+		}
+		last := frames[i][len(frames[i])-1]
+		if points == 0 {
+			t.Errorf("job %s streamed no point frames", id)
+		}
+		if last.Type != "summary" || last.Status == nil || last.Status.ID != id || last.Status.State != "succeeded" {
+			t.Errorf("job %s: last frame %+v, want its own succeeded summary", id, last)
+		}
+	}
+
+	var after MetricsSnapshot
+	getJSON(t, ts.URL+"/metrics", &after)
+	if d := after.Cache.Misses - before.Cache.Misses; d != 512 {
+		t.Errorf("cache misses rose by %d across %d identical sweeps, want 512 (one simulation per design)", d, jobs)
 	}
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -99,6 +100,86 @@ func TestFilesDropsCorruptEntries(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("corrupt entry not removed from disk")
+	}
+}
+
+// TestDiskCrashSafety damages an entry on disk in each way a crashed
+// writer, bit rot, a schema change or a stray copy can: every damaged
+// entry must read as absent, be removed, and heal on the next Put.
+func TestDiskCrashSafety(t *testing.T) {
+	cases := []struct {
+		name string
+		// damage turns the valid entry "alpha" (bytes data) into the
+		// damaged state; it returns the entry name to read back.
+		damage func(dir string, data []byte) (string, error)
+		// reader is the codec of the store that reads the damaged entry.
+		reader pairCodec
+	}{
+		{name: "truncated-header", damage: func(dir string, data []byte) (string, error) {
+			return "alpha", os.WriteFile(filepath.Join(dir, "alpha"+filesSuffix), data[:3], 0o644)
+		}},
+		{name: "truncated-payload", damage: func(dir string, data []byte) (string, error) {
+			return "alpha", os.WriteFile(filepath.Join(dir, "alpha"+filesSuffix), data[:len(data)-1], 0o644)
+		}},
+		{name: "flipped-payload-bit", damage: func(dir string, data []byte) (string, error) {
+			data[len(data)-1] ^= 0x40
+			return "alpha", os.WriteFile(filepath.Join(dir, "alpha"+filesSuffix), data, 0o644)
+		}},
+		{name: "wrong-magic", damage: func(dir string, data []byte) (string, error) {
+			data[0] = 'X'
+			return "alpha", os.WriteFile(filepath.Join(dir, "alpha"+filesSuffix), data, 0o644)
+		}},
+		{name: "empty", damage: func(dir string, data []byte) (string, error) {
+			return "alpha", os.WriteFile(filepath.Join(dir, "alpha"+filesSuffix), nil, 0o644)
+		}},
+		// An entry written under one codec revision must not decode under
+		// another, so a layout change can never read stale bytes as garbage.
+		{name: "stale-schema-revision", reader: pairCodec{version: "pair-v2"},
+			damage: func(string, []byte) (string, error) { return "alpha", nil }},
+		// Copying a valid file onto another entry's name must not alias the
+		// two entries: the key echoed in the header is the name's.
+		{name: "renamed-file", damage: func(dir string, data []byte) (string, error) {
+			return "beta", os.WriteFile(filepath.Join(dir, "beta"+filesSuffix), data, 0o644)
+		}},
+	}
+	want := pair{A: 1, B: "x"}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := NewFiles[pair](dir, pairCodec{version: "pair-v1"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Put("alpha", want); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(filepath.Join(dir, "alpha"+filesSuffix))
+			if err != nil {
+				t.Fatal(err)
+			}
+			name, err := tc.damage(dir, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := NewFiles[pair](dir, tc.reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, ok := f.Get(name); ok {
+				t.Fatalf("damaged entry %q served %+v", name, v)
+			}
+			path := filepath.Join(dir, name+filesSuffix)
+			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("damaged entry was not removed: %v", err)
+			}
+			// The slot heals: rewrite and read back.
+			if err := f.Put(name, want); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := f.Get(name); !ok || got != want {
+				t.Fatalf("after rewrite: got %+v, %v", got, ok)
+			}
+		})
 	}
 }
 

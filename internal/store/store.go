@@ -1,25 +1,25 @@
 // Package store is the repo's content-addressed result store: one home
 // for every cache the evaluation pipeline used to scatter across layers
 // (the dse point LRU, the batch miss router, the search visit archive,
-// the perf component memo, the server job queue). Results are addressed
-// by 128-bit content keys built from the IR hashes of their inputs
-// (ir.ConfigHash / ir.WorkloadHash), so a result is location-independent:
-// any process that can derive the key can reuse the result.
+// the perf component memo). Results are addressed by 128-bit content
+// keys built from the IR hashes of their inputs (ir.ConfigHash /
+// ir.WorkloadHash), so a result is location-independent: any caller that
+// can derive the key can reuse the result.
 //
-// The store composes three tiers behind one interface (Tiered):
+// The store composes two tiers behind one interface (Tiered):
 //
 //   - Memory: the sharded LRU from internal/lru, adapted (not duplicated)
 //     to Key addressing. Hot, bounded, per-process.
-//   - Disk: content-hash-named files under a cache dir. Atomic
-//     write-rename, a versioned header carrying the value codec's schema
-//     revision (stale formats self-invalidate), and corruption-tolerant
-//     reads (a damaged file is a miss, not an error). Survives restarts.
 //   - Flight: single-flight deduplication of identical in-flight
 //     computations — N concurrent identical sweeps share one evaluation.
 //
 // Each tier also stands alone: search.Runner uses a bare Memory tier as
-// its no-eviction visit archive, and the server uses a bare Flight to
-// coalesce identical queued jobs.
+// its no-eviction visit archive.
+//
+// Evaluated points are never persisted: on the analytic model a design
+// costs microseconds to evaluate, so recomputing beats decoding. The one
+// durable mechanism is Files, a named-entry map in a checksummed,
+// versioned container format that the server's job journal is built on.
 package store
 
 // Key is a 128-bit content address. By module convention Hi is the
@@ -33,10 +33,9 @@ type Key struct {
 }
 
 // String renders the key as 16 hex digits, '-', 16 hex digits — the
-// exact legacy dse cache-key format, so the memory tier's LRU keys (and
-// the disk tier's file names) are stable across the refactor. Manual
-// encoding keeps a warm cache probe at a single allocation (fmt.Sprintf
-// costs three).
+// exact legacy dse cache-key format, so the memory tier's LRU keys are
+// stable across the refactor. Manual encoding keeps a warm cache probe
+// at a single allocation (fmt.Sprintf costs three).
 func (k Key) String() string {
 	const hex = "0123456789abcdef"
 	var b [33]byte
@@ -49,7 +48,7 @@ func (k Key) String() string {
 }
 
 // Stats is one tier's effectiveness snapshot — the shape every tier
-// (memory, disk, flight, and perf's component memo tables) reports, so
+// (memory, flight, and perf's component memo tables) reports, so
 // /metrics can expose the whole cache stack uniformly.
 type Stats struct {
 	// Hits and Misses count lookup outcomes since construction. For the
@@ -57,15 +56,14 @@ type Stats struct {
 	// and Misses counts leader computations.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
-	// Evictions counts entries displaced by a size bound; the disk tier
-	// counts corrupt or stale-schema files it discarded.
+	// Evictions counts entries displaced by a size bound.
 	Evictions uint64 `json:"evictions"`
 	// Len is the current entry count, Capacity the configured bound
 	// (0 = unbounded).
 	Len      int `json:"entries"`
 	Capacity int `json:"capacity"`
 	// Bytes approximates the tier's resident size: shallow value bytes
-	// plus key bytes for the memory tier, file payload bytes on disk.
+	// plus key bytes for the memory tier.
 	Bytes int64 `json:"bytes"`
 }
 
@@ -86,8 +84,6 @@ const (
 	Miss Outcome = iota
 	// HitMem: served by the memory LRU.
 	HitMem
-	// HitDisk: served by the persistent tier (and promoted to memory).
-	HitDisk
 	// Shared: served by another caller's in-flight computation.
 	Shared
 )
@@ -98,8 +94,6 @@ func (o Outcome) String() string {
 	switch o {
 	case HitMem:
 		return "hit"
-	case HitDisk:
-		return "disk"
 	case Shared:
 		return "flight"
 	default:

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -56,172 +54,6 @@ func TestKeyStringFormat(t *testing.T) {
 	}
 	if got := (Key{}).String(); got != "0000000000000000-0000000000000000" {
 		t.Errorf("zero key = %q", got)
-	}
-}
-
-func TestDiskRoundTrip(t *testing.T) {
-	d, err := NewDisk[pair](t.TempDir(), pairCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := Key{Hi: 1, Lo: 2}
-	if _, ok := d.Get(k); ok {
-		t.Fatal("empty tier served a hit")
-	}
-	want := pair{A: 42, B: "hello"}
-	d.Put(k, want)
-	got, ok := d.Get(k)
-	if !ok || got != want {
-		t.Fatalf("Get = %+v, %v; want %+v, true", got, ok, want)
-	}
-	s := d.Stats()
-	if s.Hits != 1 || s.Misses != 1 || s.Len != 1 || s.Bytes <= 0 {
-		t.Errorf("stats = %+v, want 1 hit, 1 miss, 1 entry, positive bytes", s)
-	}
-}
-
-// TestDiskSurvivesReopen is the restart path: a fresh Disk over an
-// existing directory serves the previous process's entries and recovers
-// the entry/byte accounting from the scan.
-func TestDiskSurvivesReopen(t *testing.T) {
-	dir := t.TempDir()
-	d1, err := NewDisk[pair](dir, pairCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		d1.Put(Key{Hi: uint64(i)}, pair{A: uint64(i), B: "v"})
-	}
-	d2, err := NewDisk[pair](dir, pairCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := d2.Stats(); s.Len != 10 || s.Bytes != d1.Stats().Bytes {
-		t.Errorf("reopened stats = %+v, want the 10 entries and %d bytes the writer recorded", s, d1.Stats().Bytes)
-	}
-	for i := 0; i < 10; i++ {
-		v, ok := d2.Get(Key{Hi: uint64(i)})
-		if !ok || v.A != uint64(i) {
-			t.Fatalf("entry %d: got %+v, %v", i, v, ok)
-		}
-	}
-}
-
-// corruptions maps a name to a mutation of a valid cache file; every one
-// must read as a miss, be removed, and heal on the next Put.
-func TestDiskCrashSafety(t *testing.T) {
-	corruptions := map[string]func(path string, data []byte) error{
-		"truncated-header": func(path string, data []byte) error {
-			return os.WriteFile(path, data[:3], 0o644)
-		},
-		"truncated-payload": func(path string, data []byte) error {
-			return os.WriteFile(path, data[:len(data)-1], 0o644)
-		},
-		"flipped-payload-bit": func(path string, data []byte) error {
-			data[len(data)-1] ^= 0x40
-			return os.WriteFile(path, data, 0o644)
-		},
-		"wrong-magic": func(path string, data []byte) error {
-			data[0] = 'X'
-			return os.WriteFile(path, data, 0o644)
-		},
-		"empty": func(path string, data []byte) error {
-			return os.WriteFile(path, nil, 0o644)
-		},
-	}
-	for name, corrupt := range corruptions {
-		t.Run(name, func(t *testing.T) {
-			d, err := NewDisk[pair](t.TempDir(), pairCodec{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			k := Key{Hi: 7, Lo: 9}
-			want := pair{A: 1, B: "x"}
-			d.Put(k, want)
-			path := d.path(k)
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := corrupt(path, data); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := d.Get(k); ok {
-				t.Fatal("corrupted file served a hit")
-			}
-			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-				t.Errorf("corrupted file was not removed: %v", err)
-			}
-			if s := d.Stats(); s.Evictions != 1 {
-				t.Errorf("stats = %+v, want the corrupt drop counted as an eviction", s)
-			}
-			// The slot heals: rewrite and read back.
-			d.Put(k, want)
-			if got, ok := d.Get(k); !ok || got != want {
-				t.Fatalf("after rewrite: got %+v, %v", got, ok)
-			}
-		})
-	}
-}
-
-// TestDiskSchemaRevisionSelfInvalidates pins the versioned header: files
-// written under one codec revision are misses (and are dropped) under
-// another, so a layout change can never decode stale bytes into garbage.
-func TestDiskSchemaRevisionSelfInvalidates(t *testing.T) {
-	dir := t.TempDir()
-	d1, err := NewDisk[pair](dir, pairCodec{version: "pair-v1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := Key{Hi: 3}
-	d1.Put(k, pair{A: 5, B: "old"})
-
-	d2, err := NewDisk[pair](dir, pairCodec{version: "pair-v2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := d2.Get(k); ok {
-		t.Fatal("stale schema revision served a hit")
-	}
-	if s := d2.Stats(); s.Evictions != 1 {
-		t.Errorf("stats = %+v, want the stale file dropped", s)
-	}
-}
-
-// TestDiskRejectsRenamedFile pins the key-in-header check: copying a
-// valid file onto another key's name must not alias the two entries.
-func TestDiskRejectsRenamedFile(t *testing.T) {
-	d, err := NewDisk[pair](t.TempDir(), pairCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := Key{Hi: 1}, Key{Hi: 2}
-	d.Put(a, pair{A: 11, B: "a"})
-	data, err := os.ReadFile(d.path(a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(d.path(b), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := d.Get(b); ok {
-		t.Fatal("cross-linked file served under the wrong key")
-	}
-}
-
-// TestDiskSweepsOrphanedTempFiles pins crash cleanup: temp files a dying
-// writer left behind are removed on the next open.
-func TestDiskSweepsOrphanedTempFiles(t *testing.T) {
-	dir := t.TempDir()
-	orphan := filepath.Join(dir, tmpPrefix+"123")
-	if err := os.WriteFile(orphan, []byte("partial"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewDisk[pair](dir, pairCodec{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(orphan); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("orphaned temp file survived reopen: %v", err)
 	}
 }
 
@@ -400,43 +232,10 @@ func TestFlightFollowerHonorsOwnContext(t *testing.T) {
 	}
 }
 
-// TestTieredPromotion: a disk hit lands in the memory tier, so the next
-// probe is served without touching the filesystem.
-func TestTieredPromotion(t *testing.T) {
-	disk, err := NewDisk[pair](t.TempDir(), pairCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	k := Key{Hi: 8}
-	want := pair{A: 3, B: "p"}
-	disk.Put(k, want) // simulate an earlier process's write
-
-	ts := NewTiered(NewMemory[pair](64, 1), disk)
-	if v, ok := ts.Get(ctx, k); !ok || v != want {
-		t.Fatalf("disk-backed Get = %+v, %v", v, ok)
-	}
-	diskHits := disk.Stats().Hits
-	if v, ok := ts.Get(ctx, k); !ok || v != want {
-		t.Fatalf("promoted Get = %+v, %v", v, ok)
-	}
-	if disk.Stats().Hits != diskHits {
-		t.Error("second Get reached the disk tier; promotion failed")
-	}
-	s := ts.Stats()
-	if s.Hits != 2 || s.Misses != 0 {
-		t.Errorf("aggregate stats = %+v, want 2 hits", s)
-	}
-	tiers := ts.TierStats()
-	if tiers["disk"].Hits != 1 || tiers["mem"].Hits != 1 {
-		t.Errorf("tier stats = %+v, want one hit each for disk and mem", tiers)
-	}
-}
-
 // TestTieredComputeAccounting pins the Misses == evaluations invariant
 // across the Get-miss + Compute pairing.
 func TestTieredComputeAccounting(t *testing.T) {
-	ts := NewTiered(NewMemory[pair](64, 1), nil)
+	ts := NewTiered(NewMemory[pair](64, 1))
 	ctx := context.Background()
 	k := Key{Hi: 9}
 	if _, ok := ts.Get(ctx, k); ok {
@@ -491,15 +290,11 @@ func TestMemoryNoEvictionWhenSizedToInserts(t *testing.T) {
 	}
 }
 
-// TestTieredStressConcurrent hammers a disk-backed store from many
-// goroutines mixing Get, Put and Compute over a small key space; run
-// with -race it is the store's concurrency contract.
+// TestTieredStressConcurrent hammers a store from many goroutines mixing
+// Get, Put and Compute over a small key space; run with -race it is the
+// store's concurrency contract.
 func TestTieredStressConcurrent(t *testing.T) {
-	disk, err := NewDisk[pair](t.TempDir(), pairCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := NewTiered(NewMemory[pair](32, 4), disk) // small: forces evictions
+	ts := NewTiered(NewMemory[pair](32, 4)) // small: forces evictions
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

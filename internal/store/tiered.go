@@ -9,19 +9,17 @@ import (
 )
 
 // Tiered composes the tiers into the store consumers use: a memory LRU
-// in front, an optional persistent disk tier behind it (hits promote),
 // and a single-flight layer deduplicating concurrent identical
 // computations. The top-level Hits/Misses invariant is the one the
 // serving layer's cache-delta accounting depends on: Misses counts
-// evaluations actually performed, Hits counts lookups served from any
-// tier (memory, disk, or a shared in-flight computation).
+// evaluations actually performed, Hits counts lookups served from memory
+// or by a shared in-flight computation.
 //
-// When a recorder is in ctx, tier probes are timed into per-tier
-// histogram stages — store.get.mem, store.get.disk, store.put.mem,
-// store.put.disk — alongside the spans the callers already open.
+// When a recorder is in ctx, memory probes and writes are timed into the
+// store.get.mem and store.put.mem histogram stages, alongside the spans
+// the callers already open.
 type Tiered[V any] struct {
 	mem    *Memory[V]
-	disk   *Disk[V]
 	flight Flight[V]
 
 	// hits/misses are the top-level outcome counters (free-running
@@ -36,21 +34,12 @@ type counter struct{ v atomic.Uint64 }
 func (c *counter) add(d int64)  { c.v.Add(uint64(d)) }
 func (c *counter) load() uint64 { return c.v.Load() }
 
-// NewTiered returns a store over the given memory tier and optional
-// (nil = none) disk tier.
-func NewTiered[V any](mem *Memory[V], disk *Disk[V]) *Tiered[V] {
-	return &Tiered[V]{mem: mem, disk: disk}
+// NewTiered returns a store over the given memory tier.
+func NewTiered[V any](mem *Memory[V]) *Tiered[V] {
+	return &Tiered[V]{mem: mem}
 }
 
-// AttachDisk adds (or replaces) the persistent tier. Call during wiring,
-// before the store is shared across goroutines.
-func (t *Tiered[V]) AttachDisk(d *Disk[V]) { t.disk = d }
-
-// Disk returns the attached persistent tier, nil if none.
-func (t *Tiered[V]) Disk() *Disk[V] { return t.disk }
-
-// lookup probes memory then disk (promoting a disk hit into memory)
-// without touching the top-level counters.
+// lookup probes the memory tier without touching the top-level counters.
 func (t *Tiered[V]) lookup(ctx context.Context, k Key) (V, Outcome, bool) {
 	rec := obs.RecorderFrom(ctx)
 	var t0 time.Time
@@ -64,32 +53,19 @@ func (t *Tiered[V]) lookup(ctx context.Context, k Key) (V, Outcome, bool) {
 	if ok {
 		return v, HitMem, true
 	}
-	if t.disk != nil {
-		if rec != nil {
-			t0 = time.Now()
-		}
-		v, ok = t.disk.Get(k)
-		if rec != nil {
-			rec.Observe("store.get.disk", time.Since(t0))
-		}
-		if ok {
-			t.mem.Put(k, v)
-			return v, HitDisk, true
-		}
-	}
 	var zero V
 	return zero, Miss, false
 }
 
-// Get probes memory then disk. A disk hit is promoted into memory.
+// Get probes the memory tier.
 func (t *Tiered[V]) Get(ctx context.Context, k Key) (V, bool) {
 	v, _, ok := t.Lookup(ctx, k)
 	return v, ok
 }
 
-// Lookup is Get also reporting which tier served the value (HitMem or
-// HitDisk; Miss when absent) — for callers that record the outcome, like
-// the dse.evaluate span's cache attribute.
+// Lookup is Get also reporting the outcome (HitMem, or Miss when absent)
+// — for callers that record it, like the dse.evaluate span's cache
+// attribute.
 func (t *Tiered[V]) Lookup(ctx context.Context, k Key) (V, Outcome, bool) {
 	v, out, ok := t.lookup(ctx, k)
 	if ok {
@@ -100,7 +76,7 @@ func (t *Tiered[V]) Lookup(ctx context.Context, k Key) (V, Outcome, bool) {
 	return v, out, ok
 }
 
-// Put writes v to every tier.
+// Put writes v to the memory tier.
 func (t *Tiered[V]) Put(ctx context.Context, k Key, v V) {
 	rec := obs.RecorderFrom(ctx)
 	var t0 time.Time
@@ -111,23 +87,14 @@ func (t *Tiered[V]) Put(ctx context.Context, k Key, v V) {
 	if rec != nil {
 		rec.Observe("store.put.mem", time.Since(t0))
 	}
-	if t.disk != nil {
-		if rec != nil {
-			t0 = time.Now()
-		}
-		t.disk.Put(k, v)
-		if rec != nil {
-			rec.Observe("store.put.disk", time.Since(t0))
-		}
-	}
 }
 
 // Compute completes a Get miss: it runs fn under the single-flight layer
-// (concurrent identical computations share one execution), re-probes the
-// tiers on winning leadership (a racing leader may have just filled
-// them), and writes a freshly computed value to every tier. The Outcome
-// reports what actually happened: Miss (fn ran here), HitMem/HitDisk
-// (filled by a racer), or Shared (another caller's fn served us).
+// (concurrent identical computations share one execution), re-probes
+// memory on winning leadership (a racing leader may have just filled
+// it), and stores a freshly computed value. The Outcome reports what
+// actually happened: Miss (fn ran here), HitMem (filled by a racer), or
+// Shared (another caller's fn served us).
 //
 // Callers must pair Compute with an immediately preceding Get miss —
 // Compute re-balances that Get's recorded miss into a hit when the value
@@ -162,7 +129,7 @@ func (t *Tiered[V]) Compute(ctx context.Context, k Key, fn func(context.Context)
 }
 
 // Stats aggregates the store's top-level outcomes: Hits are lookups
-// served from any tier (or a shared computation), Misses are performed
+// served from memory (or a shared computation), Misses are performed
 // computations; entry counts, capacity, eviction and byte figures come
 // from the memory tier, whose snapshot consistency the underlying LRU
 // guarantees. Per-tier detail is in TierStats.
@@ -178,15 +145,11 @@ func (t *Tiered[V]) Stats() Stats {
 	}
 }
 
-// TierStats reports each tier under its metrics name: "mem", "disk"
-// (when attached) and "flight".
+// TierStats reports each tier under its metrics name: "mem" and
+// "flight".
 func (t *Tiered[V]) TierStats() map[string]Stats {
-	tiers := map[string]Stats{
+	return map[string]Stats{
 		"mem":    t.mem.Stats(),
 		"flight": t.flight.Stats(),
 	}
-	if t.disk != nil {
-		tiers["disk"] = t.disk.Stats()
-	}
-	return tiers
 }
