@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/dse"
@@ -233,38 +232,19 @@ func BenchmarkDSECacheHit(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepTable3Memo measures the memoization layers on the Fig 6
-// grid, coldest to warmest. "cold" is uncached evaluation: a fresh engine
-// and no point LRU every iteration, so every component term and every
-// design point is computed from scratch (the engine still self-warms
-// within a single sweep — that sharing is intrinsic to the grid). "engine"
-// keeps the point LRU off but shares one simulator across iterations, so
-// every compute/feed/DRAM/comm term is a map hit while each point still
-// re-aggregates and re-costs. "warm" is the full memoized-DSE path: a
-// pre-warmed NewExplorer serving every point from the IR-hash-keyed LRU.
-// TestSweepMemoBitEqual pins all three paths to bit-equal results.
-func BenchmarkSweepTable3Memo(b *testing.B) {
+// BenchmarkSweepTable3 measures the explorer's one sweep path on the Fig 6
+// grid. "cold" is a fresh NewExplorer per iteration — empty point store,
+// every design evaluated through the windowed batch evaluator — and
+// "warm" a pre-warmed NewExplorer serving every design from its point
+// store. TestBatchScalarBitEqualOnGoldenGrids pins both to bit-equal
+// results against the single-design reference.
+func BenchmarkSweepTable3(b *testing.B) {
 	w := model.PaperWorkload(model.GPT3_175B())
 	grid := dse.Table3(4800, []float64{600})
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ex := &dse.Explorer{Sim: sim.New(), Wafer: cost.N7Wafer}
-			if _, err := ex.Run(grid, w); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("engine", func(b *testing.B) {
-		shared := sim.New()
-		if _, err := (&dse.Explorer{Sim: shared, Wafer: cost.N7Wafer}).Run(grid, w); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ex := &dse.Explorer{Sim: shared, Wafer: cost.N7Wafer}
-			if _, err := ex.Run(grid, w); err != nil {
+			if _, err := dse.NewExplorer().Run(grid, w); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -288,81 +268,27 @@ func BenchmarkSweepTable3Memo(b *testing.B) {
 	})
 }
 
-// BenchmarkSweepTable3Batch measures the struct-of-arrays batch evaluator
-// on the Fig 6 grid, mirroring BenchmarkSweepTable3Memo's ladder. "cold"
-// is a fresh batch explorer per iteration (no point LRU, fresh scratch) —
-// compare against Memo/cold for the headline batch speedup. "steady" is
-// the steady-state hot loop: one shared evaluator whose pooled scratch
-// arena is warm, no point LRU, so every iteration re-runs the full
-// group-dedup + assembly at zero allocations in the core (the remaining
-// allocs are the per-sweep result slices the caller keeps).
-// "warm" is the full memoized path: every point served from the LRU.
-// TestBatchScalarBitEqualOnGoldenGrids pins all paths to bit-equal
-// results against the scalar ladder.
-func BenchmarkSweepTable3Batch(b *testing.B) {
-	w := model.PaperWorkload(model.GPT3_175B())
-	grid := dse.Table3(4800, []float64{600})
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ex := (&dse.Explorer{Sim: sim.New(), Wafer: cost.N7Wafer}).WithBatch()
-			if _, err := ex.Run(grid, w); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("steady", func(b *testing.B) {
-		shared := sim.New()
-		ev := &batch.Evaluator{Engine: shared.Engine}
-		ex := &dse.Explorer{Sim: shared, Wafer: cost.N7Wafer, Batch: ev}
-		if _, err := ex.Run(grid, w); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := ex.Run(grid, w); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		ex := dse.NewBatchExplorer()
-		if _, err := ex.Run(grid, w); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := ex.Run(grid, w); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		if s := ex.Cache.Stats(); s.Hits == 0 {
-			b.Fatal("warm batch sweep never hit the point cache")
-		}
-	})
-}
-
 // TestWarmSweepAllocsBelowCold pins the warm-LRU allocation fix: a
-// fully cache-served sweep must allocate strictly less than a cold one.
-// It regressed once — the sharded LRU heap-allocated an FNV hasher and
-// a []byte key copy on every probe and dse.cacheKey added three more
-// fmt allocations, making the "fully memoized" path allocate MORE per
-// point than recomputation (5034 vs 4565 allocs/op in the recorded
-// BENCH_ir_memo.json before the fix).
+// fully cache-served sweep must allocate strictly less than a cold one on
+// the same explorer set-up (NewExplorer at Parallelism 1). It regressed
+// once — the sharded LRU heap-allocated an FNV hasher and a []byte key
+// copy on every probe and dse.cacheKey added three more fmt allocations,
+// making the "fully memoized" path allocate MORE per point than
+// recomputation (5034 vs 4565 allocs/op before the fix).
 func TestWarmSweepAllocsBelowCold(t *testing.T) {
 	w := model.PaperWorkload(model.GPT3_175B())
 	grid := dse.Table3(4800, []float64{600})
+	explorer := func() *dse.Explorer {
+		ex := dse.NewExplorer()
+		ex.Parallelism = 1
+		return ex
+	}
 	cold := testing.AllocsPerRun(3, func() {
-		ex := &dse.Explorer{Sim: sim.New(), Wafer: cost.N7Wafer, Parallelism: 1}
-		if _, err := ex.Run(grid, w); err != nil {
+		if _, err := explorer().Run(grid, w); err != nil {
 			t.Fatal(err)
 		}
 	})
-	warmEx := dse.NewExplorer()
-	warmEx.Parallelism = 1
+	warmEx := explorer()
 	if _, err := warmEx.Run(grid, w); err != nil {
 		t.Fatal(err)
 	}
@@ -374,48 +300,6 @@ func TestWarmSweepAllocsBelowCold(t *testing.T) {
 	t.Logf("allocs per 512-design sweep: cold %.0f, warm %.0f", cold, warm)
 	if warm >= cold {
 		t.Errorf("warm sweep allocates %.0f allocs/run, cold %.0f: cache hits must be cheaper than recomputation", warm, cold)
-	}
-
-	// The batch path must hold the same ordering — and a steady-state
-	// batch sweep (pooled scratch, no LRU) must allocate far below the
-	// scalar cold sweep too, since its hot loop is allocation-free and
-	// only the escaping result slices remain.
-	coldBatch := testing.AllocsPerRun(3, func() {
-		ex := (&dse.Explorer{Sim: sim.New(), Wafer: cost.N7Wafer}).WithBatch()
-		if _, err := ex.Run(grid, w); err != nil {
-			t.Fatal(err)
-		}
-	})
-	steadyEx := (&dse.Explorer{Sim: sim.New(), Wafer: cost.N7Wafer}).WithBatch()
-	if _, err := steadyEx.Run(grid, w); err != nil {
-		t.Fatal(err)
-	}
-	steadyBatch := testing.AllocsPerRun(3, func() {
-		if _, err := steadyEx.Run(grid, w); err != nil {
-			t.Fatal(err)
-		}
-	})
-	warmBatchEx := dse.NewBatchExplorer()
-	if _, err := warmBatchEx.Run(grid, w); err != nil {
-		t.Fatal(err)
-	}
-	warmBatch := testing.AllocsPerRun(3, func() {
-		if _, err := warmBatchEx.Run(grid, w); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("allocs per 512-design batch sweep: cold %.0f, steady %.0f, warm %.0f", coldBatch, steadyBatch, warmBatch)
-	// A fully cache-served batch explorer takes the same point-wise LRU-hit
-	// path as the scalar one, so it must match the scalar warm count — not
-	// the batch cold count, which the pooled arena drives far below it.
-	if warmBatch > warm {
-		t.Errorf("warm batch sweep allocates %.0f allocs/run, scalar warm %.0f: cache hits must serve through the same point-wise path", warmBatch, warm)
-	}
-	if coldBatch >= cold {
-		t.Errorf("cold batch sweep allocates %.0f allocs/run, scalar cold %.0f: the grouped arena must allocate less", coldBatch, cold)
-	}
-	if steadyBatch >= cold {
-		t.Errorf("steady batch sweep allocates %.0f allocs/run, scalar cold %.0f: the arena must amortise", steadyBatch, cold)
 	}
 }
 

@@ -43,7 +43,7 @@ func main() {
 		budget    = flag.Int("budget", 256, "adaptive engines: unique-evaluation budget")
 		seed      = flag.Uint64("seed", 0, "adaptive engines: RNG seed (0 = derive deterministically from engine and space)")
 		space     = flag.String("space", "table3", "design space: table3 (the paper's grid at -tpp) or jan2025 (quantity-cap lattice)")
-		eval      = flag.String("eval", "scalar", "cache-miss evaluator: scalar (per-design workers) or batch (struct-of-arrays sweep, bit-identical results)")
+		eval      = flag.String("eval", "scalar", "ignored, kept for compatibility: every sweep evaluates through the batch evaluator (accepts scalar or batch)")
 		traceOut  = flag.String("trace", "", "dump the sweep's span trace as JSON to this file (\"-\" = stderr)")
 	)
 	flag.Parse()
@@ -153,11 +153,7 @@ func run(o options) error {
 	if rule == "oct2023" {
 		devBW = []float64{500, 700, 900}
 	}
-	ex := dse.NewExplorer()
-	if o.eval == "batch" {
-		ex = ex.WithBatch()
-	}
-	points, err := ex.RunContext(ctx, dse.Table3(tpp, devBW), w)
+	points, err := dse.NewExplorer().RunContext(ctx, dse.Table3(tpp, devBW), w)
 	if rec != nil {
 		if derr := dumpTrace(rec, traceOut); derr != nil {
 			return fmt.Errorf("writing trace: %w", derr)
@@ -237,13 +233,7 @@ func runAdaptive(ctx context.Context, o options, w model.Workload, rec *obs.Reco
 		return fmt.Errorf("budget must be positive, got %d", o.budget)
 	}
 
-	// nil keeps the runner's default (scalar) explorer; -eval batch routes
-	// the engines' generation sweeps through the struct-of-arrays path.
-	var ex *dse.Explorer
-	if o.eval == "batch" {
-		ex = dse.NewBatchExplorer()
-	}
-	out, err := core.AdaptiveSearchContext(ctx, ex, o.engine, prob, o.budget, o.seed)
+	out, err := core.AdaptiveSearchContext(ctx, nil, o.engine, prob, o.budget, o.seed)
 	if rec != nil {
 		if derr := dumpTrace(rec, o.traceOut); derr != nil {
 			return fmt.Errorf("writing trace: %w", derr)

@@ -55,7 +55,7 @@ func main() {
 	}
 
 	// The same search through a shared explorer costs nothing the second
-	// time: every design comes back from the memoized dse pipeline.
+	// time: every design comes back from the explorer's point store.
 	ctx := context.Background()
 	ex := dse.NewExplorer()
 	if _, err := core.AdaptiveSearchContext(ctx, ex, "nsga2", prob, 192, 1); err != nil {

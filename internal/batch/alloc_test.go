@@ -56,7 +56,7 @@ func sweepPrealloc(ev *Evaluator, s *scratch, ctx context.Context, cfgs []arch.C
 		out.Done[i] = false
 	}
 	out.Errs = nil
-	return ev.sweepInto(ctx, s, cfgs, g, out, backing, nil)
+	return ev.sweepInto(ctx, s, cfgs, g, out, backing)
 }
 
 // TestBatchSteadyStateZeroAllocs pins the tentpole's steady-state claim:

@@ -1,8 +1,10 @@
 // Package batch evaluates design-space sweeps struct-of-arrays: the
-// workload is lowered once (ir.Lower, done by the caller or SweepWorkload)
-// and every design in the sweep is evaluated per IR node — one pass per
-// operator over contiguous slices — instead of one design at a time
-// through the scalar simulator.
+// workload is lowered once (ir.Lower, done by the caller) and every
+// design in the sweep is evaluated per IR node — one pass per operator
+// over contiguous slices — instead of one design at a time through the
+// scalar simulator. It is the evaluator behind every dse.Explorer sweep
+// on the analytic engine: the explorer feeds it fixed windows of
+// DefaultWidth designs from parallel workers.
 //
 // # Why it is fast
 //
@@ -44,7 +46,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/ir"
-	"repro/internal/model"
 	"repro/internal/perf"
 	"repro/internal/sim"
 )
@@ -52,25 +53,27 @@ import (
 // DefaultWidth is the chunk size of the per-design assembly loop: designs
 // are evaluated in chunks of this many, with a cancellation check between
 // chunks, so a cancelled sweep returns the completed chunks as partial
-// results without per-design overhead.
-const DefaultWidth = 128
+// results without per-design overhead. It is also the window size
+// dse.Explorer splits its sweeps into: small enough that a sweep's first
+// designs stream within a window's evaluation time, large enough that
+// group discovery still shares terms across a window's designs.
+const DefaultWidth = 32
 
 // Evaluator evaluates sweeps struct-of-arrays against one analytic engine.
-// It is safe for concurrent use: each Sweep draws its scratch arena from
-// a shared pool and only reads the engine's constant fields (never its
-// memo tables).
+// It is safe for concurrent use: each sweep draws its scratch arena from
+// a shared pool and only reads the engine's fields.
 type Evaluator struct {
-	// Engine holds the analytic model constants. Must be non-nil; only the
-	// exported constant fields are read.
+	// Engine holds the analytic model constants. Must be non-nil; only
+	// its fields are read.
 	Engine *perf.Engine
 	// Width is the assembly chunk size; 0 or negative means DefaultWidth.
 	Width int
 }
 
 // scratchPool recycles scratch arenas across all evaluators. Nothing in a
-// scratch escapes a sweep (the per-op Times are copied into the sweep's
-// own backing array), so even short-lived evaluators — one per service
-// request, say — inherit grown, warm arenas instead of re-allocating them.
+// scratch escapes a sweep (the per-op Times are copied into the caller's
+// backing array), so even short-lived evaluators — one per dse sweep —
+// inherit grown, warm arenas instead of re-allocating them.
 var scratchPool sync.Pool // *scratch
 
 // Outcome is the result of one batch sweep, indexed like the input configs.
@@ -251,60 +254,46 @@ func growT(s []perf.Time, n int) []perf.Time {
 // and do not stop the sweep. On context cancellation the completed chunks
 // are returned as partial results (Done marks them) alongside an error
 // wrapping ctx.Err() — the same partial-result semantics as
-// dse.EvaluateContext, which feeds this into its errors.Join reporting.
+// dse.EvaluateContext, which evaluates its windows through SweepInto.
 func (e *Evaluator) Sweep(ctx context.Context, cfgs []arch.Config, g ir.Graph) (Outcome, error) {
-	return e.SweepFunc(ctx, cfgs, g, nil)
-}
-
-// SweepFunc is Sweep with incremental delivery: after each width-sized
-// chunk of designs is fully assembled, onChunk is invoked with the
-// in-progress outcome and the chunk's half-open design range [lo, hi).
-// Entries in that range are final (Done/Errs/Results will not change);
-// entries outside it may not be evaluated yet. onChunk runs on the
-// sweeping goroutine between chunks — a slow callback stalls the sweep,
-// and the `//acr:hotpath` chunk kernel itself is untouched. A nil
-// onChunk is exactly Sweep.
-func (e *Evaluator) SweepFunc(ctx context.Context, cfgs []arch.Config, g ir.Graph, onChunk func(out *Outcome, lo, hi int)) (Outcome, error) {
 	out := Outcome{
 		Results: make([]sim.Result, len(cfgs)),
 		Done:    make([]bool, len(cfgs)),
 	}
+	// The per-op Times escape into results (and from there into caller
+	// caches), so their backing array is per-sweep, not pooled.
+	err := e.SweepInto(ctx, cfgs, g, &out, make([]perf.Time, len(cfgs)*len(g.Nodes)))
+	return out, err
+}
+
+// SweepInto is Sweep on caller-owned memory: out.Results and out.Done
+// must hold len(cfgs) entries each, and backing len(cfgs)·len(g.Nodes)
+// Times, which the results' PrefillOps and DecodeOps slice into. It resets
+// out.Done and out.Errs first, so a caller can reuse one Outcome across
+// sweeps; with a warm pooled scratch arena it allocates nothing but the
+// per-design error list of a sweep that has failures.
+func (e *Evaluator) SweepInto(ctx context.Context, cfgs []arch.Config, g ir.Graph, out *Outcome, backing []perf.Time) error {
+	for i := range out.Done {
+		out.Done[i] = false
+	}
+	out.Errs = nil
 	if e.Engine == nil {
-		return out, fmt.Errorf("batch: evaluator has no engine; set Engine")
+		return fmt.Errorf("batch: evaluator has no engine; set Engine")
 	}
 	s, _ := scratchPool.Get().(*scratch)
 	if s == nil {
 		s = &scratch{}
 	}
-	nNodes := 0
-	for _, n := range g.Nodes {
-		if n.Phase == ir.Prefill || n.Phase == ir.Decode {
-			nNodes++
-		}
-	}
-	// The per-op Times escape into results (and from there into caller
-	// caches), so their backing array is per-sweep, not pooled.
-	backing := make([]perf.Time, len(cfgs)*nNodes)
-	err := e.sweepInto(ctx, s, cfgs, g, &out, backing, onChunk)
+	err := e.sweepInto(ctx, s, cfgs, g, out, backing)
 	scratchPool.Put(s)
-	return out, err
-}
-
-// SweepWorkload lowers w once and sweeps cfgs against it.
-func (e *Evaluator) SweepWorkload(ctx context.Context, cfgs []arch.Config, w model.Workload) (Outcome, error) {
-	g, err := ir.Lower(w)
-	if err != nil {
-		return Outcome{}, err
-	}
-	return e.Sweep(ctx, cfgs, g)
+	return err
 }
 
 // sweepInto is the allocation-free core: it prepares the scratch arena
 // (nodes, groups, term offsets) and runs the chunked assembly loop,
 // writing results into out and backing. It allocates only to grow the
-// arena (first sweeps) or to report per-design errors. A non-nil onChunk
-// observes each chunk the moment its assembly loop finishes.
-func (e *Evaluator) sweepInto(ctx context.Context, s *scratch, cfgs []arch.Config, g ir.Graph, out *Outcome, backing []perf.Time, onChunk func(out *Outcome, lo, hi int)) error {
+// arena (first sweeps) or to report per-design errors.
+func (e *Evaluator) sweepInto(ctx context.Context, s *scratch, cfgs []arch.Config, g ir.Graph, out *Outcome, backing []perf.Time) error {
 	s.prepare(e.Engine, cfgs, g, out)
 	width := e.Width
 	if width <= 0 {
@@ -342,9 +331,6 @@ func (e *Evaluator) sweepInto(ctx context.Context, s *scratch, cfgs []arch.Confi
 				r.DecodeMFU = s.dfl[d] / (r.TBTSeconds * peak)
 			}
 			out.Done[d] = true
-		}
-		if onChunk != nil {
-			onChunk(out, lo, hi)
 		}
 	}
 	if err := ctx.Err(); err != nil {

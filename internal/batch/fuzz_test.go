@@ -15,7 +15,8 @@ import (
 // mapped into a small sweep whose variants flip one group axis each (so
 // group discovery, dedup and the tabled/untabled matmul split all
 // exercise), and the sweep must come back bit-identical through the
-// scalar and batch dse paths — every point field, every per-operator
+// default (batch) explorer and the single-design reference explorer
+// (golden.ReferenceExplorer) — every point field, every per-operator
 // Time, under math.Float64bits. Seeds live in
 // testdata/fuzz/FuzzBatchScalarEquality.
 func FuzzBatchScalarEquality(f *testing.F) {
@@ -79,10 +80,11 @@ func FuzzBatchScalarEquality(f *testing.F) {
 			return
 		}
 
-		scalar := dse.NewExplorer()
-		scalar.Cache = nil
+		scalar := golden.ReferenceExplorer()
 		scalar.Parallelism = 1
-		bex := scalar.WithBatch()
+		bex := dse.NewExplorer()
+		bex.Cache = nil
+		bex.Parallelism = 1
 		ps, errS := scalar.Evaluate(cfgs, w)
 		if errS != nil {
 			t.Fatalf("scalar sweep failed on validated configs: %v", errS)

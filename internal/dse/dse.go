@@ -201,9 +201,13 @@ func (p Point) TBTCostProduct() float64  { return p.TBT() * 1e3 * p.DieCostUSD }
 
 // Explorer evaluates grids against a workload.
 type Explorer struct {
+	// Sim times the designs. With Sim.Backend nil, sweeps evaluate on
+	// Sim.Engine through a batch.Evaluator; with a Backend set (tilesim,
+	// test doubles, or ir.Analytic as the single-design reference) they
+	// call Sim.SimulateGraphContext one design at a time.
 	Sim   *sim.Simulator
 	Wafer cost.Wafer
-	// Parallelism bounds worker goroutines; 0 means GOMAXPROCS.
+	// Parallelism bounds a sweep's window workers; 0 means GOMAXPROCS.
 	Parallelism int
 	// Cache memoises evaluated points by PointKey in the in-memory
 	// content-addressed store (an LRU plus single-flight dedup of
@@ -213,13 +217,6 @@ type Explorer struct {
 	// the defaults must not share a cache (set it to nil, or give each
 	// explorer its own). Nil disables caching.
 	Cache *store.Tiered[Point]
-	// Batch, when non-nil, routes cache-miss evaluation through the
-	// struct-of-arrays evaluator in internal/batch instead of the
-	// per-design worker pool. LRU hits are still served point-wise, and
-	// results are bit-identical to the scalar path (see package batch).
-	// Ignored when a non-analytic Sim.Backend is set — only the analytic
-	// engine has a batch lowering.
-	Batch *batch.Evaluator
 }
 
 // DefaultCacheEntries bounds the explorer's result cache: larger than the
@@ -235,26 +232,6 @@ func NewExplorer() *Explorer {
 		Wafer: cost.N7Wafer,
 		Cache: NewPointStore(DefaultCacheEntries, 0),
 	}
-}
-
-// NewBatchExplorer returns NewExplorer reconfigured to evaluate cache
-// misses through the struct-of-arrays batch evaluator.
-func NewBatchExplorer() *Explorer {
-	return NewExplorer().WithBatch()
-}
-
-// WithBatch returns a shallow copy of e whose cache misses evaluate
-// through a fresh batch evaluator bound to e's analytic engine. The copy
-// shares e's simulator, wafer model and result cache — safe because batch
-// and scalar evaluation are bit-identical. With no simulator or engine to
-// bind, the copy is returned unchanged (the scalar path reports the
-// configuration error).
-func (e *Explorer) WithBatch() *Explorer {
-	c := *e
-	if e.Sim != nil && e.Sim.Engine != nil {
-		c.Batch = &batch.Evaluator{Engine: e.Sim.Engine}
-	}
-	return &c
 }
 
 // PointKey returns the content address of one evaluation: the IR content
@@ -319,13 +296,24 @@ func (e *Explorer) Evaluate(configs []arch.Config, w model.Workload) ([]Point, e
 // that individually fail are likewise skipped, their errors joined via
 // errors.Join, and every successful point still returned — one bad design
 // no longer discards an entire sweep.
+//
+// The workload is lowered once and the configs split into fixed windows
+// of batch.DefaultWidth designs. Parallelism workers each take one window
+// at a time from the caller: they probe the point store, claim the misses
+// in its single-flight layer in one critical section, evaluate the
+// claimed misses (one batch.Evaluator pass, or one
+// Sim.SimulateGraphContext call per design when Sim.Backend is set),
+// finish, store and release them, wait for misses another sweep is
+// computing, and deliver the window's points in input order to the
+// context's ProgressFunc. Each window records one dse.window span with int
+// attributes configs, hits (memory), misses (simulated here) and shared
+// (computed by a concurrent sweep).
 func (e *Explorer) EvaluateContext(ctx context.Context, configs []arch.Config, w model.Workload) ([]Point, error) {
-	ctx, sweep := obs.Start(ctx, "dse.sweep")
-	defer sweep.End()
-	sweep.SetInt("configs", len(configs))
-	// Lower once: the operator graph depends only on the workload, so every
-	// grid point shares it (the engine's component memo tables then share
-	// the per-node terms each changed axis doesn't touch).
+	ctx, sp := obs.Start(ctx, "dse.sweep")
+	defer sp.End()
+	sp.SetInt("configs", len(configs))
+	// Lower once: the operator graph depends only on the workload, so
+	// every design of the sweep shares it.
 	_, lower := obs.Start(ctx, "dse.lower")
 	g, err := ir.Lower(w)
 	lower.SetStr("model", w.Model.Name)
@@ -333,56 +321,46 @@ func (e *Explorer) EvaluateContext(ctx context.Context, configs []arch.Config, w
 	if err != nil {
 		return nil, fmt.Errorf("dse: %w", err)
 	}
-	workloadHash := ir.WorkloadHash(w)
-	if e.Batch != nil && e.Sim != nil && e.Sim.Backend == nil && e.Sim.Engine != nil {
-		return e.evaluateBatch(ctx, configs, g, workloadHash)
+	n := len(configs)
+	sw := &sweep{
+		e:        e,
+		ctx:      ctx,
+		configs:  configs,
+		g:        g,
+		wh:       ir.WorkloadHash(w),
+		ev:       batch.Evaluator{Engine: e.Sim.Engine},
+		progress: progressFrom(ctx),
+		points:   make([]Point, n),
+		done:     make([]bool, n),
+		errs:     make([]error, n),
 	}
-	points := make([]Point, len(configs))
-	done := make([]bool, len(configs))
-	errs := make([]error, len(configs))
-	// One lookup per sweep: the no-progress path never touches the
-	// context again, so plain sweeps stay exactly as cheap as before.
-	progress := progressFrom(ctx)
 	workers := e.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	// The caller hands out window starts one at a time: a worker that
+	// finds none ready parks, which gives the scheduler the idle
+	// moments it polls the network in, so streamed frames and new
+	// requests are not starved behind the sweep.
+	windows := make(chan int)
 	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for i := 0; i < workers; i++ {
+	for i := 0; i < min(workers, (n+batch.DefaultWidth-1)/batch.DefaultWidth); i++ {
 		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				if ctx.Err() != nil {
-					continue // cancelled: drain without evaluating
-				}
-				p, err := e.evaluateOne(ctx, configs[idx], g, workloadHash)
-				if err != nil {
-					errs[idx] = fmt.Errorf("dse: %s: %w", configs[idx].Name, err)
-					continue
-				}
-				points[idx] = p
-				done[idx] = true
-				if progress != nil {
-					progress(p)
-				}
-			}
-		}()
+		go func() { defer wg.Done(); sw.work(windows) }()
 	}
 feed:
-	for i := range configs {
+	for lo := 0; lo < n; lo += batch.DefaultWidth {
 		select {
-		case jobs <- i:
+		case windows <- lo:
 		case <-ctx.Done():
 			break feed
 		}
 	}
-	close(jobs)
+	close(windows)
 	wg.Wait()
 
 	allErrs := make([]error, 0, 1)
-	for _, err := range errs {
+	for _, err := range sw.errs {
 		if err != nil {
 			allErrs = append(allErrs, err)
 		}
@@ -391,88 +369,200 @@ feed:
 		allErrs = append(allErrs, fmt.Errorf("dse: sweep aborted: %w", err))
 	}
 	if len(allErrs) == 0 {
-		return points, nil
+		return sw.points, nil
 	}
-	kept := points[:0]
-	for i, ok := range done {
+	kept := sw.points[:0]
+	for i, ok := range sw.done {
 		if ok {
-			kept = append(kept, points[i])
+			kept = append(kept, sw.points[i])
 		}
 	}
 	return kept, errors.Join(allErrs...)
 }
 
-func (e *Explorer) evaluateOne(ctx context.Context, cfg arch.Config, g ir.Graph, workloadHash uint64) (Point, error) {
-	ctx, sp := obs.Start(ctx, "dse.evaluate")
+// sweep is one EvaluateContext call's shared state. Each design's
+// points, done and errs entries are written only by the worker holding
+// its window.
+type sweep struct {
+	e        *Explorer
+	ctx      context.Context
+	configs  []arch.Config
+	g        ir.Graph
+	wh       uint64 // ir.WorkloadHash of g's workload
+	ev       batch.Evaluator
+	progress ProgressFunc
+	points   []Point
+	done     []bool
+	errs     []error
+}
+
+// window is one worker's scratch, reused across the windows it takes:
+// nothing in it escapes a window.
+type window struct {
+	sw *sweep
+	// miss holds the design indices that missed memory, keys their
+	// point keys, and all the positions 0..DefaultWidth-1 into both.
+	miss []int
+	keys []store.Key
+	all  []int
+	buf  store.WindowBuf
+	// cfgs and out are the batch evaluator's input and output.
+	cfgs []arch.Config
+	out  batch.Outcome
+	// The current window's span tallies.
+	hits, misses, shared int
+}
+
+// work evaluates the windows starting at each design index it receives,
+// skipping them once the sweep's context has ended.
+func (sw *sweep) work(windows <-chan int) {
+	const width = batch.DefaultWidth
+	w := &window{sw: sw, all: make([]int, width)}
+	for i := range w.all {
+		w.all[i] = i
+	}
+	for lo := range windows {
+		if sw.ctx.Err() != nil {
+			continue // cancelled: drain without evaluating
+		}
+		w.run(lo, min(lo+width, len(sw.configs)))
+		// Let a readied stream writer onto a processor between windows,
+		// so streamed points reach clients while the sweep goes on.
+		runtime.Gosched()
+	}
+}
+
+// run evaluates the designs [lo, hi) and delivers them to the sweep's
+// progress callback.
+func (w *window) run(lo, hi int) {
+	sw := w.sw
+	ctx, sp := obs.Start(sw.ctx, "dse.window")
 	defer sp.End()
-	sp.SetStr("config", cfg.Name)
-	if e.Cache == nil {
-		r, err := e.Sim.SimulateGraphContext(ctx, cfg, g)
-		if err != nil {
-			return Point{}, err
+	w.hits, w.misses, w.shared = 0, 0, 0
+	w.miss, w.keys = w.miss[:0], w.keys[:0]
+	cache := sw.e.Cache
+	for i := lo; i < hi; i++ {
+		if cache == nil {
+			w.miss = append(w.miss, i)
+			continue
 		}
-		return e.finishPoint(cfg, r), nil
-	}
-	key := store.Key{Hi: ir.ConfigHash(cfg), Lo: workloadHash} // == PointKey(cfg, g.Workload)
-	if p, out, ok := e.Cache.Lookup(ctx, key); ok {
-		// The cached point may have been evaluated under a different
-		// grid's display name; restore the requested one.
-		p.Config = cfg
-		p.Result.Config = cfg
-		sp.SetStr("cache", out.String())
-		return p, nil
-	}
-	// Miss: compute under the store's single-flight layer, so concurrent
-	// identical sweeps share one evaluation. The span's cache attribute
-	// records what actually happened — "miss" (simulated here), "hit"
-	// (a racing caller filled memory first), or "flight" (shared a racing
-	// caller's computation) — which is what the single-flight tests count.
-	p, out, err := e.Cache.Compute(ctx, key, func(ctx context.Context) (Point, error) {
-		r, err := e.Sim.SimulateGraphContext(ctx, cfg, g)
-		if err != nil {
-			return Point{}, err
+		k := store.Key{Hi: ir.ConfigHash(sw.configs[i]), Lo: sw.wh} // == PointKey(cfg, workload)
+		if p, ok := cache.Get(ctx, k); ok {
+			w.serve(i, p)
+			w.hits++
+			continue
 		}
-		return e.finishPoint(cfg, r), nil
-	})
-	sp.SetStr("cache", out.String())
-	if err != nil {
-		return Point{}, err
+		w.miss = append(w.miss, i)
+		w.keys = append(w.keys, k)
 	}
+	switch {
+	case len(w.miss) == 0:
+	case cache == nil:
+		w.evaluate(ctx, w.all[:len(w.miss)])
+	default:
+		// Misses complete under the single-flight layer, so concurrent
+		// identical sweeps share one evaluation per design.
+		cache.ComputeWindow(ctx, w.keys, &w.buf, func(lead []int) { //nolint:errcheck // a cancelled sweep reports ctx.Err() itself
+			w.evaluate(ctx, lead)
+		}, func(j int, p Point, shared bool) {
+			w.serve(w.miss[j], p)
+			if shared {
+				w.shared++
+			} else {
+				w.hits++
+			}
+		})
+	}
+	sp.SetInt("configs", hi-lo)
+	sp.SetInt("hits", w.hits)
+	sp.SetInt("misses", w.misses)
+	sp.SetInt("shared", w.shared)
+	if sw.progress != nil {
+		for i := lo; i < hi; i++ {
+			if sw.done[i] {
+				sw.progress(sw.points[i])
+			}
+		}
+	}
+}
+
+// serve places a stored point at design i. The point may have been
+// evaluated under a different grid's display name; the requested one is
+// restored.
+func (w *window) serve(i int, p Point) {
+	cfg := w.sw.configs[i]
 	p.Config = cfg
 	p.Result.Config = cfg
-	return p, nil
+	w.sw.points[i] = p
+	w.sw.done[i] = true
+}
+
+// evaluate simulates the missed designs at positions lead of w.miss,
+// then finishes and stores each one that succeeds.
+func (w *window) evaluate(ctx context.Context, lead []int) {
+	sw := w.sw
+	simr := sw.e.Sim
+	if simr.Backend != nil || simr.Engine == nil {
+		for _, j := range lead {
+			if ctx.Err() != nil {
+				return
+			}
+			i := w.miss[j]
+			r, err := simr.SimulateGraphContext(ctx, sw.configs[i], sw.g)
+			w.misses++
+			if err != nil {
+				sw.errs[i] = fmt.Errorf("dse: %s: %w", sw.configs[i].Name, err)
+				continue
+			}
+			w.finish(ctx, j, &r)
+		}
+		return
+	}
+	w.cfgs = w.cfgs[:0]
+	for _, j := range lead {
+		w.cfgs = append(w.cfgs, sw.configs[w.miss[j]])
+	}
+	out := &w.out
+	if out.Results == nil { // first evaluation of this worker
+		out.Results, out.Done = make([]sim.Result, batch.DefaultWidth), make([]bool, batch.DefaultWidth)
+	}
+	out.Results, out.Done = out.Results[:len(lead)], out.Done[:len(lead)]
+	// The per-op Times escape into the points (and the store), so their
+	// backing array is the window's own. The only sweep-level error is
+	// cancellation, which EvaluateContext reports from ctx.
+	sw.ev.SweepInto(ctx, w.cfgs, sw.g, out, make([]perf.Time, len(lead)*len(sw.g.Nodes))) //nolint:errcheck
+	for k, j := range lead {
+		i := w.miss[j]
+		if out.Errs != nil && out.Errs[k] != nil {
+			sw.errs[i] = fmt.Errorf("dse: %s: %w", sw.configs[i].Name, out.Errs[k])
+			w.misses++
+		} else if out.Done[k] {
+			w.finish(ctx, j, &out.Results[k])
+			w.misses++
+		}
+	}
+}
+
+// finish completes the missed design at position j of w.miss from its
+// simulated profile and stores it.
+func (w *window) finish(ctx context.Context, j int, r *sim.Result) {
+	sw := w.sw
+	i := w.miss[j]
+	sw.e.finishPoint(&sw.points[i], sw.configs[i], r)
+	if sw.e.Cache != nil {
+		sw.e.Cache.Put(ctx, w.keys[j], sw.points[i])
+	}
+	sw.done[i] = true
 }
 
 // finishPoint derives the area, TPP, compliance and cost fields of one
-// evaluated design — the finalisation shared by the scalar and batch
-// evaluation paths.
-func (e *Explorer) finishPoint(cfg arch.Config, r sim.Result) Point {
-	var p Point
-	e.finishPointInto(&p, cfg, &r)
-	return p
-}
-
-// finishPointInto is finishPoint writing in place: the batch path finalises
-// hundreds of designs per sweep, and assembling each ~400-byte Point
-// directly in its slot keeps the loop free of by-value staging copies.
-func (e *Explorer) finishPointInto(dst *Point, cfg arch.Config, r *sim.Result) {
+// evaluated design, writing the point in place: a sweep finalises
+// hundreds of designs, and assembling each ~400-byte Point directly in its
+// slot keeps the loop free of by-value staging copies. Wafer-model
+// failures (degenerate areas) leave both costs zero, as the paper's
+// tables do.
+func (e *Explorer) finishPoint(dst *Point, cfg arch.Config, r *sim.Result) {
 	a := area.Estimate(cfg)
-	die, good := e.dieCost(a)
-	e.assemblePoint(dst, cfg, r, a, die, good)
-}
-
-// dieCost runs the wafer model for one die area; analysis failures
-// (degenerate areas) leave both costs zero, as the paper's tables do.
-func (e *Explorer) dieCost(a float64) (die, good float64) {
-	if rep, err := e.Wafer.Analyze(a); err == nil {
-		return rep.DieCostUSD, rep.GoodDieUSD
-	}
-	return 0, 0
-}
-
-// assemblePoint fills dst from a design's simulated profile and its
-// already-computed area and wafer costs.
-func (e *Explorer) assemblePoint(dst *Point, cfg arch.Config, r *sim.Result, a, die, good float64) {
 	tpp := cfg.TPP()
 	dst.Config = cfg
 	dst.Result = *r
@@ -484,125 +574,10 @@ func (e *Explorer) assemblePoint(dst *Point, cfg arch.Config, r *sim.Result, a, 
 		TPP: tpp, DeviceBWGBs: cfg.DeviceBWGBs, DieAreaMM2: a,
 		Segment: policy.DataCenter,
 	})
-	dst.DieCostUSD = die
-	dst.GoodDieCostUSD = good
-}
-
-// evaluateBatch is EvaluateContext's batch back end: LRU hits are served
-// point-wise exactly as in the scalar path, and the misses go through the
-// struct-of-arrays evaluator in one sweep. Per-design failures and
-// cancellation compact and join into the same error shapes the scalar
-// path produces.
-func (e *Explorer) evaluateBatch(ctx context.Context, configs []arch.Config, g ir.Graph, workloadHash uint64) ([]Point, error) {
-	ctx, sp := obs.Start(ctx, "dse.batch")
-	defer sp.End()
-	points := make([]Point, len(configs))
-	done := make([]bool, len(configs))
-	errs := make([]error, len(configs))
-	progress := progressFrom(ctx)
-
-	miss := configs
-	missIdx := []int(nil)
-	var keys []store.Key
-	if e.Cache != nil {
-		keys = make([]store.Key, len(configs))
-		miss = make([]arch.Config, 0, len(configs))
-		missIdx = make([]int, 0, len(configs))
-		for i, cfg := range configs {
-			keys[i] = store.Key{Hi: ir.ConfigHash(cfg), Lo: workloadHash}
-			if p, ok := e.Cache.Get(ctx, keys[i]); ok {
-				// The cached point may have been evaluated under a different
-				// grid's display name; restore the requested one.
-				p.Config = cfg
-				p.Result.Config = cfg
-				points[i] = p
-				done[i] = true
-				if progress != nil {
-					progress(p)
-				}
-				continue
-			}
-			miss = append(miss, cfg)
-			missIdx = append(missIdx, i)
-		}
+	dst.DieCostUSD, dst.GoodDieCostUSD = 0, 0
+	if rep, err := e.Wafer.Analyze(a); err == nil {
+		dst.DieCostUSD, dst.GoodDieCostUSD = rep.DieCostUSD, rep.GoodDieUSD
 	}
-	sp.SetInt("configs", len(configs))
-	sp.SetInt("misses", len(miss))
-
-	var abortErr error
-	if len(miss) > 0 {
-		ev := e.Batch
-		if ev.Engine != e.Sim.Engine {
-			// Misconfigured pairing (e.g. the engine was swapped after
-			// WithBatch): evaluate with the simulator's engine so the batch
-			// path can never diverge from what the scalar path would report.
-			ev = &batch.Evaluator{Engine: e.Sim.Engine, Width: ev.Width}
-		}
-		// finishMiss finalises the k-th missed design from the (possibly
-		// still in-progress) outcome. It is idempotent — the progress path
-		// finishes each design the moment its chunk lands, and the
-		// post-sweep loop below then only records errors and designs whose
-		// chunk never ran.
-		finishMiss := func(o *batch.Outcome, k int) {
-			i := k
-			if missIdx != nil {
-				i = missIdx[k]
-			}
-			if o.Errs != nil && o.Errs[k] != nil {
-				errs[i] = fmt.Errorf("dse: %s: %w", configs[i].Name, o.Errs[k])
-				return
-			}
-			if !o.Done[k] || done[i] {
-				return // cancelled before this design's chunk, or already finished
-			}
-			e.finishPointInto(&points[i], configs[i], &o.Results[k])
-			if e.Cache != nil {
-				e.Cache.Put(ctx, keys[i], points[i])
-			}
-			done[i] = true
-			if progress != nil {
-				progress(points[i])
-			}
-		}
-		var out batch.Outcome
-		if progress != nil {
-			// Streaming sweep: finish (and deliver) each chunk's designs as
-			// the batch evaluator completes it instead of waiting for the
-			// whole struct-of-arrays pass.
-			out, abortErr = ev.SweepFunc(ctx, miss, g, func(o *batch.Outcome, lo, hi int) {
-				for k := lo; k < hi; k++ {
-					finishMiss(o, k)
-				}
-			})
-		} else {
-			out, abortErr = ev.Sweep(ctx, miss, g)
-		}
-		for k := range miss {
-			finishMiss(&out, k)
-		}
-	}
-
-	allErrs := make([]error, 0, 1)
-	for _, err := range errs {
-		if err != nil {
-			allErrs = append(allErrs, err)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		allErrs = append(allErrs, fmt.Errorf("dse: sweep aborted: %w", err))
-	} else if abortErr != nil {
-		allErrs = append(allErrs, fmt.Errorf("dse: %w", abortErr))
-	}
-	if len(allErrs) == 0 {
-		return points, nil
-	}
-	kept := points[:0]
-	for i, ok := range done {
-		if ok {
-			kept = append(kept, points[i])
-		}
-	}
-	return kept, errors.Join(allErrs...)
 }
 
 // Run expands and evaluates a grid in one call.

@@ -13,7 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/sim"
-	"repro/internal/store"
 )
 
 func TestTable3GridSizesMatchPaper(t *testing.T) {
@@ -279,10 +278,10 @@ func TestCacheSkipsReSimulation(t *testing.T) {
 }
 
 // TestConcurrentIdenticalSweepsSingleFlight runs the same grid from many
-// goroutines over one shared explorer and proves — by counting the
-// dse.evaluate spans whose cache attribute says "miss" — that each unique
-// design was simulated exactly once; every other lookup was served by the
-// memory tier or by sharing a racing caller's in-flight computation.
+// goroutines over one shared explorer and proves — by summing the
+// dse.window spans' misses attribute — that each unique design was
+// simulated exactly once; every other lookup was served by the memory
+// tier or by sharing a racing sweep's in-flight computation.
 func TestConcurrentIdenticalSweepsSingleFlight(t *testing.T) {
 	const sweeps = 8
 	rec := obs.NewRecorder(0)
@@ -308,27 +307,25 @@ func TestConcurrentIdenticalSweepsSingleFlight(t *testing.T) {
 		}
 	}
 
-	outcomes := make(map[string]int)
+	tally := make(map[string]int)
 	for _, sp := range rec.Spans() {
-		if sp.Name != "dse.evaluate" {
+		if sp.Name != "dse.window" {
 			continue
 		}
 		for _, a := range sp.Attrs {
-			if a.Key == "cache" {
-				outcomes[a.Value.(string)]++
+			if n, ok := a.Value.(int); ok {
+				tally[a.Key] += n
 			}
 		}
 	}
-	total := 0
-	for _, n := range outcomes {
-		total += n
+	if tally["configs"] != sweeps*unique {
+		t.Fatalf("windows cover %d designs, want %d (%v)", tally["configs"], sweeps*unique, tally)
 	}
-	if total != sweeps*unique {
-		t.Fatalf("recorded %d evaluate outcomes, want %d (%v)", total, sweeps*unique, outcomes)
+	if tally["misses"] != unique {
+		t.Errorf("%d simulations for %d unique designs (%v)", tally["misses"], unique, tally)
 	}
-	if outcomes[store.Miss.String()] != unique {
-		t.Errorf("%d simulations for %d unique designs (%v)",
-			outcomes[store.Miss.String()], unique, outcomes)
+	if got := tally["hits"] + tally["shared"]; got != sweeps*unique-unique {
+		t.Errorf("%d designs served by memory or a racing sweep, want %d (%v)", got, sweeps*unique-unique, tally)
 	}
 	st := ex.Cache.Stats()
 	if st.Misses != uint64(unique) {

@@ -1,20 +1,21 @@
-package dse
+package dse_test
 
 import (
 	"testing"
 
-	"repro/internal/cost"
+	"repro/internal/dse"
+	"repro/internal/golden"
 	"repro/internal/model"
-	"repro/internal/sim"
 )
 
-// TestSweepMemoBitEqual is the acceptance contract for memoized grid
-// evaluation: a warm explorer (point LRU plus the engine's component memo
-// tables all hot) must produce results bit-identical to an explorer with no
-// point cache and a cold engine. Covers the full sweep output — latencies,
-// MFU, per-operator profiles, area, PD and cost.
+// TestSweepMemoBitEqual is the acceptance contract for store-backed grid
+// evaluation: a cold sweep on the default explorer and a second sweep
+// served entirely from its point store must both be bit-identical to the
+// uncached single-design reference (golden.ReferenceExplorer). Covers the
+// full sweep output — latencies, MFU, per-operator profiles, area, PD and
+// cost.
 func TestSweepMemoBitEqual(t *testing.T) {
-	grid := Table3(4800, []float64{600})
+	grid := dse.Table3(4800, []float64{600})
 	all := grid.Expand()
 	// Stride across the grid so every axis varies while the test stays fast.
 	configs := all[:0:0]
@@ -23,49 +24,25 @@ func TestSweepMemoBitEqual(t *testing.T) {
 	}
 	w := model.PaperWorkload(model.GPT3_175B())
 
-	warm := NewExplorer()
+	warm := dse.NewExplorer()
 	first, err := warm.Evaluate(configs, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := warm.Evaluate(configs, w) // every point an LRU hit
+	second, err := warm.Evaluate(configs, w) // every point a store hit
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := &Explorer{Sim: sim.New(), Wafer: cost.N7Wafer} // no LRU, fresh engine
-	reference, err := cold.Evaluate(configs, w)
+	if s := warm.Cache.Stats(); s.Hits != uint64(len(configs)) {
+		t.Fatalf("second sweep hit the store %d times, want %d", s.Hits, len(configs))
+	}
+	reference, err := golden.ReferenceExplorer().Evaluate(configs, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if len(first) != len(configs) || len(second) != len(configs) || len(reference) != len(configs) {
-		t.Fatalf("point counts diverge: %d/%d/%d for %d configs",
-			len(first), len(second), len(reference), len(configs))
-	}
-	for i := range configs {
-		for pass, got := range map[string]Point{"warm-engine": first[i], "lru-hit": second[i]} {
-			ref := reference[i]
-			if got.Result.TTFTSeconds != ref.Result.TTFTSeconds ||
-				got.Result.TBTSeconds != ref.Result.TBTSeconds ||
-				got.Result.PrefillMFU != ref.Result.PrefillMFU ||
-				got.Result.DecodeMFU != ref.Result.DecodeMFU {
-				t.Errorf("%s: %s latencies diverge from cold evaluation", configs[i].Name, pass)
-			}
-			if got.AreaMM2 != ref.AreaMM2 || got.PD != ref.PD ||
-				got.DieCostUSD != ref.DieCostUSD || got.GoodDieCostUSD != ref.GoodDieCostUSD ||
-				got.TPP != ref.TPP || got.Oct2023Class != ref.Oct2023Class {
-				t.Errorf("%s: %s derived metrics diverge from cold evaluation", configs[i].Name, pass)
-			}
-			for j := range ref.Result.PrefillOps {
-				if got.Result.PrefillOps[j] != ref.Result.PrefillOps[j] {
-					t.Errorf("%s: %s prefill op %d diverges", configs[i].Name, pass, j)
-				}
-			}
-			for j := range ref.Result.DecodeOps {
-				if got.Result.DecodeOps[j] != ref.Result.DecodeOps[j] {
-					t.Errorf("%s: %s decode op %d diverges", configs[i].Name, pass, j)
-				}
-			}
+	for pass, got := range map[string][]dse.Point{"cold": first, "store-hit": second} {
+		if diffs := golden.DiffPointsExact(reference, got); len(diffs) != 0 {
+			t.Errorf("%s sweep differs from the reference in %d fields, e.g. %s", pass, len(diffs), diffs[0])
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/ir"
 	"repro/internal/model"
 	"repro/internal/obs"
 )
@@ -17,19 +18,20 @@ func attrValue(sr obs.SpanRecord, key string) (any, bool) {
 	return nil, false
 }
 
-// TestEvaluateContextSpanPropagation pins the worker-pool hand-off: the
-// sweep fans evaluation out over goroutines, and every dse.evaluate and
-// nested sim.simulate span must still join the caller's trace, carrying
-// cache hit/miss attributes that flip between a cold and a warm run.
+// TestEvaluateContextSpanPropagation pins the worker hand-off: the sweep
+// fans its windows out over goroutines, and every dse.window span must
+// still join the caller's trace under its dse.sweep, carrying hit/miss
+// tallies that flip between a cold and a warm run.
 func TestEvaluateContextSpanPropagation(t *testing.T) {
 	rec := obs.NewRecorder(0)
 	ctx, root := obs.Start(obs.WithRecorder(context.Background(), rec), "test.root")
 	e := NewExplorer()
 	e.Parallelism = 4
 	w := model.PaperWorkload(model.Llama3_8B())
-	configs := smallGrid(4800).Expand()
+	configs := Table3(4800, []float64{600}).Expand() // several windows
 
-	for run, wantCache := range []string{"miss", "hit"} {
+	seen := 0
+	for run, want := range []string{"misses", "hits"} {
 		pts, err := e.EvaluateContext(ctx, configs, w)
 		if err != nil {
 			t.Fatal(err)
@@ -37,20 +39,26 @@ func TestEvaluateContextSpanPropagation(t *testing.T) {
 		if len(pts) != len(configs) {
 			t.Fatalf("run %d: %d points, want %d", run, len(pts), len(configs))
 		}
-		evaluates := 0
-		for _, sr := range rec.Spans() {
-			if sr.Name != "dse.evaluate" {
+		// The cold run simulates every design; the warm run serves every
+		// design from memory — each window's tally says so.
+		spans := rec.Spans()
+		windows, covered := 0, 0
+		for _, sr := range spans[seen:] {
+			if sr.Name != "dse.window" {
 				continue
 			}
-			if v, _ := attrValue(sr, "cache"); v == wantCache {
-				evaluates++
+			windows++
+			n, _ := attrValue(sr, "configs")
+			got, _ := attrValue(sr, want)
+			if got != n {
+				t.Errorf("run %d: window has %s = %v of %v configs", run, want, got, n)
 			}
+			covered += n.(int)
 		}
-		// The cold run marks every design a miss; the warm run every
-		// design a hit — each label appears exactly once per design.
-		if evaluates != len(configs) {
-			t.Errorf("run %d: %d %q evaluations, want %d",
-				run, evaluates, wantCache, len(configs))
+		seen = len(spans)
+		if windows < 2 || covered != len(configs) {
+			t.Errorf("run %d: %d windows covering %d designs, want several covering %d",
+				run, windows, covered, len(configs))
 		}
 	}
 	root.End()
@@ -62,34 +70,63 @@ func TestEvaluateContextSpanPropagation(t *testing.T) {
 		byID[sr.Span] = sr
 		byName[sr.Name] = append(byName[sr.Name], sr)
 	}
-	// Two sweeps under one root; sim.simulate only runs on misses.
+	// Two sweeps under one root, each lowering once.
 	if got := len(byName["dse.sweep"]); got != 2 {
 		t.Errorf("dse.sweep spans = %d, want 2", got)
 	}
-	if got := len(byName["sim.simulate"]); got != len(configs) {
-		t.Errorf("sim.simulate spans = %d, want %d (cache hits must skip simulation)",
-			got, len(configs))
+	if got := len(byName["dse.lower"]); got != 2 {
+		t.Errorf("dse.lower spans = %d, want 2", got)
 	}
-	// Parent links survive the goroutine hand-off: every dse.evaluate
-	// hangs off a dse.sweep, every sim.simulate off a dse.evaluate, all
-	// inside the root's trace.
-	for _, sr := range byName["dse.evaluate"] {
+	// Parent links survive the goroutine hand-off: every dse.window hangs
+	// off a dse.sweep inside the root's trace.
+	if len(byName["dse.window"]) == 0 {
+		t.Fatal("no dse.window spans in the trace")
+	}
+	for _, sr := range byName["dse.window"] {
 		if sr.Trace != root.Trace() {
-			t.Fatalf("dse.evaluate escaped the trace: %+v", sr)
+			t.Fatalf("dse.window escaped the trace: %+v", sr)
 		}
 		if byID[sr.Parent].Name != "dse.sweep" {
-			t.Errorf("dse.evaluate parent = %q, want dse.sweep", byID[sr.Parent].Name)
+			t.Errorf("dse.window parent = %q, want dse.sweep", byID[sr.Parent].Name)
 		}
 	}
-	for _, sr := range byName["sim.simulate"] {
-		if parent := byID[sr.Parent]; parent.Name != "dse.evaluate" {
-			t.Errorf("sim.simulate parent = %q, want dse.evaluate", parent.Name)
+}
+
+// TestBackendSweepTracesEachSimulation pins the per-design path: with an
+// explicit Sim.Backend every missed design runs through
+// Sim.SimulateGraphContext, so each one leaves a sim.simulate span under
+// its window and the per-node backend histogram sees every timed node.
+func TestBackendSweepTracesEachSimulation(t *testing.T) {
+	rec := obs.NewRecorder(0)
+	ctx, root := obs.Start(obs.WithRecorder(context.Background(), rec), "test.root")
+	e := NewExplorer()
+	e.Sim.Backend = ir.Analytic{Engine: e.Sim.Engine}
+	configs := smallGrid(4800).Expand()
+	if _, err := e.EvaluateContext(ctx, configs, model.PaperWorkload(model.Llama3_8B())); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	spans := rec.Trace(root.Trace())
+	byID := map[string]obs.SpanRecord{}
+	for _, sr := range spans {
+		byID[sr.Span] = sr
+	}
+	simulated := 0
+	for _, sr := range spans {
+		if sr.Name != "sim.simulate" {
+			continue
+		}
+		simulated++
+		if parent := byID[sr.Parent]; parent.Name != "dse.window" {
+			t.Errorf("sim.simulate parent = %q, want dse.window", parent.Name)
 		}
 		if _, ok := attrValue(sr, "config"); !ok {
 			t.Errorf("sim.simulate span lost its config attr: %+v", sr)
 		}
 	}
-	// The per-node backend histogram saw every timed node of every miss.
+	if simulated != len(configs) {
+		t.Errorf("sim.simulate spans = %d, want one per design (%d)", simulated, len(configs))
+	}
 	for _, st := range rec.StageStats() {
 		if st.Stage != "ir.backend" {
 			continue

@@ -2,12 +2,12 @@ package dse
 
 import "context"
 
-// ProgressFunc receives each design point as its evaluation finishes —
-// cache hits and fresh simulations alike. Points arrive in completion
-// order, not input order, and on the scalar path the callback is invoked
-// concurrently from every worker goroutine, so implementations must be
-// safe for concurrent use and should return quickly (a slow callback
-// stalls the sweep worker that delivers it).
+// ProgressFunc receives each design point once its evaluation window
+// finishes — cache hits and fresh simulations alike. Each window
+// delivers its points in input order, but windows finish in any order
+// and the callback is invoked concurrently from every window worker, so
+// implementations must be safe for concurrent use and should return
+// quickly (a slow callback stalls the worker that delivers it).
 type ProgressFunc func(Point)
 
 // progressKey carries the per-sweep ProgressFunc through the context.

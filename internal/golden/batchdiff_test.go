@@ -7,16 +7,15 @@ import (
 	"repro/internal/model"
 )
 
-// The batch differential suite: the struct-of-arrays evaluator must agree
-// with the scalar path bit-for-bit — not within DefaultRelTol — on every
-// golden grid. Each case runs the full fixture grid through both
-// explorers and through the committed fixture, so a batch lowering bug
-// fails twice: once against the scalar points at the ulp level and once
-// against the snapshot.
+// The batch differential suite: the default explorer, which evaluates
+// through the struct-of-arrays batch evaluator, must agree with the
+// single-design reference (ReferenceExplorer) bit-for-bit — not within
+// DefaultRelTol — on every golden grid. The golden sweep tests hold the
+// same default explorer to the committed fixtures, so a batch lowering
+// bug fails twice: once against the reference points at the ulp level
+// and once against the snapshot.
 
-// batchGrids are the committed fixture sweeps; names match the scalar
-// fixture files so the batch evaluator is held to the exact artifacts CI
-// already pins.
+// batchGrids are the committed fixture sweeps.
 func batchGrids() []struct {
 	fixture string
 	grid    dse.Grid
@@ -36,57 +35,35 @@ func batchGrids() []struct {
 }
 
 // TestBatchScalarBitEqualOnGoldenGrids evaluates every golden grid through
-// a scalar and a batch explorer and requires exact float bit equality on
-// every point field and every per-operator Time — and again on a second,
-// fully cache-hit batch run, pinning that LRU hits served point-wise stay
+// the reference and the default explorer and requires exact float bit
+// equality on every point field and every per-operator Time — and again
+// on a second, fully cache-hit run, pinning that store hits stay
 // bit-identical too.
 func TestBatchScalarBitEqualOnGoldenGrids(t *testing.T) {
 	for _, c := range batchGrids() {
 		t.Run(c.fixture, func(t *testing.T) {
-			scalar, err := dse.NewExplorer().Run(c.grid, c.w)
+			reference, err := ReferenceExplorer().Run(c.grid, c.w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bex := dse.NewBatchExplorer()
-			cold, err := bex.Run(c.grid, c.w)
+			ex := dse.NewExplorer()
+			cold, err := ex.Run(c.grid, c.w)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(cold) != c.designs {
 				t.Fatalf("batch run returned %d designs, want %d", len(cold), c.designs)
 			}
-			if diffs := DiffPointsExact(scalar, cold); len(diffs) != 0 {
-				t.Fatalf("batch differs from scalar in %d fields, e.g.:\n%s", len(diffs), firstN(diffs, 10))
+			if diffs := DiffPointsExact(reference, cold); len(diffs) != 0 {
+				t.Fatalf("batch differs from the reference in %d fields, e.g.:\n%s", len(diffs), firstN(diffs, 10))
 			}
-			warm, err := bex.Run(c.grid, c.w)
+			warm, err := ex.Run(c.grid, c.w)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if diffs := DiffPointsExact(cold, warm); len(diffs) != 0 {
-				t.Fatalf("warm (cache-hit) batch run differs from cold in %d fields, e.g.:\n%s", len(diffs), firstN(diffs, 10))
+				t.Fatalf("warm (cache-hit) run differs from cold in %d fields, e.g.:\n%s", len(diffs), firstN(diffs, 10))
 			}
-		})
-	}
-}
-
-// TestGoldenSweepsViaBatchEvaluator runs the full fixture suite through
-// the batch evaluator against the committed scalar-generated snapshots.
-// Regeneration stays owned by the scalar tests: under -update this suite
-// skips instead of racing them for the same files.
-func TestGoldenSweepsViaBatchEvaluator(t *testing.T) {
-	if Update() {
-		t.Skip("fixtures are regenerated by the scalar sweep tests")
-	}
-	for _, c := range batchGrids() {
-		t.Run(c.fixture, func(t *testing.T) {
-			s, err := BuildSweepSummary(dse.NewBatchExplorer(), c.grid, c.w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if s.Designs != c.designs {
-				t.Fatalf("batch sweep has %d designs, want %d", s.Designs, c.designs)
-			}
-			Compare(t, c.fixture, s)
 		})
 	}
 }

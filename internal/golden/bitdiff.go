@@ -5,17 +5,30 @@ import (
 	"math"
 
 	"repro/internal/dse"
+	"repro/internal/ir"
 	"repro/internal/perf"
 )
 
 // This file is the exact-match half of the differential harness: where the
 // cross-model differentials (differential_test.go) compare independent
-// implementations under a relative tolerance, the batch-vs-scalar
-// differential tolerates nothing — the two paths share every arithmetic
-// expression, so any difference at all is a lowering bug. Comparisons go
+// implementations under a relative tolerance, the batch-vs-reference
+// differential tolerates nothing — the batch evaluator and the per-design
+// engine share every arithmetic expression, so any difference at all is a
+// lowering bug. Comparisons go
 // through math.Float64bits rather than the canonical JSON so a mismatch in
 // the last ulp (which the 9-significant-digit fixtures would round away)
 // still fails.
+
+// ReferenceExplorer returns the single-design reference the exact
+// differentials hold the default explorer to: no point store, and
+// ir.Analytic as the explicit backend, so every design is timed by one
+// uncached sim.SimulateGraphContext call instead of the batch evaluator.
+func ReferenceExplorer() *dse.Explorer {
+	ex := dse.NewExplorer()
+	ex.Cache = nil
+	ex.Sim.Backend = ir.Analytic{Engine: ex.Sim.Engine}
+	return ex
+}
 
 // bitsDiffer reports whether two floats differ at the representation
 // level. NaNs with equal payloads compare equal, unlike ==.

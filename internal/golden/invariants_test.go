@@ -93,23 +93,24 @@ func TestInvariantCheckerDetectsViolations(t *testing.T) {
 }
 
 // TestCacheConsistency is the cache half of the differential layer:
-// cached and uncached evaluation of the same grid must agree bit for bit,
-// and a second pass served entirely from cache must reproduce the first.
+// cached evaluation of a grid must agree bit for bit with the uncached
+// single-design reference, and a second pass served entirely from cache
+// must reproduce the first.
 func TestCacheConsistency(t *testing.T) {
 	g := dse.Table3(4800, []float64{600})
 	w := model.PaperWorkload(model.Llama3_8B())
 
 	cached := dse.NewExplorer()
-	uncached := dse.NewExplorer()
-	uncached.Cache = nil
-
 	first, err := cached.Run(g, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, err := uncached.Run(g, w)
+	bare, err := ReferenceExplorer().Run(g, w)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if diffs := DiffPointsExact(bare, first); len(diffs) != 0 {
+		t.Errorf("cached and uncached evaluation disagree in %d fields, e.g.:\n%s", len(diffs), firstN(diffs, 10))
 	}
 	if !reflect.DeepEqual(first, bare) {
 		t.Error("cached and uncached evaluation disagree")
@@ -120,6 +121,9 @@ func TestCacheConsistency(t *testing.T) {
 	}
 	if stats := cached.Cache.Stats(); stats.Hits == 0 {
 		t.Error("second pass did not hit the cache")
+	}
+	if diffs := DiffPointsExact(first, warm); len(diffs) != 0 {
+		t.Errorf("cache-served pass differs from the original evaluation in %d fields, e.g.:\n%s", len(diffs), firstN(diffs, 10))
 	}
 	if !reflect.DeepEqual(first, warm) {
 		t.Error("cache-served pass differs from the original evaluation")

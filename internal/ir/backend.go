@@ -17,7 +17,7 @@ type Backend interface {
 }
 
 // Analytic is the default backend: the closed-form roofline engine in
-// package perf, including its component memo tables.
+// package perf, timing one node at a time.
 type Analytic struct {
 	Engine *perf.Engine
 }

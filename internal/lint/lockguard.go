@@ -7,14 +7,14 @@ import (
 	"sort"
 )
 
-// analyzerLockGuard enforces the concurrency contract on memo-cache
-// structs (perf.Engine and anything shaped like it): a struct that pairs a
-// sync mutex with map fields promises that every read of those maps
-// happens under the mutex (read or write lock) and every write under the
-// write lock. The check is linear over each function body: mutex
+// analyzerLockGuard enforces the concurrency contract on cache structs
+// (store.Flight and anything shaped like it): a struct that pairs a sync
+// mutex with struct-keyed map fields promises that every read of those
+// maps happens under the mutex (read or write lock) and every write under
+// the write lock. The check is linear over each function body: mutex
 // Lock/RLock/Unlock/RUnlock calls and guarded-field accesses are ordered
 // by source position and the lock state is replayed across them — exactly
-// the shape the engine's probe/compute/store methods use. It also flags
+// the shape the flight layer's claim and release use. It also flags
 // function signatures that copy a mutex-bearing struct by value (receiver
 // or parameter), which would fork the lock from the state it guards.
 var analyzerLockGuard = &Analyzer{

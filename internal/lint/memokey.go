@@ -8,8 +8,8 @@ import (
 	"strings"
 )
 
-// analyzerMemoKey enforces the component-memoization contract from
-// internal/perf and the content-hash contract from internal/ir:
+// analyzerMemoKey enforces the memoization contract on mutex-guarded
+// cache maps and the content-hash contract from internal/ir:
 //
 //   - A memoized term (a method that probes a cache map guarded by a mutex
 //     on its receiver struct) must capture in its key struct every
@@ -122,7 +122,7 @@ func checkMemoMethod(p *Pass, fd *ast.FuncDecl) {
 	}
 
 	// len(cache) reads a table's size, not an entry — size reporting
-	// (MemoStats) is not a probe.
+	// (a Stats method) is not a probe.
 	lenArg := make(map[ast.Expr]bool)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)

@@ -20,25 +20,23 @@
 // bandwidth-bound, small local buffers starve the systolic arrays, and
 // device-interconnect bandwidth barely moves decode latency.
 //
-// # Component memoization
+// # Resource-bound terms
 //
 // An operator's latency is the max of independent resource-bound terms, and
 // each term reads only a few axes of the configuration: the compute/feed
 // term never sees HBM or interconnect bandwidth, the DRAM term only sees L2
 // capacity and the operand widths, the collective term only the link rate.
-// The engine therefore caches each term separately, keyed by the operator's
-// structural dimensions plus exactly the configuration fields that term
-// reads. A design-space sweep that varies one axis (say DeviceBWGBs) then
-// re-times thousands of configurations while recomputing only the term that
-// axis touches — every other component is a map hit. The caches are
-// transparent: memoized and cold evaluation produce bit-identical Times.
+// Each term is an exported pure function, and a Time is assembled from its
+// terms by the Engine's *FromTerms methods. The Engine times one design at
+// a time and caches nothing; the batch evaluator (internal/batch) calls the
+// same functions once per group of designs that share a term's axes, which
+// is how a sweep avoids recomputing terms and why the two paths agree bit
+// for bit.
 package perf
 
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/arch"
 	"repro/internal/num"
@@ -132,14 +130,10 @@ type Time struct {
 	FeedLimited bool
 }
 
-// Engine evaluates operators against a device configuration. Engines are
-// safe for concurrent use; the zero value is not useful — use Default or
-// populate every field.
-//
-// The component caches key on every model constant and configuration field
-// the cached term reads, so perturbing a constant between simulations (as
-// the robustness sweeps do by building fresh Engines) can never serve a
-// stale entry; the ablation switches bypass the caches entirely.
+// Engine evaluates operators against a device configuration. It holds only
+// model constants, so Engines are safe for concurrent use and may be
+// built as composite literals; the zero value is not useful — use Default
+// or populate every field.
 type Engine struct {
 	// DRAMEfficiency is the achievable fraction of peak HBM bandwidth for
 	// streaming operator traffic.
@@ -164,25 +158,6 @@ type Engine struct {
 	// NaiveL1Tiling disables the L1 tile search: lanes stage single
 	// array-sized tiles with no reuse beyond the array registers.
 	NaiveL1Tiling bool
-
-	// Component memo tables. Each caches one resource-bound term keyed by
-	// the operator's structural dimensions and the configuration axes that
-	// term reads (nothing more — that is what lets sweep points share
-	// entries across the axes they don't touch). Maps are initialised
-	// lazily so Engines built as composite literals work.
-	mu        sync.RWMutex
-	dramCache map[dramKey]float64 // L2-blocked HBM traffic per batch element
-	feedCache map[feedKey]float64 // L1-tiled L2→L1 bytes per MAC
-	compCache map[compKey]compVal // joint compute∧feed-limited matmul time
-	commCache map[commKey]float64 // ring all-reduce wire+latency time
-
-	// Per-table probe outcome counters behind MemoStats. Free-running
-	// atomics rather than mu-guarded fields: hits increment inside the
-	// RLock fast path, where a plain field write would race.
-	dramHits, dramMisses atomic.Uint64
-	feedHits, feedMisses atomic.Uint64
-	compHits, compMisses atomic.Uint64
-	commHits, commMisses atomic.Uint64
 }
 
 // Default returns an Engine with the calibrated model constants.
@@ -193,10 +168,6 @@ func Default() *Engine {
 		LaunchOverheadSec: 4e-6,
 		LinkLatencySec:    2e-6,
 		L2FillFraction:    0.5,
-		dramCache:         make(map[dramKey]float64),
-		feedCache:         make(map[feedKey]float64),
-		compCache:         make(map[compKey]compVal),
-		commCache:         make(map[commKey]float64),
 	}
 }
 
@@ -249,8 +220,8 @@ func NaiveL1BytesPerMAC(dimX, dimY int) float64 {
 // is 2(Mt+Nt)/(Mt·Nt), so halving the effective L1 per lane (more lanes or
 // smaller L1) raises the feed bandwidth the arrays demand from L2 — the
 // starvation mechanism behind the paper's L1 and lanes-per-core findings.
-// It is a pure function of its arguments; the engine memoizes it behind
-// feedKey, and the batch evaluator calls it once per compute group.
+// It is a pure function of its arguments; the batch evaluator calls it once
+// per feed group.
 func L1TileBytesPerMAC(capBytes, dimX, dimY, m, n, k int) (bytesPerMAC float64) {
 	mMax := num.CeilDiv(m, dimX) * dimX
 	nMax := num.CeilDiv(n, dimY) * dimY
@@ -296,42 +267,6 @@ func L1TileBytesPerMAC(capBytes, dimX, dimY, m, n, k int) (bytesPerMAC float64) 
 	return best
 }
 
-// feedKey identifies one L1-tiling solution: the matmul's shard dimensions
-// plus the only configuration axes l1Tile reads (array dims, per-lane L1).
-type feedKey struct {
-	m, n, k    int
-	dimX, dimY int
-	l1PerLane  int
-}
-
-// feedBytesPerMAC returns the memoized l1Tile solution for m on cfg.
-func (e *Engine) feedBytesPerMAC(cfg arch.Config, m Matmul) float64 {
-	key := feedKey{m.M, m.N, m.K, cfg.SystolicDimX, cfg.SystolicDimY, cfg.L1BytesPerLane()}
-	e.mu.RLock()
-	v, ok := e.feedCache[key]
-	e.mu.RUnlock()
-	if ok {
-		e.feedHits.Add(1)
-		return v
-	}
-	e.feedMisses.Add(1)
-	v = L1TileBytesPerMAC(cfg.L1BytesPerLane(), cfg.SystolicDimX, cfg.SystolicDimY, m.M, m.N, m.K)
-	e.mu.Lock()
-	if e.feedCache == nil {
-		e.feedCache = make(map[feedKey]float64)
-	}
-	e.feedCache[key] = v
-	e.mu.Unlock()
-	return v
-}
-
-type dramKey struct {
-	m, k, n int
-	bBytes  int
-	l2      int
-	fillPct int
-}
-
 // WorstCaseDRAMTraffic returns the per-batch-element HBM traffic in bytes
 // when every matmul operand streams with worst-case reuse, as if the
 // global buffer held only one row of tiles — the NaiveDRAMTraffic ablation
@@ -348,8 +283,8 @@ func WorstCaseDRAMTraffic(m, k, n int, bBytesPerElem float64) float64 {
 // usable global buffer: each candidate block (Mb, Nb, Kb) must fit its A,
 // B and C panels, A is re-read once per N block column, B once per M block
 // row, and partial C tiles spill and reload once per extra K block. It is
-// a pure function of its arguments; the engine memoizes it behind dramKey,
-// and the batch evaluator calls it once per L2 group.
+// a pure function of its arguments; the batch evaluator calls it once per
+// L2 group.
 func BlockedDRAMTraffic(capBytes float64, m, k, n int, bBytesPerElem float64) float64 {
 	aBytes := 2 * float64(m) * float64(k)
 	bBytes := bBytesPerElem * float64(k) * float64(n)
@@ -425,92 +360,31 @@ func BlockedDRAMTraffic(capBytes float64, m, k, n int, bBytesPerElem float64) fl
 	return best
 }
 
-// dramTraffic returns the memoized BlockedDRAMTraffic solution for the
-// matmul shard on cfg (or the worst-case stream under the ablation).
+// dramTraffic returns the BlockedDRAMTraffic solution for the matmul
+// shard on cfg (or the worst-case stream under the ablation).
 func (e *Engine) dramTraffic(cfg arch.Config, m, k, n int, bBytesPerElem float64) float64 {
 	if e.NaiveDRAMTraffic {
 		return WorstCaseDRAMTraffic(m, k, n, bBytesPerElem)
 	}
-	key := dramKey{m, k, n, int(bBytesPerElem * 8), cfg.L2MB, int(e.L2FillFraction * 100)}
-	e.mu.RLock()
-	v, ok := e.dramCache[key]
-	e.mu.RUnlock()
-	if ok {
-		e.dramHits.Add(1)
-		return v
-	}
-	e.dramMisses.Add(1)
-	best := BlockedDRAMTraffic(e.L2FillFraction*float64(cfg.L2Bytes()), m, k, n, bBytesPerElem)
-	e.mu.Lock()
-	if e.dramCache == nil {
-		// Engines built as literals (tests perturbing one constant) skip
-		// Default()'s map allocation.
-		e.dramCache = make(map[dramKey]float64)
-	}
-	e.dramCache[key] = best
-	e.mu.Unlock()
-	return best
-}
-
-// compKey identifies one compute∧feed term: the matmul's shard dimensions
-// plus every configuration axis the term reads — core/lane/array geometry
-// and clock (peak rate, L2 feed bandwidth) and L1 capacity (tiling). HBM
-// and interconnect axes are deliberately absent: sweep points that differ
-// only there share the entry.
-type compKey struct {
-	batch, m, k, n int
-	cores, lanes   int
-	dimX, dimY     int
-	l1KB           int
-	clockBits      uint64
-}
-
-type compVal struct {
-	seconds     float64
-	feedLimited bool
+	return BlockedDRAMTraffic(e.L2FillFraction*float64(cfg.L2Bytes()), m, k, n, bBytesPerElem)
 }
 
 // matmulCompute returns the joint compute/feed-limited time of m on cfg —
 // the systolic-array rate degraded by edge/fill/tail utilisation, capped by
-// the L2→L1 feed bandwidth — memoized across configurations that share the
-// compute-side axes. The NaiveL1Tiling ablation bypasses the cache.
+// the L2→L1 feed bandwidth of the L1 tiling (or of naive tiling under the
+// ablation).
 func (e *Engine) matmulCompute(cfg arch.Config, m Matmul) (float64, bool) {
 	if e.NaiveL1Tiling {
-		// Naive tiling streams both operand edges per MAC; computed here,
-		// outside the memoized region, so the cache key need not cover the
-		// ablation switch.
 		return MatmulComputeTime(cfg, m, NaiveL1BytesPerMAC(cfg.SystolicDimX, cfg.SystolicDimY))
 	}
-	key := compKey{
-		batch: m.Batch, m: m.M, k: m.K, n: m.N,
-		cores: cfg.CoreCount, lanes: cfg.LanesPerCore,
-		dimX: cfg.SystolicDimX, dimY: cfg.SystolicDimY,
-		l1KB:      cfg.L1KB,
-		clockBits: math.Float64bits(cfg.ClockGHz),
-	}
-	e.mu.RLock()
-	v, ok := e.compCache[key]
-	e.mu.RUnlock()
-	if ok {
-		e.compHits.Add(1)
-		return v.seconds, v.feedLimited
-	}
-	e.compMisses.Add(1)
-	sec, feedLimited := MatmulComputeTime(cfg, m, e.feedBytesPerMAC(cfg, m))
-	e.mu.Lock()
-	if e.compCache == nil {
-		e.compCache = make(map[compKey]compVal)
-	}
-	e.compCache[key] = compVal{sec, feedLimited}
-	e.mu.Unlock()
-	return sec, feedLimited
+	return MatmulComputeTime(cfg, m, L1TileBytesPerMAC(cfg.L1BytesPerLane(), cfg.SystolicDimX, cfg.SystolicDimY, m.M, m.N, m.K))
 }
 
 // MatmulComputeTime returns the joint compute/feed-limited time of m on
 // cfg given the L2→L1 feed traffic per MAC, plus whether the feed path was
 // the binding resource. It reads only the compute-side configuration axes
 // (core/lane/array geometry, clock, L2 feed bandwidth) and no engine
-// constants, so it is shared verbatim by the memoized scalar path and the
+// constants, so it is shared verbatim by the per-design engine and the
 // group-deduplicated batch evaluator — the two can never drift apart.
 func MatmulComputeTime(cfg arch.Config, m Matmul, bytesPerMAC float64) (float64, bool) {
 	macs := float64(m.Batch) * float64(m.M) * float64(m.K) * float64(m.N)
@@ -591,31 +465,18 @@ func (e *Engine) VectorTimeFromTerms(v Vector, tComputeSec, trafficBytes, tDRAMS
 }
 
 func (e *Engine) vector(cfg arch.Config, v Vector) Time {
-	// Vector operators stay closed-form and uncached: two divides and a max
-	// cost less than a map probe.
 	tCompute := v.FLOPs() / (cfg.VectorTFLOPS() * 1e12 * e.VectorEfficiency)
 	traffic := v.ReadBytes + v.WriteBytes
 	tDRAM := traffic / (cfg.HBMBandwidthGBs * 1e9 * e.DRAMEfficiency)
 	return e.VectorTimeFromTerms(v, tCompute, traffic, tDRAM)
 }
 
-// commKey identifies one ring all-reduce: the tensor size, group degree,
-// and the only inputs the collective reads — interconnect rate and the
-// engine's per-hop latency constant (keyed so perturbed-constant Engines
-// can never alias).
-type commKey struct {
-	bytesBits uint64
-	tp        int
-	devBWBits uint64
-	linkBits  uint64
-}
-
 // RingAllReduceSec returns the wire-plus-hop-latency seconds of a ring
 // all-reduce of bytes across tp devices: each device exchanges
 // 2·(tp−1)/tp of the tensor over its interconnect, where deviceBWGBs is
 // the aggregate bidirectional rate (each direction sustains half), plus
-// 2·(tp−1) hops of link latency. Pure function shared by the memoized
-// scalar path and the batch evaluator. Callers must handle the trivial
+// 2·(tp−1) hops of link latency. Pure function shared by the per-design
+// engine and the batch evaluator. Callers must handle the trivial
 // tp == 1 / zero-byte case themselves.
 func RingAllReduceSec(deviceBWGBs float64, tp int, bytes, linkLatencySec float64) float64 {
 	perDirection := deviceBWGBs * 1e9 / 2
@@ -634,34 +495,12 @@ func (e *Engine) AllReduceTimeFromComm(a AllReduce, commSec float64) Time {
 	}
 }
 
-// allReduce models a ring all-reduce via the memoized RingAllReduceSec
-// term.
+// allReduce models a ring all-reduce via RingAllReduceSec.
 func (e *Engine) allReduce(cfg arch.Config, tp int, a AllReduce) Time {
 	if tp == 1 || a.Bytes == 0 {
 		return Time{Name: a.Name}
 	}
-	key := commKey{
-		bytesBits: math.Float64bits(a.Bytes),
-		tp:        tp,
-		devBWBits: math.Float64bits(cfg.DeviceBWGBs),
-		linkBits:  math.Float64bits(e.LinkLatencySec),
-	}
-	e.mu.RLock()
-	comm, ok := e.commCache[key]
-	e.mu.RUnlock()
-	if ok {
-		e.commHits.Add(1)
-	} else {
-		e.commMisses.Add(1)
-		comm = RingAllReduceSec(cfg.DeviceBWGBs, tp, a.Bytes, e.LinkLatencySec)
-		e.mu.Lock()
-		if e.commCache == nil {
-			e.commCache = make(map[commKey]float64)
-		}
-		e.commCache[key] = comm
-		e.mu.Unlock()
-	}
-	return e.AllReduceTimeFromComm(a, comm)
+	return e.AllReduceTimeFromComm(a, RingAllReduceSec(cfg.DeviceBWGBs, tp, a.Bytes, e.LinkLatencySec))
 }
 
 // Roofline returns the device's arithmetic-intensity knee in FLOPs/byte:

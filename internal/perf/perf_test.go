@@ -315,3 +315,40 @@ func TestAblationSwitches(t *testing.T) {
 		t.Error("naive L1 tiling should slow the compute-limited time")
 	}
 }
+
+// timeOpProbes is a spread of operator shapes through every timing term:
+// compute-bound and memory-bound matmuls, a quantized-weight matmul, a
+// vector op and a collective.
+func timeOpProbes() []Op {
+	return []Op{
+		Matmul{Name: "prefill-gemm", Batch: 1, M: 65536, K: 12288, N: 3072},
+		Matmul{Name: "decode-gemm", Batch: 1, M: 32, K: 12288, N: 3072},
+		Matmul{Name: "quant-gemm", Batch: 1, M: 32, K: 12288, N: 3072, BBytesPerElem: 1},
+		Matmul{Name: "attn-score", Batch: 768, M: 2048, K: 128, N: 2048},
+		Vector{Name: "softmax", Elements: 3.2e8, OpsPerElement: 5, ReadBytes: 6.4e8, WriteBytes: 6.4e8},
+		AllReduce{Name: "allreduce", Bytes: 1.6e8},
+	}
+}
+
+// TestTimeOpMatchesSimulate: the unvalidated graph entry point must time
+// identically to Simulate on valid inputs.
+func TestTimeOpMatchesSimulate(t *testing.T) {
+	e := Default()
+	cfg := arch.A100()
+	for _, op := range timeOpProbes() {
+		a, err := e.TimeOp(cfg, 4, op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := e.Simulate(cfg, 4, op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Errorf("%s: TimeOp %+v != Simulate %+v", op.OpName(), a, b)
+		}
+	}
+	if _, err := e.TimeOp(cfg, 1, nil); err == nil {
+		t.Error("TimeOp should reject unknown operator types")
+	}
+}

@@ -11,20 +11,15 @@ import (
 	"repro/internal/store"
 )
 
-// Runner drives an Explorer against a Problem through the memoized dse
-// pipeline: every proposed genome snaps to a config, deduplicates
-// against the run's archive by IR content hash, and only genuinely new
-// designs are simulated (in parallel, through the explorer's LRU and
-// the engine component memo, under dse.evaluate spans). Revisited
-// designs are fed back to the engine from the archive without spending
-// budget — the non-grid access pattern the memo layers were built for.
+// Runner drives an Explorer against a Problem through the dse sweep
+// path: every proposed genome snaps to a config, deduplicates against
+// the run's archive by IR content hash, and only genuinely new designs
+// are evaluated — one explorer sweep per generation, through its point
+// store and batch evaluator, under dse.window spans. Revisited designs
+// are fed back to the engine from the archive without spending budget.
 type Runner struct {
 	// Explorer is the evaluation backend; nil means a fresh
-	// dse.NewExplorer (with its default LRU). A batch-enabled explorer
-	// (dse.NewBatchExplorer or WithBatch) routes each generation's
-	// cache misses through the struct-of-arrays sweep evaluator
-	// (internal/batch) with bit-identical results — LRU hits from
-	// earlier generations still serve point-wise.
+	// dse.NewExplorer (with its default point store).
 	Explorer *dse.Explorer
 }
 

@@ -90,9 +90,7 @@ type QueueSnapshot struct {
 
 // MetricsSnapshot is the full /metrics document. Cache summarises the
 // shared result store's top-level outcomes (kept for compatibility);
-// Store breaks every cache layer out per tier — the result store's
-// "mem" and "flight" tiers and the perf engine's component memo tables
-// "perf.*".
+// Store breaks the store out per tier: "mem" and "flight".
 type MetricsSnapshot struct {
 	UptimeSeconds float64                     `json:"uptime_seconds"`
 	Requests      map[string]EndpointSnapshot `json:"requests"`

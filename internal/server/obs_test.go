@@ -9,45 +9,78 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ir"
 	"repro/internal/obs"
 )
 
 // TestDSETraceAttributesSweepStages is the tentpole's acceptance path: a
 // POST /v1/dse must yield a span tree that joins the request span to the
-// async job's queue wait, lowering, cache probes and evaluation — even
-// though the job runs after the request context has died.
+// async job's queue wait, lowering and evaluation windows — even though
+// the job runs after the request context has died. The windows' tallies
+// flip from all misses on the first post to all hits on a repeat.
 func TestDSETraceAttributesSweepStages(t *testing.T) {
 	s, ts := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/v1/dse", smallDSEBody)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
 	var enq EnqueueResponse
-	if err := json.Unmarshal(body, &enq); err != nil {
-		t.Fatal(err)
-	}
-	if enq.Trace == "" {
-		t.Fatal("enqueue response carries no trace ID")
-	}
-	if st := pollJob(t, ts.URL, enq.JobID); st.State != "succeeded" {
-		t.Fatalf("job: %s (%s)", st.State, st.Error)
-	}
-
-	spans := s.Obs().Trace(enq.Trace)
-	byName := map[string][]obs.SpanRecord{}
-	for _, sr := range spans {
-		byName[sr.Name] = append(byName[sr.Name], sr)
-	}
-	for _, name := range []string{
-		"POST /v1/dse", "queue.wait", "dse.job", "dse.sweep",
-		"dse.lower", "dse.evaluate", "sim.simulate",
-	} {
-		if len(byName[name]) == 0 {
-			t.Errorf("trace %s has no %q span", enq.Trace, name)
+	var byName map[string][]obs.SpanRecord
+	var spans []obs.SpanRecord
+	for run, want := range []string{"misses", "hits"} {
+		resp, body := postJSON(t, ts.URL+"/v1/dse", smallDSEBody)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
 		}
-	}
-	if got := len(byName["dse.evaluate"]); got != 16 {
-		t.Errorf("dse.evaluate spans = %d, want one per design (16)", got)
+		enq = EnqueueResponse{}
+		if err := json.Unmarshal(body, &enq); err != nil {
+			t.Fatal(err)
+		}
+		if enq.Trace == "" {
+			t.Fatal("enqueue response carries no trace ID")
+		}
+		if st := pollJob(t, ts.URL, enq.JobID); st.State != "succeeded" {
+			t.Fatalf("job: %s (%s)", st.State, st.Error)
+		}
+
+		spans = s.Obs().Trace(enq.Trace)
+		byID := map[string]obs.SpanRecord{}
+		byName = map[string][]obs.SpanRecord{}
+		for _, sr := range spans {
+			byID[sr.Span] = sr
+			byName[sr.Name] = append(byName[sr.Name], sr)
+		}
+		for _, name := range []string{
+			"POST /v1/dse", "queue.wait", "dse.job", "dse.sweep",
+			"dse.lower", "dse.window",
+		} {
+			if len(byName[name]) == 0 {
+				t.Errorf("run %d: trace %s has no %q span", run, enq.Trace, name)
+			}
+		}
+		// Every window hangs off the sweep, and together they cover the
+		// 16 designs — simulated on the first run, memory hits on the
+		// repeat.
+		covered := 0
+		for _, sr := range byName["dse.window"] {
+			if p := byID[sr.Parent]; p.Name != "dse.sweep" {
+				t.Errorf("run %d: dse.window parent = %q, want dse.sweep", run, p.Name)
+			}
+			var n, got any
+			for _, a := range sr.Attrs {
+				switch a.Key {
+				case "configs":
+					n = a.Value
+				case want:
+					got = a.Value
+				}
+			}
+			if got != n {
+				t.Errorf("run %d: window has %s = %v of %v configs", run, want, got, n)
+			}
+			if c, ok := n.(int); ok {
+				covered += c
+			}
+		}
+		if covered != 16 {
+			t.Errorf("run %d: windows cover %d designs, want 16", run, covered)
+		}
 	}
 	// The queue wait and the job both hang off the request span, proving
 	// the detach/attach hand-off preserved the parent link.
@@ -94,7 +127,11 @@ func TestDSETraceAttributesSweepStages(t *testing.T) {
 }
 
 func TestObsStatsEndpointServesHistograms(t *testing.T) {
-	_, ts := newTestServer(t)
+	s, ts := newTestServer(t)
+	// An explicit backend takes the per-design path, which times each
+	// design through sim.SimulateGraphContext and its per-node backend
+	// histogram; the default batch path records neither stage.
+	s.Explorer().Sim.Backend = ir.Analytic{Engine: s.Explorer().Sim.Engine}
 	resp, body := postJSON(t, ts.URL+"/v1/simulate",
 		`{"config":{"preset":"a100"},"workload":{"model":"llama3"}}`)
 	if resp.StatusCode != http.StatusOK {

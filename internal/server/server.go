@@ -109,15 +109,11 @@ type Config struct {
 type Server struct {
 	cfg      Config
 	explorer *dse.Explorer
-	// batchEx is the explorer's batch-evaluating twin: same simulator,
-	// wafer model and result cache, so either evaluator serves and feeds
-	// the shared LRU with bit-identical points.
-	batchEx *dse.Explorer
-	queue   *Queue
-	metrics *metrics
-	obs     *obs.Recorder // nil when TraceCapacity < 0
-	log     *slog.Logger
-	mux     *http.ServeMux
+	queue    *Queue
+	metrics  *metrics
+	obs      *obs.Recorder // nil when TraceCapacity < 0
+	log      *slog.Logger
+	mux      *http.ServeMux
 	// journal persists job specs and terminal results under
 	// <CacheDir>/jobs; nil without a cache directory.
 	journal *journal
@@ -156,7 +152,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		explorer: ex,
-		batchEx:  ex.WithBatch(),
 		queue:    NewQueue(cfg.Workers, cfg.Backlog, cfg.JobTimeout),
 		metrics:  newMetrics(),
 		log:      cfg.Logger,
@@ -528,7 +523,6 @@ type dseJob struct {
 	top       int
 	rule      string
 	objective string
-	ex        *dse.Explorer
 }
 
 // parseDSE validates a DSE request into its runnable form; errors map
@@ -566,7 +560,6 @@ func (s *Server) parseDSE(req DSERequest) (*dseJob, error) {
 		top:       req.Top,
 		rule:      req.Rule,
 		objective: req.Objective,
-		ex:        s.explorer,
 	}
 	if dj.top <= 0 {
 		dj.top = 5
@@ -578,9 +571,7 @@ func (s *Server) parseDSE(req DSERequest) (*dseJob, error) {
 		dj.objective = "ttft"
 	}
 	switch req.Eval {
-	case "", "scalar":
-	case "batch":
-		dj.ex = s.batchEx
+	case "", "scalar", "batch": // accepted for compatibility; every sweep batches
 	default:
 		return nil, fmt.Errorf("unknown eval %q (scalar, batch)", req.Eval)
 	}
@@ -643,7 +634,7 @@ func (s *Server) runDSE(ctx context.Context, dj *dseJob) (DSEResult, error) {
 	if s.explorer.Cache != nil {
 		before = s.explorer.Cache.Stats()
 	}
-	points, err := dj.ex.RunContext(ctx, dj.grid, dj.wl)
+	points, err := s.explorer.RunContext(ctx, dj.grid, dj.wl)
 	if err != nil {
 		return DSEResult{}, err
 	}
@@ -1012,17 +1003,9 @@ func (s *Server) handleObsStats(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var cache store.Stats
-	tiers := make(map[string]store.Stats)
+	var tiers map[string]store.Stats
 	if s.explorer.Cache != nil {
-		cache = s.explorer.Cache.Stats()
-		for name, st := range s.explorer.Cache.TierStats() {
-			tiers[name] = st
-		}
-	}
-	if s.explorer.Sim != nil && s.explorer.Sim.Engine != nil {
-		for name, st := range s.explorer.Sim.Engine.MemoStats() {
-			tiers[name] = st
-		}
+		cache, tiers = s.explorer.Cache.Stats(), s.explorer.Cache.TierStats()
 	}
 	writeJSON(w, http.StatusOK, s.metrics.snapshot(cache, tiers, s.queue.Snapshot()))
 }

@@ -16,9 +16,9 @@ import (
 // GET /v1/jobs/{id}/stream: one NDJSON (or SSE) frame per evaluated
 // design, a running Pareto front refreshed as it improves, and a
 // terminal summary frame carrying the job's final status. The frames
-// ride the dse.WithProgress callback, so the scalar worker pool and the
-// struct-of-arrays batch evaluator both stream without touching their
-// hot paths.
+// ride the dse.WithProgress callback, which the explorer's window
+// workers call once per design after each window, outside the batch
+// evaluator's hot loop.
 
 // StreamPoint is one design on the wire: the summary fields plus the
 // point's coordinates on the running front's axes (for DSE jobs X is
@@ -276,9 +276,9 @@ func (s *Server) finishStream(st JobStatus) {
 
 // ---- the HTTP surface ----
 
-// streamWriter writes frames in the negotiated encoding, flushing after
-// every frame so designs reach the client as they finish, and recording
-// each write under the obs "stream.frame" stage.
+// streamWriter writes frames in the negotiated encoding, recording each
+// write under the obs "stream.frame" stage; the handler flushes whenever
+// it has drained its queue, so designs reach the client as they finish.
 type streamWriter struct {
 	w   http.ResponseWriter
 	fl  http.Flusher
@@ -316,13 +316,17 @@ func (sw *streamWriter) write(f StreamFrame) error {
 	} else {
 		err = sw.enc.Encode(f) // one JSON object per line: NDJSON
 	}
-	if sw.fl != nil {
-		sw.fl.Flush()
-	}
 	if sw.rec != nil {
 		sw.rec.Observe("stream.frame", time.Since(start))
 	}
 	return err
+}
+
+// flush pushes the frames written so far to the client.
+func (sw *streamWriter) flush() {
+	if sw.fl != nil {
+		sw.fl.Flush()
+	}
 }
 
 // handleJobStream serves GET /v1/jobs/{id}/stream: frames from the
@@ -337,6 +341,7 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 		if st, ok := s.terminalStatus(id); ok {
 			sw := newStreamWriter(w, r, s.obs)
 			sw.write(StreamFrame{Type: "summary", Seq: 1, Status: &st}) //nolint:errcheck // client disconnects are not actionable
+			sw.flush()
 			return
 		}
 		writeError(w, http.StatusNotFound, "unknown job %q", id)
@@ -350,6 +355,8 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	sw.flush()
+	flushed := len(catchup) > 0
 	for {
 		select {
 		case f, ok := <-sub.ch:
@@ -359,10 +366,19 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 						return
 					}
 				}
+				sw.flush()
 				return
 			}
 			if sw.write(f) != nil {
 				return
+			}
+			// The first frame goes out alone, so the client sees the
+			// stream start at once; after it, flush once per queued
+			// burst: a sweep window delivers its designs together, and
+			// one flush per frame cost a write per design.
+			if !flushed || len(sub.ch) == 0 {
+				sw.flush()
+				flushed = true
 			}
 		case <-r.Context().Done():
 			return

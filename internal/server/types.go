@@ -316,8 +316,10 @@ type DSERequest struct {
 	Rule      string           `json:"rule,omitempty"`      // none (default), oct2022, oct2023
 	Objective string           `json:"objective,omitempty"` // ttft (default), tbt, ttftcost, tbtcost
 	Top       int              `json:"top,omitempty"`       // default 5
-	// Eval selects the cache-miss evaluator: "scalar" (default, per-design
-	// workers) or "batch" (struct-of-arrays sweep; bit-identical results).
+	// Eval is accepted for compatibility and ignored: every sweep
+	// evaluates through the batch evaluator. "scalar", "batch" and ""
+	// are valid, so journalled specs and older clients keep working;
+	// any other value is a 400.
 	Eval string `json:"eval,omitempty"`
 }
 

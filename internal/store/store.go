@@ -1,17 +1,18 @@
 // Package store is the repo's content-addressed result store: one home
-// for every cache the evaluation pipeline used to scatter across layers
-// (the dse point LRU, the batch miss router, the search visit archive,
-// the perf component memo). Results are addressed by 128-bit content
-// keys built from the IR hashes of their inputs (ir.ConfigHash /
-// ir.WorkloadHash), so a result is location-independent: any caller that
-// can derive the key can reuse the result.
+// for every cache the evaluation pipeline uses (the dse point LRU with
+// its single-flight layer, and the search visit archive). Results are
+// addressed by 128-bit content keys built from the IR hashes of their
+// inputs (ir.ConfigHash / ir.WorkloadHash), so a result is
+// location-independent: any caller that can derive the key can reuse
+// the result.
 //
 // The store composes two tiers behind one interface (Tiered):
 //
 //   - Memory: the sharded LRU from internal/lru, adapted (not duplicated)
 //     to Key addressing. Hot, bounded, per-process.
 //   - Flight: single-flight deduplication of identical in-flight
-//     computations — N concurrent identical sweeps share one evaluation.
+//     computations, claimed a window of keys at a time — N concurrent
+//     identical sweeps share one evaluation per design.
 //
 // Each tier also stands alone: search.Runner uses a bare Memory tier as
 // its no-eviction visit archive.
@@ -48,12 +49,12 @@ func (k Key) String() string {
 }
 
 // Stats is one tier's effectiveness snapshot — the shape every tier
-// (memory, flight, and perf's component memo tables) reports, so
-// /metrics can expose the whole cache stack uniformly.
+// (memory and flight) reports, so /metrics can expose the whole cache
+// stack uniformly.
 type Stats struct {
 	// Hits and Misses count lookup outcomes since construction. For the
 	// flight tier, Hits counts followers served by a shared computation
-	// and Misses counts leader computations.
+	// and Misses counts keys led.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
 	// Evictions counts entries displaced by a size bound.
@@ -74,29 +75,4 @@ func (s Stats) HitRatio() float64 {
 		return 0
 	}
 	return float64(s.Hits) / float64(total)
-}
-
-// Outcome says which tier served (or failed to serve) a lookup.
-type Outcome uint8
-
-const (
-	// Miss: no tier had the value; the caller computed it.
-	Miss Outcome = iota
-	// HitMem: served by the memory LRU.
-	HitMem
-	// Shared: served by another caller's in-flight computation.
-	Shared
-)
-
-// String renders the outcome in the vocabulary dse.evaluate spans use
-// for their "cache" attribute ("hit" predates the tiers).
-func (o Outcome) String() string {
-	switch o {
-	case HitMem:
-		return "hit"
-	case Shared:
-		return "flight"
-	default:
-		return "miss"
-	}
 }

@@ -4,11 +4,11 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // pairCodec encodes a two-field struct — enough structure to catch
@@ -57,11 +57,63 @@ func TestKeyStringFormat(t *testing.T) {
 	}
 }
 
+// result is one key's resolution in a test window.
+type result struct {
+	v        int
+	ok       bool // a value arrived: computed here, or served
+	shared   bool // served by another caller's computation
+	computed bool
+}
+
+// window runs the Get-then-ComputeWindow protocol the dse sweep uses:
+// every key is probed with Get, and the misses complete in one window
+// whose led keys fn computes (a value is Put only when fn succeeds).
+func window(ctx context.Context, ts *Tiered[int], keys []Key, fn func(Key) (int, error)) ([]result, error) {
+	res := make([]result, len(keys))
+	var miss []Key
+	var missIdx []int
+	for i, k := range keys {
+		if v, ok := ts.Get(ctx, k); ok {
+			res[i] = result{v: v, ok: true}
+			continue
+		}
+		miss = append(miss, k)
+		missIdx = append(missIdx, i)
+	}
+	if len(miss) == 0 {
+		return res, nil
+	}
+	var buf WindowBuf
+	err := ts.ComputeWindow(ctx, miss, &buf, func(lead []int) {
+		for _, j := range lead {
+			v, err := fn(miss[j])
+			if err != nil {
+				continue
+			}
+			ts.Put(ctx, miss[j], v)
+			res[missIdx[j]] = result{v: v, ok: true, computed: true}
+		}
+	}, func(j int, v int, shared bool) {
+		res[missIdx[j]] = result{v: v, ok: true, shared: shared}
+	})
+	return res, err
+}
+
+// one is window over a single key.
+func one(ctx context.Context, ts *Tiered[int], k Key, fn func() (int, error)) (result, error) {
+	res, err := window(ctx, ts, []Key{k}, func(Key) (int, error) { return fn() })
+	return res[0], err
+}
+
+func newIntStore() *Tiered[int] { return NewTiered(NewMemory[int](64, 1)) }
+
+func flightStats(ts *Tiered[int]) Stats { return ts.TierStats()["flight"] }
+
 // TestFlightDeduplicates drives N concurrent callers of one key through
 // a gate so all of them are in flight together: exactly one computation
-// must run, everyone shares its value.
+// must run, and everyone else is served its value.
 func TestFlightDeduplicates(t *testing.T) {
-	var f Flight[int]
+	ts := newIntStore()
 	const n = 16
 	var computed atomic.Int32
 	gate := make(chan struct{})
@@ -70,47 +122,44 @@ func TestFlightDeduplicates(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := f.Do(context.Background(), Key{Hi: 1}, func() (int, error) {
+			r, err := one(context.Background(), ts, Key{Hi: 1}, func() (int, error) {
 				<-gate // hold the flight open until all callers joined
 				computed.Add(1)
 				return 99, nil
 			})
-			if err != nil || v != 99 {
-				t.Errorf("Do = %d, %v", v, err)
+			if err != nil || !r.ok || r.v != 99 {
+				t.Errorf("window = %+v, %v", r, err)
 			}
 		}()
 	}
-	// Wait until one leader is registered, then let it finish. Followers
-	// that arrive after close(gate) still share the same call until the
-	// leader completes; any that arrive later would lead a new flight —
-	// so release the gate only once every goroutine is launched and the
-	// flight has a leader.
-	for f.Stats().Misses == 0 {
+	// Wait until one leader is registered, then let it finish. Callers
+	// that arrive after the release find the value in memory, either on
+	// their Get or on the re-probe after winning leadership.
+	for flightStats(ts).Misses == 0 {
 		runtime.Gosched()
 	}
 	close(gate)
 	wg.Wait()
-	if got := computed.Load(); got < 1 || got > n {
-		t.Fatalf("computed %d times", got)
+	if got := computed.Load(); got != 1 {
+		t.Fatalf("computed %d times, want 1", got)
 	}
-	s := f.Stats()
-	if s.Misses+s.Hits != n {
-		t.Errorf("flight stats %+v: leads+shares = %d, want %d", s, s.Misses+s.Hits, n)
+	if s := ts.Stats(); s.Misses != 1 || s.Hits != n-1 {
+		t.Errorf("store stats %+v: want 1 miss and %d hits", s, n-1)
 	}
-	if s.Len != 0 {
-		t.Errorf("flight still tracks %d calls after completion", s.Len)
+	if s := flightStats(ts); s.Len != 0 || s.Hits > n-1 {
+		t.Errorf("flight stats %+v: want no keys in flight and at most %d shares", s, n-1)
 	}
 }
 
 // TestFlightFollowerRetriesAfterLeaderFailure pins the error contract: a
 // follower does not inherit the leader's failure, it recomputes.
 func TestFlightFollowerRetriesAfterLeaderFailure(t *testing.T) {
-	var f Flight[int]
+	ts := newIntStore()
 	k := Key{Hi: 4}
 	leaderIn := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		f.Do(context.Background(), k, func() (int, error) {
+		one(context.Background(), ts, k, func() (int, error) {
 			close(leaderIn)
 			<-release
 			return 0, errors.New("leader died")
@@ -120,9 +169,9 @@ func TestFlightFollowerRetriesAfterLeaderFailure(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		v, _, err := f.Do(context.Background(), k, func() (int, error) { return 7, nil })
-		if err != nil || v != 7 {
-			t.Errorf("follower after failed leader: %d, %v", v, err)
+		r, err := one(context.Background(), ts, k, func() (int, error) { return 7, nil })
+		if err != nil || !r.computed || r.v != 7 {
+			t.Errorf("follower after failed leader: %+v, %v", r, err)
 		}
 	}()
 	close(release)
@@ -136,16 +185,16 @@ func TestFlightFollowerRetriesAfterLeaderFailure(t *testing.T) {
 // number of values ever shared. A share must count only when a value is
 // actually delivered from another caller's computation.
 func TestFlightShareCountedOnlyOnDelivery(t *testing.T) {
-	var f Flight[int]
+	ts := newIntStore()
 	k := Key{Hi: 6}
 
 	// Round 1: leader fails while one follower waits and a second
-	// follower times out mid-wait. Neither received a value, so neither
-	// may count as a share.
+	// follower's context has already ended. Neither received a value, so
+	// neither may count as a share.
 	leaderIn := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		f.Do(context.Background(), k, func() (int, error) {
+		one(context.Background(), ts, k, func() (int, error) {
 			close(leaderIn)
 			<-release
 			return 0, errors.New("leader died")
@@ -154,22 +203,22 @@ func TestFlightShareCountedOnlyOnDelivery(t *testing.T) {
 	<-leaderIn
 	expired, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := f.Do(expired, k, func() (int, error) { return 0, nil }); !errors.Is(err, context.Canceled) {
+	if _, err := one(expired, ts, k, func() (int, error) { return 0, nil }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("timed-out follower err = %v", err)
 	}
 	followerDone := make(chan struct{})
 	go func() {
 		defer close(followerDone)
 		// Observes the failed leader, loops, wins leadership, computes.
-		v, shared, err := f.Do(context.Background(), k, func() (int, error) { return 7, nil })
-		if err != nil || v != 7 || shared {
-			t.Errorf("retrying follower: v=%d shared=%v err=%v", v, shared, err)
+		r, err := one(context.Background(), ts, k, func() (int, error) { return 7, nil })
+		if err != nil || r.v != 7 || r.shared {
+			t.Errorf("retrying follower: %+v, %v", r, err)
 		}
 	}()
 	close(release)
 	<-followerDone
 
-	s := f.Stats()
+	s := flightStats(ts)
 	if s.Hits != 0 {
 		t.Errorf("after failed leader + timed-out follower: shares = %d, want 0 (no value was ever shared)", s.Hits)
 	}
@@ -178,14 +227,16 @@ func TestFlightShareCountedOnlyOnDelivery(t *testing.T) {
 	}
 
 	// Round 2: a genuine share still counts exactly once. Joining an
-	// in-flight call is inherently racy from outside, so retry rounds
-	// until one follower actually shares; each round delivers at most one
-	// share, so the first success pins the counter at exactly 1.
-	for attempt := 0; attempt < 1000 && f.Stats().Hits == 0; attempt++ {
+	// in-flight claim is inherently racy from outside, so retry rounds,
+	// each on a fresh key, until one follower actually shares; each round
+	// delivers at most one share, so the first success pins the counter
+	// at exactly 1.
+	for attempt := uint64(0); attempt < 1000 && flightStats(ts).Hits == 0; attempt++ {
+		k2 := Key{Hi: 100 + attempt}
 		leaderIn2 := make(chan struct{})
 		release2 := make(chan struct{})
 		go func() {
-			f.Do(context.Background(), k, func() (int, error) {
+			one(context.Background(), ts, k2, func() (int, error) {
 				close(leaderIn2)
 				<-release2
 				return 42, nil
@@ -195,30 +246,31 @@ func TestFlightShareCountedOnlyOnDelivery(t *testing.T) {
 		shareDone := make(chan struct{})
 		go func() {
 			defer close(shareDone)
-			v, _, err := f.Do(context.Background(), k, func() (int, error) { return 42, nil })
-			if err != nil || v != 42 {
-				t.Errorf("round-2 follower: v=%d err=%v", v, err)
+			r, err := one(context.Background(), ts, k2, func() (int, error) { return 42, nil })
+			if err != nil || r.v != 42 {
+				t.Errorf("round-2 follower: %+v, %v", r, err)
 			}
 		}()
 		runtime.Gosched()
 		close(release2)
 		<-shareDone
 	}
-	if s := f.Stats(); s.Hits != 1 {
+	if s := flightStats(ts); s.Hits != 1 {
 		t.Errorf("after one delivered value: shares = %d, want 1", s.Hits)
 	}
 }
 
 // TestFlightFollowerHonorsOwnContext: a waiting follower whose context
-// expires returns its own error instead of blocking on the leader.
+// ends returns its own error instead of blocking on the leader, and
+// never computes.
 func TestFlightFollowerHonorsOwnContext(t *testing.T) {
-	var f Flight[int]
+	ts := newIntStore()
 	k := Key{Hi: 5}
 	leaderIn := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
 	go func() {
-		f.Do(context.Background(), k, func() (int, error) {
+		one(context.Background(), ts, k, func() (int, error) {
 			close(leaderIn)
 			<-release
 			return 1, nil
@@ -226,32 +278,130 @@ func TestFlightFollowerHonorsOwnContext(t *testing.T) {
 	}()
 	<-leaderIn
 	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := one(ctx, ts, k, func() (int, error) {
+			t.Error("follower computed while its leader was in flight")
+			return 2, nil
+		})
+		errc <- err
+	}()
+	time.Sleep(10 * time.Millisecond) // let the follower reach its wait
+	select {
+	case err := <-errc:
+		t.Fatalf("follower returned %v while its leader was still in flight", err)
+	default:
+	}
 	cancel()
-	if _, _, err := f.Do(ctx, k, func() (int, error) { return 2, nil }); !errors.Is(err, context.Canceled) {
+	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled follower returned %v, want context.Canceled", err)
 	}
 }
 
+// TestFlightCrossClaim drives two windows that each lead a key the other
+// follows: A leads a and follows b, then B leads b and follows a. Every
+// claimed key is released before its window waits, so both finish, and
+// each window is served the key the other computed.
+func TestFlightCrossClaim(t *testing.T) {
+	ts := newIntStore()
+	ctx := context.Background()
+	a, b := Key{Hi: 1}, Key{Hi: 2}
+	value := map[Key]int{a: 10, b: 20}
+
+	// Y leads b and fails, so b is free again once A follows it.
+	yIn, yGo, yDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(yDone)
+		one(ctx, ts, b, func() (int, error) {
+			close(yIn)
+			<-yGo
+			return 0, errors.New("y failed")
+		})
+	}()
+	<-yIn
+
+	// A claims [a b]: leads a, follows Y's b; its computation of a holds.
+	aIn, aGo := make(chan struct{}), make(chan struct{})
+	type out struct {
+		res []result
+		err error
+	}
+	aOut, bOut := make(chan out, 1), make(chan out, 1)
+	go func() {
+		res, err := window(ctx, ts, []Key{a, b}, func(k Key) (int, error) {
+			if k == a {
+				close(aIn)
+				<-aGo
+			}
+			return value[k], nil
+		})
+		aOut <- out{res, err}
+	}()
+	<-aIn
+	close(yGo)
+	<-yDone
+
+	// B claims [b a]: leads b (free since Y failed), follows A's a; its
+	// computation of b holds.
+	bIn, bGo := make(chan struct{}), make(chan struct{})
+	go func() {
+		res, err := window(ctx, ts, []Key{b, a}, func(k Key) (int, error) {
+			if k == b {
+				close(bIn)
+				<-bGo
+			}
+			return value[k], nil
+		})
+		bOut <- out{res, err}
+	}()
+	<-bIn
+
+	// A stores a and releases it, finds b missing and claims it again
+	// behind B; B then stores b and is served a.
+	close(aGo)
+	time.Sleep(10 * time.Millisecond) // let A reach its wait on B
+	close(bGo)
+	for name, c := range map[string]chan out{"A": aOut, "B": bOut} {
+		select {
+		case o := <-c:
+			if o.err != nil {
+				t.Fatalf("window %s: %v", name, o.err)
+			}
+			for _, r := range o.res {
+				if !r.ok {
+					t.Errorf("window %s left a key unresolved: %+v", name, o.res)
+				}
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("window %s deadlocked", name)
+		}
+	}
+	for k, want := range value {
+		if v, ok := ts.Get(ctx, k); !ok || v != want {
+			t.Errorf("key %v = %d, %v; want %d", k, v, ok, want)
+		}
+	}
+	if s := flightStats(ts); s.Len != 0 || s.Hits == 0 {
+		t.Errorf("flight stats %+v: want no keys in flight and a share", s)
+	}
+}
+
 // TestTieredComputeAccounting pins the Misses == evaluations invariant
-// across the Get-miss + Compute pairing.
+// across the Get-miss + ComputeWindow pairing, including a key a racer
+// fills between the Get and the claim (served on the re-probe).
 func TestTieredComputeAccounting(t *testing.T) {
-	ts := NewTiered(NewMemory[pair](64, 1))
+	ts := NewTiered(NewMemory[int](64, 1))
 	ctx := context.Background()
 	k := Key{Hi: 9}
-	if _, ok := ts.Get(ctx, k); ok {
-		t.Fatal("unexpected hit")
-	}
-	v, out, err := ts.Compute(ctx, k, func(context.Context) (pair, error) {
-		return pair{A: 1}, nil
-	})
-	if err != nil || out != Miss || v.A != 1 {
-		t.Fatalf("Compute = %+v, %v, %v", v, out, err)
+	r, err := one(ctx, ts, k, func() (int, error) { return 1, nil })
+	if err != nil || !r.computed || r.v != 1 {
+		t.Fatalf("window = %+v, %v", r, err)
 	}
 	if s := ts.Stats(); s.Hits != 0 || s.Misses != 1 {
 		t.Errorf("after one computation: %+v", s)
 	}
-	if v, ok := ts.Get(ctx, k); !ok || v.A != 1 {
-		t.Fatalf("computed value not stored: %+v, %v", v, ok)
+	if v, ok := ts.Get(ctx, k); !ok || v != 1 {
+		t.Fatalf("computed value not stored: %d, %v", v, ok)
 	}
 	if s := ts.Stats(); s.Hits != 1 || s.Misses != 1 {
 		t.Errorf("after warm Get: %+v", s)
@@ -259,14 +409,38 @@ func TestTieredComputeAccounting(t *testing.T) {
 
 	// A failed computation stays a miss and stores nothing.
 	k2 := Key{Hi: 10}
-	ts.Get(ctx, k2)
-	if _, _, err := ts.Compute(ctx, k2, func(context.Context) (pair, error) {
-		return pair{}, errors.New("boom")
-	}); err == nil {
-		t.Fatal("error not propagated")
+	if r, err := one(ctx, ts, k2, func() (int, error) { return 0, errors.New("boom") }); err != nil || r.ok {
+		t.Fatalf("failed computation: %+v, %v", r, err)
 	}
 	if _, ok := ts.Get(ctx, k2); ok {
 		t.Error("failed computation was cached")
+	}
+	if s := ts.Stats(); s.Hits != 1 || s.Misses != 3 {
+		t.Errorf("after a failed computation and its Get: %+v, want 1 hit and 3 misses", s)
+	}
+
+	// Re-probe after winning leadership: a racer fills k3 between the
+	// Get and the claim, so the window serves it without computing and
+	// the Get's miss turns into a hit.
+	k3 := Key{Hi: 11}
+	if _, ok := ts.Get(ctx, k3); ok {
+		t.Fatal("unexpected hit")
+	}
+	ts.Put(ctx, k3, 3)
+	var buf WindowBuf
+	served := 0
+	if err := ts.ComputeWindow(ctx, []Key{k3}, &buf, func([]int) {
+		t.Error("computed a key memory already held")
+	}, func(_ int, v int, shared bool) {
+		if v != 3 || shared {
+			t.Errorf("re-probe served %d (shared %v), want 3 from memory", v, shared)
+		}
+		served++
+	}); err != nil || served != 1 {
+		t.Fatalf("re-probe window: served %d, %v", served, err)
+	}
+	if s := ts.Stats(); s.Hits != 2 || s.Misses != 3 {
+		t.Errorf("after the re-probe hit: %+v, want 2 hits and 3 misses", s)
 	}
 }
 
@@ -290,11 +464,11 @@ func TestMemoryNoEvictionWhenSizedToInserts(t *testing.T) {
 	}
 }
 
-// TestTieredStressConcurrent hammers a store from many goroutines mixing
-// Get, Put and Compute over a small key space; run with -race it is the
-// store's concurrency contract.
+// TestTieredStressConcurrent hammers a store from many goroutines
+// running windows of Gets and ComputeWindows over a small key space; run
+// with -race it is the store's concurrency contract.
 func TestTieredStressConcurrent(t *testing.T) {
-	ts := NewTiered(NewMemory[pair](32, 4)) // small: forces evictions
+	ts := NewTiered(NewMemory[int](32, 4)) // small: forces evictions
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -302,18 +476,28 @@ func TestTieredStressConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				k := Key{Hi: uint64((g*7 + i) % 64)}
-				if v, ok := ts.Get(ctx, k); ok {
-					if v.A != k.Hi {
-						t.Errorf("key %d served value %d", k.Hi, v.A)
-					}
-					continue
+				keys := make([]Key, 4)
+				for j := range keys {
+					keys[j] = Key{Hi: uint64((g*7 + i + j*13) % 64)}
 				}
-				ts.Compute(ctx, k, func(context.Context) (pair, error) {
-					return pair{A: k.Hi, B: fmt.Sprintf("v%d", k.Hi)}, nil
+				keys[3] = keys[0] // a repeat follows its own window's lead
+				res, err := window(ctx, ts, keys, func(k Key) (int, error) {
+					return int(k.Hi) + 1000, nil
 				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for j, r := range res {
+					if !r.ok || r.v != int(keys[j].Hi)+1000 {
+						t.Errorf("key %d resolved to %+v", keys[j].Hi, r)
+					}
+				}
 			}
 		}(g)
 	}
 	wg.Wait()
+	if s := ts.TierStats()["flight"]; s.Len != 0 {
+		t.Errorf("%d keys still in flight", s.Len)
+	}
 }

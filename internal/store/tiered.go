@@ -20,7 +20,7 @@ import (
 // the callers already open.
 type Tiered[V any] struct {
 	mem    *Memory[V]
-	flight Flight[V]
+	flight Flight
 
 	// hits/misses are the top-level outcome counters (free-running
 	// atomics; the per-tier consistent snapshots live in TierStats).
@@ -28,7 +28,7 @@ type Tiered[V any] struct {
 }
 
 // counter is an atomic tally that also accepts negative deltas, which
-// Compute uses to re-balance a Get-counted miss into a hit.
+// ComputeWindow uses to re-balance a Get-counted miss into a hit.
 type counter struct{ v atomic.Uint64 }
 
 func (c *counter) add(d int64)  { c.v.Add(uint64(d)) }
@@ -39,8 +39,8 @@ func NewTiered[V any](mem *Memory[V]) *Tiered[V] {
 	return &Tiered[V]{mem: mem}
 }
 
-// lookup probes the memory tier without touching the top-level counters.
-func (t *Tiered[V]) lookup(ctx context.Context, k Key) (V, Outcome, bool) {
+// probe reads the memory tier without touching the top-level counters.
+func (t *Tiered[V]) probe(ctx context.Context, k Key) (V, bool) {
 	rec := obs.RecorderFrom(ctx)
 	var t0 time.Time
 	if rec != nil {
@@ -50,30 +50,18 @@ func (t *Tiered[V]) lookup(ctx context.Context, k Key) (V, Outcome, bool) {
 	if rec != nil {
 		rec.Observe("store.get.mem", time.Since(t0))
 	}
-	if ok {
-		return v, HitMem, true
-	}
-	var zero V
-	return zero, Miss, false
-}
-
-// Get probes the memory tier.
-func (t *Tiered[V]) Get(ctx context.Context, k Key) (V, bool) {
-	v, _, ok := t.Lookup(ctx, k)
 	return v, ok
 }
 
-// Lookup is Get also reporting the outcome (HitMem, or Miss when absent)
-// — for callers that record it, like the dse.evaluate span's cache
-// attribute.
-func (t *Tiered[V]) Lookup(ctx context.Context, k Key) (V, Outcome, bool) {
-	v, out, ok := t.lookup(ctx, k)
+// Get probes the memory tier, counting the lookup as a hit or a miss.
+func (t *Tiered[V]) Get(ctx context.Context, k Key) (V, bool) {
+	v, ok := t.probe(ctx, k)
 	if ok {
 		t.hits.add(1)
 	} else {
 		t.misses.add(1)
 	}
-	return v, out, ok
+	return v, ok
 }
 
 // Put writes v to the memory tier.
@@ -89,43 +77,103 @@ func (t *Tiered[V]) Put(ctx context.Context, k Key, v V) {
 	}
 }
 
-// Compute completes a Get miss: it runs fn under the single-flight layer
-// (concurrent identical computations share one execution), re-probes
-// memory on winning leadership (a racing leader may have just filled
-// it), and stores a freshly computed value. The Outcome reports what
-// actually happened: Miss (fn ran here), HitMem (filled by a racer), or
-// Shared (another caller's fn served us).
+// WindowBuf is ComputeWindow's scratch space. A caller owns one and
+// reuses it across windows, so a window allocates nothing but the done
+// channel of its claim. The zero value is ready to use.
+type WindowBuf struct {
+	wait          []chan struct{}
+	claimed       []Key
+	pending, next []int
+	lead          []int
+}
+
+// ComputeWindow completes a window of Get misses: keys are the keys the
+// caller's Gets missed, and each ends up computed here, served, or (only
+// when ctx ends) unresolved.
 //
-// Callers must pair Compute with an immediately preceding Get miss —
-// Compute re-balances that Get's recorded miss into a hit when the value
-// arrived without a local computation, keeping Stats.Misses equal to the
-// number of evaluations actually performed.
-func (t *Tiered[V]) Compute(ctx context.Context, k Key, fn func(context.Context) (V, error)) (V, Outcome, error) {
-	out := Miss
-	v, shared, err := t.flight.Do(ctx, k, func() (V, error) {
-		if v, o, ok := t.lookup(ctx, k); ok {
-			out = o
-			return v, nil
+//   - In one critical section it claims every key no other caller is
+//     computing and follows the rest.
+//   - It re-probes memory for each claimed key, since a racing leader may
+//     have filled it after the Get, and serves the ones it finds.
+//   - It calls compute once with the positions (into keys) still missing.
+//     compute must Put every value it computes before returning; a
+//     position it fails leaves no value.
+//   - It releases every claimed key, computed or not, before it waits on
+//     any key it follows. Two windows that each lead part of the other's
+//     keys therefore cannot deadlock.
+//   - A followed key whose leader stored a value is served from memory.
+//     One whose leader failed or was cancelled is claimed again, under
+//     ctx, and the steps repeat.
+//
+// serve receives every position resolved without a local computation:
+// shared is false for a memory hit on re-probe and true for a value
+// another caller computed. Each served position turns its Get's miss
+// into a hit, keeping Stats.Misses equal to the computations performed.
+// ComputeWindow returns ctx's error when ctx ends first.
+func (t *Tiered[V]) ComputeWindow(ctx context.Context, keys []Key, buf *WindowBuf, compute func(lead []int), serve func(i int, v V, shared bool)) error {
+	buf.pending = buf.pending[:0]
+	for i := range keys {
+		buf.pending = append(buf.pending, i)
+	}
+	for len(buf.pending) > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		v, err := fn(ctx)
-		if err == nil {
-			t.Put(ctx, k, v)
+		buf.claimed = buf.claimed[:0]
+		for _, i := range buf.pending {
+			buf.claimed = append(buf.claimed, keys[i])
 		}
-		return v, err
-	})
-	if err != nil {
-		return v, out, err
+		if cap(buf.wait) < len(keys) {
+			buf.wait = make([]chan struct{}, len(keys))
+		}
+		wait := buf.wait[:len(buf.claimed)]
+		done := t.claim(buf.claimed, wait)
+
+		buf.lead = buf.lead[:0]
+		for j, i := range buf.pending {
+			if wait[j] != nil {
+				continue
+			}
+			if v, ok := t.probe(ctx, keys[i]); ok {
+				t.served()
+				serve(i, v, false)
+				continue
+			}
+			buf.lead = append(buf.lead, i)
+		}
+		if len(buf.lead) > 0 {
+			compute(buf.lead)
+		}
+		t.release(buf.claimed, wait, done)
+
+		buf.next = buf.next[:0]
+		for j, i := range buf.pending {
+			if wait[j] == nil {
+				continue
+			}
+			select {
+			case <-wait[j]:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+			if v, ok := t.probe(ctx, keys[i]); ok {
+				t.flight.shares.Add(1)
+				t.served()
+				serve(i, v, true)
+				continue
+			}
+			buf.next = append(buf.next, i)
+		}
+		buf.pending, buf.next = buf.next, buf.pending
 	}
-	if shared {
-		out = Shared
-	}
-	if out != Miss {
-		// The preceding Get charged this probe as a miss, but no local
-		// computation happened after all.
-		t.hits.add(1)
-		t.misses.add(-1)
-	}
-	return v, out, nil
+	return nil
+}
+
+// served re-balances a Get-counted miss into a hit: the value arrived
+// without a local computation after all.
+func (t *Tiered[V]) served() {
+	t.hits.add(1)
+	t.misses.add(-1)
 }
 
 // Stats aggregates the store's top-level outcomes: Hits are lookups
