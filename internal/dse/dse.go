@@ -209,8 +209,8 @@ type Explorer struct {
 	Wafer cost.Wafer
 	// Parallelism bounds a sweep's window workers; 0 means GOMAXPROCS.
 	Parallelism int
-	// Cache memoises evaluated points by PointKey in the in-memory
-	// content-addressed store (an LRU plus single-flight dedup of
+	// Cache memoises evaluated points by PointKey in the content-addressed
+	// store (a sharded LRU over store.Key plus single-flight dedup of
 	// concurrent identical evaluations) so overlapping grids (and repeated
 	// service requests) skip re-simulation. The key covers the config and
 	// workload only: explorers whose Sim engine or Wafer model differ from
@@ -230,7 +230,7 @@ func NewExplorer() *Explorer {
 	return &Explorer{
 		Sim:   sim.New(),
 		Wafer: cost.N7Wafer,
-		Cache: NewPointStore(DefaultCacheEntries, 0),
+		Cache: NewPointStore(DefaultCacheEntries),
 	}
 }
 
@@ -244,11 +244,10 @@ func PointKey(cfg arch.Config, w model.Workload) store.Key {
 }
 
 // NewPointStore returns the result store the explorer and the serving
-// layer share: a sharded memory LRU (non-positive shards =
-// lru.DefaultShards) sized in entries and byte-accounted with a deep
-// Point sizer.
-func NewPointStore(entries, shards int) *store.Tiered[Point] {
-	return store.NewTiered(store.NewMemorySized(entries, shards, pointSize))
+// layer share: the store's sharded memory LRU bounded to entries points
+// and byte-accounted with a deep Point sizer.
+func NewPointStore(entries int) *store.Tiered[Point] {
+	return store.NewTiered(entries, pointSize)
 }
 
 var (
@@ -269,16 +268,6 @@ func pointSize(p Point) int {
 		n += timeStaticSize + len(p.Result.DecodeOps[i].Name)
 	}
 	return n
-}
-
-// CacheKey returns the canonical result-cache key for one evaluation in
-// its legacy string form — PointKey's hex rendering, which is also the
-// memory tier's LRU key. The hashes are name-invariant and sensitive to
-// every simulation-relevant field, and CacheKey is total — it never
-// lowers or validates the workload, so arbitrary (fuzzer-supplied)
-// inputs are safe.
-func CacheKey(cfg arch.Config, w model.Workload) string {
-	return PointKey(cfg, w).String()
 }
 
 // Evaluate simulates every configuration for the workload and returns the

@@ -336,26 +336,26 @@ func TestConcurrentIdenticalSweepsSingleFlight(t *testing.T) {
 	}
 }
 
-func TestCacheKeyIgnoresNameOnly(t *testing.T) {
+func TestPointKeyIgnoresNameOnly(t *testing.T) {
 	w := model.PaperWorkload(model.Llama3_8B())
 	a, b := arch.A100(), arch.A100()
 	b.Name = "same-silicon-other-name"
-	if CacheKey(a, w) != CacheKey(b, w) {
+	if PointKey(a, w) != PointKey(b, w) {
 		t.Error("renaming a config must not change its cache key")
 	}
 	b.L1KB++
-	if CacheKey(a, w) == CacheKey(b, w) {
+	if PointKey(a, w) == PointKey(b, w) {
 		t.Error("distinct silicon must produce distinct keys")
 	}
 	w2 := w
 	w2.Batch++
-	if CacheKey(a, w) == CacheKey(a, w2) {
+	if PointKey(a, w) == PointKey(a, w2) {
 		t.Error("distinct workloads must produce distinct keys")
 	}
 	// WeightBits 0 means FP16: both spellings must share a key.
 	w16 := w
 	w16.WeightBits = 16
-	if CacheKey(a, w) != CacheKey(a, w16) {
+	if PointKey(a, w) != PointKey(a, w16) {
 		t.Error("WeightBits 0 and 16 should fingerprint identically")
 	}
 }

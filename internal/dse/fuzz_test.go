@@ -7,7 +7,7 @@ import (
 	"repro/internal/model"
 )
 
-// FuzzCacheKey checks the two contracts the result cache depends on, over
+// FuzzPointKey checks the two contracts the point store depends on, over
 // arbitrary configurations and workloads:
 //
 //  1. The display name is the ONLY field excluded from the key — renaming a
@@ -19,7 +19,7 @@ import (
 //
 // All inputs are integers so that the +1 mutations below are guaranteed to
 // produce a genuinely different field value (no NaN or rounding traps).
-func FuzzCacheKey(f *testing.F) {
+func FuzzPointKey(f *testing.F) {
 	f.Add(uint16(108), uint8(4), uint8(16), uint16(192), uint16(40), uint16(1555), uint16(4), uint16(2048), "seed")
 	f.Add(uint16(1), uint8(1), uint8(4), uint16(32), uint16(8), uint16(100), uint16(1), uint16(1), "")
 	f.Add(uint16(4096), uint8(8), uint8(32), uint16(512), uint16(128), uint16(9000), uint16(64), uint16(8192), "big")
@@ -49,18 +49,18 @@ func FuzzCacheKey(f *testing.F) {
 		w.Batch = int(batch) + 1
 		w.InputLen = int(inLen) + 1
 
-		key := CacheKey(cfg, w)
+		key := PointKey(cfg, w)
 
 		renamed := cfg
 		renamed.Name = name
-		if CacheKey(renamed, w) != key {
+		if PointKey(renamed, w) != key {
 			t.Errorf("renaming %q -> %q changed the cache key", cfg.Name, name)
 		}
 
 		zeroBits, fp16 := w, w
 		zeroBits.WeightBits = 0
 		fp16.WeightBits = 16
-		if CacheKey(cfg, zeroBits) != CacheKey(cfg, fp16) {
+		if PointKey(cfg, zeroBits) != PointKey(cfg, fp16) {
 			t.Error("WeightBits 0 and 16 must key identically (zero means FP16)")
 		}
 
@@ -83,7 +83,7 @@ func FuzzCacheKey(f *testing.F) {
 		add("ClockGHz", func(c *arch.Config) { c.ClockGHz++ })
 		add("Process", func(c *arch.Config) { c.Process = arch.ProcessN5 })
 		for field, m := range mutations {
-			if CacheKey(m, w) == key {
+			if PointKey(m, w) == key {
 				t.Errorf("changing %s did not change the cache key", field)
 			}
 		}
@@ -105,7 +105,7 @@ func FuzzCacheKey(f *testing.F) {
 		addW("Model.Heads", func(x *model.Workload) { x.Model.Heads++ })
 		addW("Model.KVHeads", func(x *model.Workload) { x.Model.KVHeads++ })
 		for field, m := range wMuts {
-			if CacheKey(cfg, m) == key {
+			if PointKey(cfg, m) == key {
 				t.Errorf("changing workload %s did not change the cache key", field)
 			}
 		}

@@ -114,7 +114,7 @@ func (g Graph) PhaseNodes(p Phase) []Node {
 // full-model metrics, and integer sharding can collapse distinct field
 // values onto identical per-device operators (e.g. KV-head counts that
 // divide to the same per-device share). Including the fields keeps the
-// fingerprint strictly field-sensitive, the contract FuzzCacheKey pins.
+// fingerprint strictly field-sensitive, the contract FuzzPointKey pins.
 func (g Graph) Fingerprint() uint64 {
 	h := newHasher()
 	h.word(WorkloadHash(g.Workload))

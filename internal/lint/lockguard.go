@@ -8,13 +8,15 @@ import (
 )
 
 // analyzerLockGuard enforces the concurrency contract on cache structs
-// (store.Flight and anything shaped like it): a struct that pairs a sync
-// mutex with struct-keyed map fields promises that every read of those
-// maps happens under the mutex (read or write lock) and every write under
-// the write lock. The check is linear over each function body: mutex
+// (store.Flight, the store's memory shards and anything shaped like
+// them, generic or not): a struct that pairs a sync mutex with
+// struct-keyed map fields promises that every read of those maps happens
+// under the mutex (read or write lock) and every write under the write
+// lock. The check is linear over each function body: mutex
 // Lock/RLock/Unlock/RUnlock calls and guarded-field accesses are ordered
 // by source position and the lock state is replayed across them — exactly
-// the shape the flight layer's claim and release use. It also flags
+// the shape the flight layer's claim and release use. A deferred call
+// counts at the end of the function body it is deferred in. It also flags
 // function signatures that copy a mutex-bearing struct by value (receiver
 // or parameter), which would fork the lock from the state it guards.
 var analyzerLockGuard = &Analyzer{
@@ -90,6 +92,24 @@ func checkGuardedAccesses(p *Pass, fd *ast.FuncDecl, guarded map[*types.Named]*m
 		return true
 	})
 
+	// A deferred call runs when its function returns, so its lock
+	// transition is replayed at the end of that function's body.
+	deferredAt := make(map[*ast.CallExpr]token.Pos)
+	var collectDefers func(body *ast.BlockStmt)
+	collectDefers = func(body *ast.BlockStmt) {
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				collectDefers(n.Body)
+				return false
+			case *ast.DeferStmt:
+				deferredAt[n.Call] = body.End()
+			}
+			return true
+		})
+	}
+	collectDefers(fd.Body)
+
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
@@ -97,13 +117,8 @@ func checkGuardedAccesses(p *Pass, fd *ast.FuncDecl, guarded map[*types.Named]*m
 			if sel == nil || sel.Kind() != types.FieldVal {
 				return true
 			}
-			named, _ := namedStruct(sel.Recv())
-			infra, ok := guarded[named]
-			if !ok {
-				return true
-			}
-			field, ok := sel.Obj().(*types.Var)
-			if !ok {
+			named, infra, field := guardedField(sel, guarded)
+			if infra == nil {
 				return true
 			}
 			if _, isCache := infra.caches[field]; !isCache {
@@ -136,13 +151,12 @@ func checkGuardedAccesses(p *Pass, fd *ast.FuncDecl, guarded map[*types.Named]*m
 			if sel == nil || sel.Kind() != types.FieldVal {
 				return true
 			}
-			named, _ := namedStruct(sel.Recv())
-			infra, ok := guarded[named]
-			if !ok {
-				return true
-			}
-			if field, ok := sel.Obj().(*types.Var); ok && infra.mutexs[field] {
-				events = append(events, lockEvent{pos: n.Pos(), kind: method})
+			if _, infra, field := guardedField(sel, guarded); infra != nil && infra.mutexs[field] {
+				pos, deferred := deferredAt[n]
+				if !deferred {
+					pos = n.Pos()
+				}
+				events = append(events, lockEvent{pos: pos, kind: method})
 			}
 		}
 		return true
@@ -172,6 +186,21 @@ func checkGuardedAccesses(p *Pass, fd *ast.FuncDecl, guarded map[*types.Named]*m
 			}
 		}
 	}
+}
+
+// guardedField resolves a field selection on a guarded struct to the
+// struct, its infrastructure and the declared field. Inside a generic
+// type's methods the receiver and its fields are instantiations, so both
+// are normalised to their declarations first. infra is nil when the
+// selection is not on a guarded struct.
+func guardedField(sel *types.Selection, guarded map[*types.Named]*memoInfra) (*types.Named, *memoInfra, *types.Var) {
+	named, _ := namedStruct(sel.Recv())
+	field, ok := sel.Obj().(*types.Var)
+	if named == nil || !ok {
+		return nil, nil, nil
+	}
+	named = named.Origin()
+	return named, guarded[named], field.Origin()
 }
 
 // checkCopiedLocks flags receivers and parameters that copy a

@@ -47,3 +47,22 @@ func Snapshot(e Engine) int { // want "parameter of Snapshot copies a mutex-bear
 
 // ByPointer is fine: the lock travels with the state it guards.
 func ByPointer(e *Engine) {}
+
+// Memo is generic: inside its methods the receiver and its fields are
+// instantiations of the declarations, and are checked all the same.
+type Memo[V any] struct {
+	mu      sync.Mutex
+	entries map[key]V
+}
+
+func (m *Memo[V]) Peek(k key) V {
+	return m.entries[k] // want "read of guarded cache field Memo.entries outside its mutex"
+}
+
+// Held keeps the lock until it returns: a deferred unlock runs at
+// function exit, after the read.
+func (e *Engine) Held(k key) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.cache[k]
+}

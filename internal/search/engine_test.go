@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dse"
 	"repro/internal/model"
+	"repro/internal/obs"
 )
 
 func TestRegistry(t *testing.T) {
@@ -188,6 +189,58 @@ func TestRunnerBudgetAndRevisits(t *testing.T) {
 	}
 	if out.Proposals < out.Evaluations {
 		t.Errorf("proposals %d < evaluations %d", out.Proposals, out.Evaluations)
+	}
+}
+
+// revisitCounter wraps an engine and counts the revisited results the
+// runner passes to Observe.
+type revisitCounter struct {
+	Explorer
+	revisits int
+}
+
+func (c *revisitCounter) Observe(results []Result) {
+	for _, r := range results {
+		if r.Revisited {
+			c.revisits++
+		}
+	}
+	c.Explorer.Observe(results)
+}
+
+// TestRunnerArchiveRevisitsAttr pins the search.run span's
+// archive_revisits attribute to the number of revisited results the
+// engine observed.
+func TestRunnerArchiveRevisitsAttr(t *testing.T) {
+	w := model.PaperWorkload(model.GPT3_175B())
+	space := FromGrid(dse.Table3(4800, []float64{600}))
+	prob := Problem{Space: space, Workload: w, Objectives: ObjectivesLatencyArea()}
+	eng, err := New("anneal", space, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &revisitCounter{Explorer: eng}
+	rec := obs.NewRecorder(0)
+	if _, err := (&Runner{}).Run(obs.WithRecorder(context.Background(), rec), prob, counted, 40, 9); err != nil {
+		t.Fatal(err)
+	}
+	if counted.revisits == 0 {
+		t.Fatal("the run revisited no design, so the attribute is not exercised")
+	}
+	var got []any
+	for _, sr := range rec.Spans() {
+		if sr.Name != "search.run" {
+			continue
+		}
+		for _, a := range sr.Attrs {
+			if a.Key == "archive_revisits" {
+				got = append(got, a.Value)
+			}
+		}
+	}
+	if len(got) != 1 || got[0] != counted.revisits {
+		t.Errorf("search.run archive_revisits = %v, want one span reporting the %d revisited results the engine observed",
+			got, counted.revisits)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/dse"
 	"repro/internal/ir"
 	"repro/internal/obs"
-	"repro/internal/store"
 )
 
 // Runner drives an Explorer against a Problem through the dse sweep
@@ -91,18 +90,12 @@ func (r *Runner) Run(ctx context.Context, prob Problem, eng Explorer, budget int
 	// forever without consuming budget.
 	const maxStall = 64
 	stall := 0
-	// The run's visit archive is a content-addressed memory store sized
-	// to the budget on a single shard: unique inserts never exceed the
-	// budget, so nothing is ever evicted and every revisit is a hit. Keys
-	// pair the config hash with the workload hash — the same address a
-	// persistent tier would use, so archived results stay distinguishable
-	// per workload.
-	archive := store.NewMemory[Result](budget, 1)
-	wh := ir.WorkloadHash(prob.Workload)
-	defer func() {
-		st := archive.Stats()
-		sp.SetInt("archive_revisits", int(st.Hits))
-	}()
+	// The run's visit archive maps config hash to evaluated result: the
+	// workload is fixed for the run, so the config hash alone identifies
+	// a design. revisits counts the proposals it served.
+	archive := make(map[uint64]Result)
+	revisits := 0
+	defer func() { sp.SetInt("archive_revisits", revisits) }()
 	for out.Evaluations < budget && stall < maxStall {
 		if err := ctx.Err(); err != nil {
 			out.Front = eng.Front()
@@ -136,10 +129,11 @@ func (r *Runner) Run(ctx context.Context, prob Problem, eng Explorer, budget int
 				continue
 			}
 			h := ir.ConfigHash(cfg)
-			if prev, ok := archive.Get(store.Key{Hi: h, Lo: wh}); ok {
+			if prev, ok := archive[h]; ok {
 				prev.Genome = g
 				prev.Revisited = true
 				results[i] = prev
+				revisits++
 				continue
 			}
 			results[i] = Result{Genome: g, Hash: h, Revisited: batch[h]}
@@ -167,7 +161,7 @@ func (r *Runner) Run(ctx context.Context, prob Problem, eng Explorer, budget int
 				res.Point = pts[k]
 				res.Objs = prob.objectives(pts[k])
 				res.Feasible, res.Violation = prob.feasible(pts[k])
-				archive.Put(store.Key{Hi: res.Hash, Lo: wh}, *res)
+				archive[res.Hash] = *res
 				out.Evaluations++
 			}
 			// Fill batch-internal duplicates from their now-evaluated
@@ -175,10 +169,11 @@ func (r *Runner) Run(ctx context.Context, prob Problem, eng Explorer, budget int
 			for i := range results {
 				r := &results[i]
 				if r.Revisited && r.Objs == nil && r.DecodeErr == "" {
-					full, _ := archive.Get(store.Key{Hi: r.Hash, Lo: wh})
+					full := archive[r.Hash]
 					full.Genome = r.Genome
 					full.Revisited = true
 					*r = full
+					revisits++
 				}
 			}
 		}

@@ -18,9 +18,9 @@ import (
 
 // TestCacheConcurrentStress hammers the shared point store from many
 // goroutines mixing hits, misses and evictions; run with -race it proves
-// the tiered store over the sharded LRU is data-race free.
+// the store's sharded memory tier is data-race free.
 func TestCacheConcurrentStress(t *testing.T) {
-	cache := newPointCache(256)
+	cache := dse.NewPointStore(256)
 	ctx := context.Background()
 	w := model.PaperWorkload(model.Llama3_8B())
 	base := arch.A100()

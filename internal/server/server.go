@@ -147,7 +147,7 @@ func New(cfg Config) *Server {
 	case cfg.CacheEntries < 0:
 		ex.Cache = nil
 	case cfg.CacheEntries > 0:
-		ex.Cache = newPointCache(cfg.CacheEntries)
+		ex.Cache = dse.NewPointStore(cfg.CacheEntries)
 	}
 	s := &Server{
 		cfg:      cfg,

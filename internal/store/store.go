@@ -1,21 +1,17 @@
-// Package store is the repo's content-addressed result store: one home
-// for every cache the evaluation pipeline uses (the dse point LRU with
-// its single-flight layer, and the search visit archive). Results are
-// addressed by 128-bit content keys built from the IR hashes of their
-// inputs (ir.ConfigHash / ir.WorkloadHash), so a result is
-// location-independent: any caller that can derive the key can reuse
-// the result.
+// Package store is the repo's content-addressed result store: the one
+// memo layer the evaluation pipeline uses, holding the dse point cache
+// behind a single-flight layer. Results are addressed by 128-bit content
+// keys built from the IR hashes of their inputs (ir.ConfigHash /
+// ir.WorkloadHash), so a result is location-independent: any caller that
+// can derive the key can reuse the result.
 //
-// The store composes two tiers behind one interface (Tiered):
+// The store composes two tiers behind one type (Tiered):
 //
-//   - Memory: the sharded LRU from internal/lru, adapted (not duplicated)
-//     to Key addressing. Hot, bounded, per-process.
+//   - memory: a sharded LRU over map[Key], bounded in entries and
+//     byte-accounted. Hot, per-process.
 //   - Flight: single-flight deduplication of identical in-flight
 //     computations, claimed a window of keys at a time — N concurrent
 //     identical sweeps share one evaluation per design.
-//
-// Each tier also stands alone: search.Runner uses a bare Memory tier as
-// its no-eviction visit archive.
 //
 // Evaluated points are never persisted: on the analytic model a design
 // costs microseconds to evaluate, so recomputing beats decoding. The one
@@ -33,21 +29,6 @@ type Key struct {
 	Hi, Lo uint64
 }
 
-// String renders the key as 16 hex digits, '-', 16 hex digits — the
-// exact legacy dse cache-key format, so the memory tier's LRU keys are
-// stable across the refactor. Manual encoding keeps a warm cache probe
-// at a single allocation (fmt.Sprintf costs three).
-func (k Key) String() string {
-	const hex = "0123456789abcdef"
-	var b [33]byte
-	for i := 0; i < 16; i++ {
-		b[15-i] = hex[(k.Hi>>(4*i))&0xf]
-		b[32-i] = hex[(k.Lo>>(4*i))&0xf]
-	}
-	b[16] = '-'
-	return string(b[:])
-}
-
 // Stats is one tier's effectiveness snapshot — the shape every tier
 // (memory and flight) reports, so /metrics can expose the whole cache
 // stack uniformly.
@@ -63,8 +44,8 @@ type Stats struct {
 	// (0 = unbounded).
 	Len      int `json:"entries"`
 	Capacity int `json:"capacity"`
-	// Bytes approximates the tier's resident size: shallow value bytes
-	// plus key bytes for the memory tier.
+	// Bytes approximates the tier's resident size: for the memory tier,
+	// each entry's 16-byte key plus its value's estimated size.
 	Bytes int64 `json:"bytes"`
 }
 

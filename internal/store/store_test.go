@@ -46,17 +46,6 @@ func (pairCodec) Decode(data []byte) (pair, error) {
 	return v, nil
 }
 
-func TestKeyStringFormat(t *testing.T) {
-	k := Key{Hi: 0x0123456789abcdef, Lo: 0xfedcba9876543210}
-	want := "0123456789abcdef-fedcba9876543210"
-	if got := k.String(); got != want {
-		t.Errorf("Key.String() = %q, want %q", got, want)
-	}
-	if got := (Key{}).String(); got != "0000000000000000-0000000000000000" {
-		t.Errorf("zero key = %q", got)
-	}
-}
-
 // result is one key's resolution in a test window.
 type result struct {
 	v        int
@@ -105,7 +94,9 @@ func one(ctx context.Context, ts *Tiered[int], k Key, fn func() (int, error)) (r
 	return res[0], err
 }
 
-func newIntStore() *Tiered[int] { return NewTiered(NewMemory[int](64, 1)) }
+// newIntStore holds 64 entries per shard, so the literal keys the flight
+// tests use, which all share shard 0, are never evicted.
+func newIntStore() *Tiered[int] { return NewTiered(64*shards, intSize) }
 
 func flightStats(ts *Tiered[int]) Stats { return ts.TierStats()["flight"] }
 
@@ -390,7 +381,7 @@ func TestFlightCrossClaim(t *testing.T) {
 // across the Get-miss + ComputeWindow pairing, including a key a racer
 // fills between the Get and the claim (served on the re-probe).
 func TestTieredComputeAccounting(t *testing.T) {
-	ts := NewTiered(NewMemory[int](64, 1))
+	ts := newIntStore()
 	ctx := context.Background()
 	k := Key{Hi: 9}
 	r, err := one(ctx, ts, k, func() (int, error) { return 1, nil })
@@ -444,31 +435,11 @@ func TestTieredComputeAccounting(t *testing.T) {
 	}
 }
 
-// TestMemoryNoEvictionWhenSizedToInserts pins the archive use: a Memory
-// tier whose capacity covers every insert never evicts — the property
-// search.Runner's budget-sized visit archive depends on.
-func TestMemoryNoEvictionWhenSizedToInserts(t *testing.T) {
-	const n = 500
-	m := NewMemory[int](n, 1)
-	for i := 0; i < n; i++ {
-		m.Put(Key{Hi: uint64(i)}, i)
-	}
-	s := m.Stats()
-	if s.Evictions != 0 || s.Len != n {
-		t.Fatalf("stats = %+v, want all %d entries resident with zero evictions", s, n)
-	}
-	for i := 0; i < n; i++ {
-		if v, ok := m.Get(Key{Hi: uint64(i)}); !ok || v != i {
-			t.Fatalf("entry %d: %d, %v", i, v, ok)
-		}
-	}
-}
-
 // TestTieredStressConcurrent hammers a store from many goroutines
 // running windows of Gets and ComputeWindows over a small key space; run
 // with -race it is the store's concurrency contract.
 func TestTieredStressConcurrent(t *testing.T) {
-	ts := NewTiered(NewMemory[int](32, 4)) // small: forces evictions
+	ts := NewTiered(shards, intSize) // one entry per shard: forces evictions
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -478,7 +449,7 @@ func TestTieredStressConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				keys := make([]Key, 4)
 				for j := range keys {
-					keys[j] = Key{Hi: uint64((g*7 + i + j*13) % 64)}
+					keys[j] = spreadKey((g*7 + i + j*13) % 64)
 				}
 				keys[3] = keys[0] // a repeat follows its own window's lead
 				res, err := window(ctx, ts, keys, func(k Key) (int, error) {

@@ -8,7 +8,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Tiered composes the tiers into the store consumers use: a memory LRU
+// Tiered composes the tiers into the store consumers use: the memory LRU
 // and a single-flight layer deduplicating concurrent identical
 // computations. The top-level Hits/Misses invariant is the one the
 // serving layer's cache-delta accounting depends on: Misses counts
@@ -19,7 +19,7 @@ import (
 // store.get.mem and store.put.mem histogram stages, alongside the spans
 // the callers already open.
 type Tiered[V any] struct {
-	mem    *Memory[V]
+	mem    memory[V]
 	flight Flight
 
 	// hits/misses are the top-level outcome counters (free-running
@@ -34,9 +34,13 @@ type counter struct{ v atomic.Uint64 }
 func (c *counter) add(d int64)  { c.v.Add(uint64(d)) }
 func (c *counter) load() uint64 { return c.v.Load() }
 
-// NewTiered returns a store over the given memory tier.
-func NewTiered[V any](mem *Memory[V]) *Tiered[V] {
-	return &Tiered[V]{mem: mem}
+// NewTiered returns a store whose memory tier holds up to capacity
+// entries (raised to at least one per shard) and charges each entry 16
+// bytes of key plus size(value) in its Bytes figure.
+func NewTiered[V any](capacity int, size func(V) int) *Tiered[V] {
+	t := &Tiered[V]{}
+	t.mem.init(capacity, size)
+	return t
 }
 
 // probe reads the memory tier without touching the top-level counters.
@@ -46,7 +50,7 @@ func (t *Tiered[V]) probe(ctx context.Context, k Key) (V, bool) {
 	if rec != nil {
 		t0 = time.Now()
 	}
-	v, ok := t.mem.Get(k)
+	v, ok := t.mem.get(k)
 	if rec != nil {
 		rec.Observe("store.get.mem", time.Since(t0))
 	}
@@ -71,7 +75,7 @@ func (t *Tiered[V]) Put(ctx context.Context, k Key, v V) {
 	if rec != nil {
 		t0 = time.Now()
 	}
-	t.mem.Put(k, v)
+	t.mem.put(k, v)
 	if rec != nil {
 		rec.Observe("store.put.mem", time.Since(t0))
 	}
@@ -179,10 +183,10 @@ func (t *Tiered[V]) served() {
 // Stats aggregates the store's top-level outcomes: Hits are lookups
 // served from memory (or a shared computation), Misses are performed
 // computations; entry counts, capacity, eviction and byte figures come
-// from the memory tier, whose snapshot consistency the underlying LRU
-// guarantees. Per-tier detail is in TierStats.
+// from one snapshot of the memory tier, taken with every shard lock
+// held. Per-tier detail is in TierStats.
 func (t *Tiered[V]) Stats() Stats {
-	m := t.mem.Stats()
+	m := t.mem.stats()
 	return Stats{
 		Hits:      t.hits.load(),
 		Misses:    t.misses.load(),
@@ -197,7 +201,7 @@ func (t *Tiered[V]) Stats() Stats {
 // "flight".
 func (t *Tiered[V]) TierStats() map[string]Stats {
 	return map[string]Stats{
-		"mem":    t.mem.Stats(),
+		"mem":    t.mem.stats(),
 		"flight": t.flight.Stats(),
 	}
 }
