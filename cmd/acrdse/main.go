@@ -112,6 +112,11 @@ func run(o options) error {
 	if o.eval != "scalar" && o.eval != "batch" {
 		return fmt.Errorf("unknown evaluator %q (scalar, batch)", o.eval)
 	}
+	switch o.rule {
+	case "none", "oct2022", "oct2023":
+	default:
+		return fmt.Errorf("unknown rule %q (none, oct2022, oct2023)", o.rule)
+	}
 	m, err := pickModel(o.model)
 	if err != nil {
 		return err
@@ -177,9 +182,6 @@ func run(o options) error {
 			return false
 		}
 	})
-	if rule != "none" && rule != "oct2022" && rule != "oct2023" {
-		return fmt.Errorf("unknown rule %q", rule)
-	}
 	fmt.Printf("%s, TPP < %.0f, %s: %d designs, %d admissible (manufacturable + compliant)\n\n",
 		m.Name, tpp, rule, len(points), len(admissible))
 	if len(admissible) == 0 {

@@ -319,6 +319,7 @@ func (e *Explorer) EvaluateContext(ctx context.Context, configs []arch.Config, w
 		wh:       ir.WorkloadHash(w),
 		ev:       batch.Evaluator{Engine: e.Sim.Engine},
 		progress: progressFrom(ctx),
+		tally:    tallyFrom(ctx),
 		points:   make([]Point, n),
 		done:     make([]bool, n),
 		errs:     make([]error, n),
@@ -380,6 +381,7 @@ type sweep struct {
 	wh       uint64 // ir.WorkloadHash of g's workload
 	ev       batch.Evaluator
 	progress ProgressFunc
+	tally    *CacheTally
 	points   []Point
 	done     []bool
 	errs     []error
@@ -466,6 +468,10 @@ func (w *window) run(lo, hi int) {
 	sp.SetInt("hits", w.hits)
 	sp.SetInt("misses", w.misses)
 	sp.SetInt("shared", w.shared)
+	if sw.tally != nil && cache != nil {
+		sw.tally.Hits.Add(uint64(w.hits + w.shared))
+		sw.tally.Misses.Add(uint64(w.misses))
+	}
 	if sw.progress != nil {
 		for i := lo; i < hi; i++ {
 			if sw.done[i] {

@@ -1,6 +1,9 @@
 package dse
 
-import "context"
+import (
+	"context"
+	"sync/atomic"
+)
 
 // ProgressFunc receives each design point once its evaluation window
 // finishes — cache hits and fresh simulations alike. Each window
@@ -32,4 +35,29 @@ func WithProgress(ctx context.Context, fn ProgressFunc) context.Context {
 func progressFrom(ctx context.Context) ProgressFunc {
 	fn, _ := ctx.Value(progressKey{}).(ProgressFunc)
 	return fn
+}
+
+// CacheTally counts one job's own point-store outcomes over every sweep
+// run under a context carrying it (WithCacheTally): Hits are designs
+// served from memory or by a concurrent sweep's computation, Misses are
+// designs evaluated here. Deltas of the store's global Stats would also
+// count every concurrent job's lookups. Sweeps add once per window, from
+// any worker; an Explorer without a store counts nothing.
+type CacheTally struct {
+	Hits, Misses atomic.Uint64
+}
+
+// tallyKey carries the per-job CacheTally through the context.
+type tallyKey struct{}
+
+// WithCacheTally returns a context whose sweeps add their store outcomes
+// to t.
+func WithCacheTally(ctx context.Context, t *CacheTally) context.Context {
+	return context.WithValue(ctx, tallyKey{}, t)
+}
+
+// tallyFrom extracts the job's tally, nil when the context carries none.
+func tallyFrom(ctx context.Context) *CacheTally {
+	t, _ := ctx.Value(tallyKey{}).(*CacheTally)
+	return t
 }

@@ -25,8 +25,9 @@ func Dominates(a, b []float64) bool {
 }
 
 // FrontIndices returns the indices of the non-dominated vectors, in
-// input order. Duplicate vectors all survive (none strictly dominates
-// its copies), matching dse.ParetoFront's treatment of ties.
+// input order. Duplicate vectors all survive, since none strictly
+// dominates its copies; dse.ParetoFront, by contrast, keeps one copy
+// of a duplicated point.
 func FrontIndices(objs [][]float64) []int {
 	front := make([]int, 0, len(objs))
 	for i, a := range objs {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -99,5 +100,63 @@ func TestConcurrentSimulateRequests(t *testing.T) {
 	}
 	if stats.Hits == 0 {
 		t.Error("80 requests over 4 configs should mostly hit the cache")
+	}
+}
+
+// TestConcurrentJobsCountTheirOwnCacheOutcomes releases two cold Table 3
+// sweeps of distinct workloads onto two workers at once. Each job's
+// cache_hits and cache_misses count its own 512 designs: a delta of the
+// store's global counters would also count the other job's lookups.
+func TestConcurrentJobsCountTheirOwnCacheOutcomes(t *testing.T) {
+	models := []string{"llama3", "gpt3"}
+	s := New(Config{
+		Workers: len(models),
+		Backlog: 2 * len(models),
+		Logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	// Occupy both workers until both sweeps are queued.
+	release := make(chan struct{})
+	start := sync.OnceFunc(func() { close(release) })
+	defer start() // a failed check must not leave the sweeps queued
+	for range models {
+		if _, err := s.queue.Submit(func(ctx context.Context) (any, error) {
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+			return nil, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ids []string
+	for _, m := range models {
+		body := fmt.Sprintf(`{"table3":{"tpp":4800},"workload":{"model":%q}}`, m)
+		resp, data := postJSON(t, ts.URL+"/v1/dse", body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("enqueue %s: status %d: %s", m, resp.StatusCode, data)
+		}
+		var enq EnqueueResponse
+		if err := json.Unmarshal(data, &enq); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, enq.JobID)
+	}
+	start()
+	for i, id := range ids {
+		st := pollJob(t, ts.URL, id)
+		if st.State != "succeeded" {
+			t.Fatalf("job %s: %s (%s)", id, st.State, st.Error)
+		}
+		res := decodeDSEResult(t, st)
+		if res.Designs != 512 || res.CacheMisses != 512 || res.CacheHits != 0 {
+			t.Errorf("%s job: %d designs, cache_misses %d, cache_hits %d; want 512, 512, 0",
+				models[i], res.Designs, res.CacheMisses, res.CacheHits)
+		}
 	}
 }

@@ -54,9 +54,14 @@ func (s JobState) Terminal() bool {
 // than failed).
 type JobFunc func(ctx context.Context) (any, error)
 
-// Job tracks one submitted unit of work.
+// Job tracks one submitted unit of work. It is the server's only
+// in-memory record of a job: its stream hub lives and leaves with it.
 type Job struct {
 	ID string
+	// hub fans the job's progress out to stream readers. It is set before
+	// any worker can take the job and finished by the terminal hook; nil
+	// for a job submitted without one.
+	hub *streamHub
 
 	mu       sync.Mutex
 	state    JobState
@@ -80,6 +85,15 @@ type JobStatus struct {
 	DurationMS float64 `json:"duration_ms,omitempty"`
 	Error      string  `json:"error,omitempty"`
 	Result     any     `json:"result,omitempty"`
+}
+
+// terminal reports whether the status is final.
+func (st JobStatus) terminal() bool {
+	switch st.State {
+	case JobSucceeded.String(), JobFailed.String(), JobCancelled.String():
+		return true
+	}
+	return false
 }
 
 func rfc3339OrEmpty(t time.Time) string {
@@ -154,9 +168,10 @@ type Queue struct {
 	backlog []*Job
 	jobs    map[string]*Job
 	seq     uint64
-	// onTerminal, when set (SetTerminalHook), receives every job's
-	// terminal status snapshot; the journal persists results through it.
-	onTerminal func(JobStatus)
+	// onTerminal, when set (SetTerminalHook), receives every job with its
+	// terminal status snapshot; the server finishes the job's stream hub
+	// and journals the result through it.
+	onTerminal func(*Job, JobStatus)
 
 	wg        sync.WaitGroup
 	submitted atomic.Uint64
@@ -198,18 +213,18 @@ func NewQueue(workers, backlog int, jobTimeout time.Duration) *Queue {
 	return q
 }
 
-// SetTerminalHook registers fn to receive the terminal status snapshot
-// of every job the moment it finishes (success, failure, cancellation —
-// including a pending job cancelled before it ran). Register before the
-// first Submit; fn runs outside the queue's locks.
-func (q *Queue) SetTerminalHook(fn func(JobStatus)) {
+// SetTerminalHook registers fn to receive every job with its terminal
+// status snapshot the moment it finishes (success, failure, cancellation
+// — including a pending job cancelled before it ran). Register before
+// the first Submit; fn runs outside the queue's locks.
+func (q *Queue) SetTerminalHook(fn func(*Job, JobStatus)) {
 	q.mu.Lock()
 	q.onTerminal = fn
 	q.mu.Unlock()
 }
 
 // terminalHook snapshots the registered hook under q.mu.
-func (q *Queue) terminalHook() func(JobStatus) {
+func (q *Queue) terminalHook() func(*Job, JobStatus) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.onTerminal
@@ -289,29 +304,23 @@ func (q *Queue) run(j *Job) {
 	st := j.statusLocked()
 	j.mu.Unlock()
 	if hook := q.terminalHook(); hook != nil {
-		hook(st)
+		hook(j, st)
 	}
 }
 
 // Submit enqueues fn under a fresh sequential ID and returns its job
 // handle, or ErrQueueFull when the backlog is at capacity.
 func (q *Queue) Submit(fn JobFunc) (*Job, error) {
-	return q.submit("", fn)
+	return q.submit("", nil, fn)
 }
 
-// SubmitNamed enqueues fn under a caller-chosen ID — the journal's
-// restart path resubmits unfinished jobs under their original IDs so
-// poll URLs handed out before the restart stay valid. The ID's numeric
-// suffix (if any) advances the queue's sequence, so fresh submissions
-// never collide with a replayed ID.
-func (q *Queue) SubmitNamed(id string, fn JobFunc) (*Job, error) {
-	if id == "" {
-		return nil, fmt.Errorf("server: empty job ID")
-	}
-	return q.submit(id, fn)
-}
-
-func (q *Queue) submit(id string, fn JobFunc) (*Job, error) {
+// submit enqueues fn with its stream hub (nil for none) under a fresh ID
+// when id is empty, or under id: the journal's restart path resubmits
+// unfinished jobs under their original IDs so poll URLs handed out
+// before the restart stay valid. A given ID's numeric suffix (if any)
+// advances the queue's sequence, so fresh submissions never collide
+// with a replayed ID.
+func (q *Queue) submit(id string, hub *streamHub, fn JobFunc) (*Job, error) {
 	q.mu.Lock()
 	if len(q.backlog) >= q.capacity {
 		q.mu.Unlock()
@@ -330,6 +339,7 @@ func (q *Queue) submit(id string, fn JobFunc) (*Job, error) {
 	}
 	j := &Job{
 		ID:      id,
+		hub:     hub,
 		state:   JobPending,
 		created: time.Now(),
 		fn:      fn,
@@ -429,7 +439,7 @@ func (q *Queue) Cancel(id string) (st JobStatus, found, cancelled bool) {
 		hook := q.onTerminal
 		q.mu.Unlock()
 		if hook != nil {
-			hook(st)
+			hook(j, st)
 		}
 		return st, true, true
 	case JobRunning:

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -23,8 +22,8 @@ import (
 // the restart keep working. Journaling exists only when a cache
 // directory is configured — without one the server never touches disk.
 
-// jobKindDSE and jobKindSearch tag journal records with the handler
-// that can rebuild their JobFunc on replay.
+// jobKindDSE and jobKindSearch tag journal records with the request
+// type parseJob rebuilds their job from on replay.
 const (
 	jobKindDSE    = "dse"
 	jobKindSearch = "search"
@@ -119,51 +118,33 @@ func (jobRecordCodec) Decode(data []byte) (jobRecord, error) {
 	return rec, nil
 }
 
-// journal is the durable job log: an in-memory record map mirrored to a
-// store.Files tier (one ".acrj" file per job, temp+rename atomic, FNV
-// checksummed). All methods are safe for concurrent use.
+// journal is the durable job log over a store.Files tier (one ".acrj"
+// file per job, temp+rename atomic, FNV checksummed). It keeps no copy
+// of its records in memory: each method reads the record it needs back
+// from its file. All methods are safe for concurrent use.
 type journal struct {
 	files *store.Files[jobRecord]
 	rec   *obs.Recorder
 	log   *slog.Logger
-
-	mu   sync.Mutex
-	recs map[string]jobRecord
+	// mu makes each record's read-modify-write atomic, so a job's spec
+	// and terminal writes both land whichever runs first.
+	mu sync.Mutex
 }
 
-// openJournal loads (or creates) the journal under dir. Records that
-// fail to decode were already deleted by the Files tier; the journal
-// simply proceeds without them.
+// openJournal opens (or creates) the journal under dir.
 func openJournal(dir string, rec *obs.Recorder, log *slog.Logger) (*journal, error) {
 	files, err := store.NewFiles(filepath.Join(dir, "jobs"), jobRecordCodec{})
 	if err != nil {
 		return nil, err
 	}
-	jl := &journal{files: files, rec: rec, log: log, recs: make(map[string]jobRecord)}
-	names, err := files.List()
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range names {
-		if r, ok := files.Get(name); ok {
-			jl.recs[r.ID] = r
-		}
-	}
-	return jl, nil
+	return &journal{files: files, rec: rec, log: log}, nil
 }
 
 // appendSpec journals an accepted job's spec. A record already holding a
 // terminal status keeps it: when a short job finishes before its spec
 // write lands, the setTerminal that raced ahead must not be lost.
 func (jl *journal) appendSpec(id, kind string, spec json.RawMessage) {
-	jl.mu.Lock()
-	r := jl.recs[id]
-	r.ID = id
-	r.Kind = kind
-	r.Spec = spec
-	jl.recs[id] = r
-	jl.putLocked(r)
-	jl.mu.Unlock()
+	jl.update(id, func(r *jobRecord) { r.Kind, r.Spec = kind, spec })
 }
 
 // setTerminal journals a job's terminal status snapshot. Jobs the
@@ -175,46 +156,48 @@ func (jl *journal) setTerminal(st JobStatus) {
 		jl.log.Warn("job journal: status not persisted", "job", st.ID, "err", err)
 		return
 	}
-	jl.mu.Lock()
-	r := jl.recs[st.ID]
-	r.ID = st.ID
-	r.Status = &ss
-	jl.recs[st.ID] = r
-	jl.putLocked(r)
-	jl.mu.Unlock()
+	jl.update(st.ID, func(r *jobRecord) { r.Status = &ss })
 }
 
-// putLocked mirrors a record to disk, best-effort: a write failure
-// degrades durability, not the live request. Callers hold jl.mu.
-func (jl *journal) putLocked(r jobRecord) {
+// update reads id's record back (a fresh one when it has none), applies
+// fn and writes the record, best-effort: a write failure degrades
+// durability, not the live request.
+func (jl *journal) update(id string, fn func(*jobRecord)) {
+	jl.mu.Lock()
+	defer jl.mu.Unlock()
 	start := time.Now()
-	if err := jl.files.Put(r.ID, r); err != nil {
-		jl.log.Warn("job journal: write failed", "job", r.ID, "err", err)
+	r, _ := jl.files.Get(id)
+	r.ID = id
+	fn(&r)
+	if err := jl.files.Put(id, r); err != nil {
+		jl.log.Warn("job journal: write failed", "job", id, "err", err)
 	}
 	jl.rec.Observe("journal.append", time.Since(start))
 }
 
 // terminal returns the persisted terminal status of a journalled job.
 func (jl *journal) terminal(id string) (JobStatus, bool) {
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	r, ok := jl.recs[id]
+	r, ok := jl.files.Get(id)
 	if !ok || r.Status == nil {
 		return JobStatus{}, false
 	}
 	return r.Status.status(), true
 }
 
-// records snapshots every journalled job sorted by ID, so replay
+// records reads every journalled job back sorted by ID, so replay
 // resubmits unfinished jobs in their original submission order (IDs are
-// zero-padded sequence numbers).
-func (jl *journal) records() []jobRecord {
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	out := make([]jobRecord, 0, len(jl.recs))
-	for _, r := range jl.recs {
-		out = append(out, r)
+// zero-padded sequence numbers). Records that fail to decode were
+// deleted by the Files tier; replay proceeds without them.
+func (jl *journal) records() ([]jobRecord, error) {
+	names, err := jl.files.List()
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	out := make([]jobRecord, 0, len(names))
+	for _, name := range names {
+		if r, ok := jl.files.Get(name); ok {
+			out = append(out, r)
+		}
+	}
+	return out, nil
 }

@@ -1,70 +1,31 @@
 package server
 
 import (
-	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
-// latencyBucketsMS are the upper bounds (inclusive, milliseconds) of the
-// request-latency histogram. They span the service's dynamic range: a
-// cached classify answers in well under a millisecond while a cold
-// Table 5 sweep runs for seconds.
-var latencyBucketsMS = []float64{0.5, 1, 5, 10, 50, 100, 500, 1000, 5000, 30000}
-
-// endpointMetrics accumulates one route's counters. Guarded by
-// metrics.mu.
-type endpointMetrics struct {
-	count   uint64
-	errors  uint64 // responses with status >= 400
-	totalMS float64
-	buckets []uint64 // len(latencyBucketsMS)+1; last bucket is overflow
+// routeCounts is one route's request tally, kept by its route closure.
+// The route's latencies need no second histogram: its request span
+// already times every request into the obs stage named after the route.
+type routeCounts struct {
+	count  atomic.Uint64
+	errors atomic.Uint64 // responses with status >= 400
 }
 
-// metrics is the process-wide observability state behind /metrics: request
-// counts and latency histograms per route, plus the snapshot glue that
-// folds in cache and queue statistics. Plain JSON over expvar-style
-// counters — no external dependencies.
-type metrics struct {
-	start time.Time
-	mu    sync.Mutex
-	byEP  map[string]*endpointMetrics
-}
-
-func newMetrics() *metrics {
-	return &metrics{start: time.Now(), byEP: make(map[string]*endpointMetrics)}
-}
-
-// observe records one served request for the labelled route.
-func (m *metrics) observe(route string, status int, d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ep := m.byEP[route]
-	if ep == nil {
-		ep = &endpointMetrics{buckets: make([]uint64, len(latencyBucketsMS)+1)}
-		m.byEP[route] = ep
-	}
-	ep.count++
-	if status >= 400 {
-		ep.errors++
-	}
-	ms := float64(d) / float64(time.Millisecond)
-	ep.totalMS += ms
-	i := 0
-	for i < len(latencyBucketsMS) && ms > latencyBucketsMS[i] {
-		i++
-	}
-	ep.buckets[i]++
-}
-
-// EndpointSnapshot is one route's exported counters.
+// EndpointSnapshot is one route's exported counters. The latency fields
+// (milliseconds) are read from the route's obs stage histogram, at its
+// bucket resolution, and are omitted when tracing is disabled.
 type EndpointSnapshot struct {
-	Count     uint64            `json:"count"`
-	Errors    uint64            `json:"errors"`
-	AvgMS     float64           `json:"avg_ms"`
-	LatencyMS map[string]uint64 `json:"latency_ms"`
+	Count  uint64  `json:"count"`
+	Errors uint64  `json:"errors"`
+	AvgMS  float64 `json:"avg_ms,omitempty"`
+	P50MS  float64 `json:"p50_ms,omitempty"`
+	P90MS  float64 `json:"p90_ms,omitempty"`
+	P99MS  float64 `json:"p99_ms,omitempty"`
 }
 
 // CacheSnapshot exports the shared result cache's effectiveness.
@@ -99,32 +60,37 @@ type MetricsSnapshot struct {
 	Queue         QueueSnapshot               `json:"queue"`
 }
 
-// snapshot folds the route counters together with cache, per-tier store
-// and queue state into one exportable document.
-func (m *metrics) snapshot(cache store.Stats, tiers map[string]store.Stats, queue QueueSnapshot) MetricsSnapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	reqs := make(map[string]EndpointSnapshot, len(m.byEP))
-	for route, ep := range m.byEP {
-		hist := make(map[string]uint64, len(ep.buckets))
-		for i, n := range ep.buckets {
-			if n == 0 {
-				continue // keep the document small; absent means zero
-			}
-			if i < len(latencyBucketsMS) {
-				hist[fmt.Sprintf("le_%g", latencyBucketsMS[i])] = n
-			} else {
-				hist[fmt.Sprintf("gt_%g", latencyBucketsMS[len(latencyBucketsMS)-1])] = n
-			}
+// metricsSnapshot folds the route counters and their stage latencies
+// together with cache, per-tier store and queue state into one
+// exportable document. Routes that have served no request are omitted.
+func (s *Server) metricsSnapshot() MetricsSnapshot {
+	stages := make(map[string]obs.StageStats)
+	for _, st := range s.obs.StageStats() { // nil-safe: no stages without tracing
+		stages[st.Stage] = st
+	}
+	reqs := make(map[string]EndpointSnapshot)
+	for route, rc := range s.routes {
+		n := rc.count.Load()
+		if n == 0 {
+			continue
 		}
-		snap := EndpointSnapshot{Count: ep.count, Errors: ep.errors, LatencyMS: hist}
-		if ep.count > 0 {
-			snap.AvgMS = ep.totalMS / float64(ep.count)
+		st := stages[route]
+		reqs[route] = EndpointSnapshot{
+			Count:  n,
+			Errors: rc.errors.Load(),
+			AvgMS:  st.MeanSec * 1e3,
+			P50MS:  st.P50Sec * 1e3,
+			P90MS:  st.P90Sec * 1e3,
+			P99MS:  st.P99Sec * 1e3,
 		}
-		reqs[route] = snap
+	}
+	var cache store.Stats
+	var tiers map[string]store.Stats
+	if s.explorer.Cache != nil {
+		cache, tiers = s.explorer.Cache.Stats(), s.explorer.Cache.TierStats()
 	}
 	return MetricsSnapshot{
-		UptimeSeconds: time.Since(m.start).Seconds(),
+		UptimeSeconds: time.Since(s.start).Seconds(),
 		Requests:      reqs,
 		Cache: CacheSnapshot{
 			Hits:      cache.Hits,
@@ -135,6 +101,6 @@ func (m *metrics) snapshot(cache store.Stats, tiers map[string]store.Stats, queu
 			Evictions: cache.Evictions,
 		},
 		Store: tiers,
-		Queue: queue,
+		Queue: s.queue.Snapshot(),
 	}
 }

@@ -200,6 +200,12 @@ func TestTracingDisabledServesFastPath(t *testing.T) {
 			t.Errorf("%s status = %d, want 404 when disabled", path, resp.StatusCode)
 		}
 	}
+	// Without stage histograms, /metrics reports counts alone.
+	var m MetricsSnapshot
+	getJSON(t, ts.URL+"/metrics", &m)
+	if ep := m.Requests["POST /v1/dse"]; ep != (EndpointSnapshot{Count: 1}) {
+		t.Errorf("POST /v1/dse metrics without tracing = %+v, want count 1 and no latencies", ep)
+	}
 }
 
 func TestPprofEndpointsMounted(t *testing.T) {

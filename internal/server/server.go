@@ -8,9 +8,9 @@
 // queued, flows through one shared dse.Explorer whose result store
 // (package store: sharded memory LRU plus single-flight dedup) makes
 // repeated, overlapping and concurrent identical sweeps cheap. The
-// observability surface — /healthz, /metrics with request counts, latency
-// histograms, cache hit ratio and queue depth, plus structured request
-// logging — rides on the standard library alone.
+// observability surface — /healthz, /metrics with per-route request
+// counts and latency quantiles, cache hit ratio and queue depth, plus
+// structured request logging — rides on the standard library alone.
 //
 //	POST   /v1/classify   device metrics or config → rule verdicts
 //	POST   /v1/simulate   config + workload → evaluated design point
@@ -22,7 +22,7 @@
 //	                      Pareto front, terminal summary
 //	DELETE /v1/jobs/{id}  cancel a pending or running job
 //	GET    /healthz       liveness
-//	GET    /metrics       counters, histograms, cache, queue
+//	GET    /metrics       counters, latency quantiles, cache, queue
 //
 // With a cache directory configured, accepted jobs are journalled to
 // disk (spec on submit, status snapshot on completion): after a restart
@@ -50,18 +50,15 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/arch"
 	"repro/internal/area"
 	"repro/internal/compliance"
 	"repro/internal/dse"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/search"
-	"repro/internal/store"
 )
 
 // Config tunes a Server. The zero value serves with sensible defaults.
@@ -110,18 +107,18 @@ type Server struct {
 	cfg      Config
 	explorer *dse.Explorer
 	queue    *Queue
-	metrics  *metrics
 	obs      *obs.Recorder // nil when TraceCapacity < 0
 	log      *slog.Logger
 	mux      *http.ServeMux
+	start    time.Time
+	// routes holds each route's request counts (metrics.go); filled by
+	// route during New and only read afterwards.
+	routes map[string]*routeCounts
 	// journal persists job specs and terminal results under
 	// <CacheDir>/jobs; nil without a cache directory.
 	journal *journal
 	// limiter rate-limits the submission endpoints; nil when disabled.
 	limiter *rateLimiter
-	// streams maps live job IDs to their stream hubs (stream.go).
-	streamMu sync.Mutex
-	streams  map[string]*streamHub
 }
 
 // New returns a started Server (its worker pool is live; Close releases
@@ -153,10 +150,10 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		explorer: ex,
 		queue:    NewQueue(cfg.Workers, cfg.Backlog, cfg.JobTimeout),
-		metrics:  newMetrics(),
 		log:      cfg.Logger,
 		mux:      http.NewServeMux(),
-		streams:  make(map[string]*streamHub),
+		start:    time.Now(),
+		routes:   make(map[string]*routeCounts),
 	}
 	if cfg.TraceCapacity >= 0 {
 		s.obs = obs.NewRecorder(cfg.TraceCapacity) // 0 → obs.DefaultCapacity
@@ -179,8 +176,8 @@ func New(cfg Config) *Server {
 	s.route("POST /v1/classify", s.handleClassify)
 	s.route("POST /v1/simulate", s.handleSimulate)
 	s.route("POST /v1/audit", s.handleAudit)
-	s.route("POST /v1/dse", s.handleDSE)
-	s.route("POST /v1/search", s.handleSearch)
+	s.route("POST /v1/dse", s.handleSubmit(jobKindDSE))
+	s.route("POST /v1/search", s.handleSubmit(jobKindSearch))
 	s.route("GET /v1/jobs/{id}", s.handleJobGet)
 	s.route("GET /v1/jobs/{id}/stream", s.handleJobStream)
 	s.route("DELETE /v1/jobs/{id}", s.handleJobCancel)
@@ -202,11 +199,13 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// onJobTerminal is the queue's terminal hook: it releases the job's
-// stream (the hub's final frames become available) and persists the
+// onJobTerminal is the queue's terminal hook: it finishes the job's
+// stream hub (its final frames become available) and persists the
 // terminal snapshot, result included, to the journal.
-func (s *Server) onJobTerminal(st JobStatus) {
-	s.finishStream(st)
+func (s *Server) onJobTerminal(j *Job, st JobStatus) {
+	if j.hub != nil {
+		j.hub.finish(st)
+	}
 	if s.journal == nil {
 		return
 	}
@@ -226,7 +225,12 @@ func (s *Server) onJobTerminal(st JobStatus) {
 // journalled as failed so its pollers see a terminal state, never a
 // permanent pending.
 func (s *Server) replayJournal() {
-	for _, r := range s.journal.records() {
+	recs, err := s.journal.records()
+	if err != nil {
+		s.log.Warn("journal replay failed", "dir", s.cfg.CacheDir, "err", err)
+		return
+	}
+	for _, r := range recs {
 		if r.Status != nil {
 			s.queue.ReserveID(r.ID)
 			continue
@@ -246,35 +250,21 @@ func (s *Server) replayJournal() {
 }
 
 // replayJob rebuilds one unfinished journalled job from its spec and
-// resubmits it. Replayed jobs carry no request trace (their originating
-// request died with the old process), so the span context is zero.
+// resubmits it under its original ID. Replayed jobs carry no request
+// trace (their originating request died with the old process), so the
+// span context is zero.
 func (s *Server) replayJob(r jobRecord) error {
-	switch r.Kind {
-	case jobKindDSE:
-		var req DSERequest
-		if err := json.Unmarshal(r.Spec, &req); err != nil {
+	js, err := s.parseJob(r.Kind, func(v any) error {
+		if err := json.Unmarshal(r.Spec, v); err != nil {
 			return fmt.Errorf("spec: %w", err)
 		}
-		dj, err := s.parseDSE(req)
-		if err != nil {
-			return err
-		}
-		_, err = s.enqueueDSE(dj, obs.SpanContext{}, r.ID)
+		return nil
+	})
+	if err != nil {
 		return err
-	case jobKindSearch:
-		var req SearchRequest
-		if err := json.Unmarshal(r.Spec, &req); err != nil {
-			return fmt.Errorf("spec: %w", err)
-		}
-		sj, err := s.parseSearch(req)
-		if err != nil {
-			return err
-		}
-		_, err = s.enqueueSearch(sj, obs.SpanContext{}, r.ID)
-		return err
-	default:
-		return fmt.Errorf("unknown job kind %q", r.Kind)
 	}
+	_, err = s.enqueue(js, obs.SpanContext{}, r.ID)
+	return err
 }
 
 // Obs returns the server's span recorder, nil when tracing is disabled.
@@ -317,11 +307,15 @@ func (r *statusRecorder) Flush() {
 // Unwrap lets http.ResponseController reach the underlying writer.
 func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
-// route registers a handler wrapped with metrics, structured logging and
-// a request span, all labelled by the mux pattern. The span's context
-// flows into the handler, so everything it calls (sweeps, simulations)
-// nests under the request in the trace.
+// route registers a handler wrapped with request counts, structured
+// logging and a request span, all labelled by the mux pattern. The
+// span's context flows into the handler, so everything it calls
+// (sweeps, simulations) nests under the request in the trace, and its
+// duration feeds the stage histogram /metrics reads the route's latency
+// quantiles from.
 func (s *Server) route(pattern string, h http.HandlerFunc) {
+	rc := new(routeCounts)
+	s.routes[pattern] = rc
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
@@ -330,7 +324,10 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 		sp.SetInt("status", rec.status)
 		sp.End()
 		elapsed := time.Since(start)
-		s.metrics.observe(pattern, rec.status, elapsed)
+		rc.count.Add(1)
+		if rec.status >= 400 {
+			rc.errors.Add(1)
+		}
 		s.log.Info("request",
 			"method", r.Method,
 			"path", r.URL.Path,
@@ -392,23 +389,22 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // decodeJSON parses the request body into v, rejecting unknown fields and
 // trailing garbage so malformed requests fail loudly with a 400.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
-		return false
+		return fmt.Errorf("invalid JSON body: %w", err)
 	}
 	if dec.More() {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: trailing data")
-		return false
+		return errors.New("invalid JSON body: trailing data")
 	}
-	return true
+	return nil
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	var req ClassifyRequest
-	if !decodeJSON(w, r, &req) {
+	if err := decodeJSON(w, r, &req); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	m := policy.Metrics{TPP: req.TPP, DeviceBWGBs: req.DeviceBWGBs, DieAreaMM2: req.DieAreaMM2}
@@ -464,7 +460,8 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
-	if !decodeJSON(w, r, &req) {
+	if err := decodeJSON(w, r, &req); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	cfg, err := req.Config.Config()
@@ -491,7 +488,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	var req AuditRequest
-	if !decodeJSON(w, r, &req) {
+	if err := decodeJSON(w, r, &req); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	cfg, err := req.Config.Config()
@@ -511,23 +509,45 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 // caller.
 const statusClientClosedRequest = 499
 
-// dseJob is a validated DSE submission, ready to enqueue — parsed once
-// by handleDSE, and again from the journalled spec on restart replay.
-type dseJob struct {
+// jobSpec is a validated job submission, ready to enqueue: parsed by
+// parseJob from a POST body, or from a journalled spec on restart
+// replay.
+type jobSpec struct {
+	kind string
 	// spec is the accepted request, journalled verbatim.
-	spec      json.RawMessage
-	grid      dse.Grid
-	wl        model.Workload
-	metric    func(dse.Point) float64
-	keep      func(dse.Point) bool
-	top       int
-	rule      string
-	objective string
+	spec json.RawMessage
+	// designs is the grid size or the evaluation budget.
+	designs int
+	hub     *streamHub
+	// run does the job's work; its context streams evaluated designs to
+	// hub.
+	run JobFunc
 }
 
-// parseDSE validates a DSE request into its runnable form; errors map
-// to 400s.
-func (s *Server) parseDSE(req DSERequest) (*dseJob, error) {
+// parseJob decodes a request of the given kind through decode and
+// validates it into a jobSpec; errors map to 400s.
+func (s *Server) parseJob(kind string, decode func(any) error) (*jobSpec, error) {
+	switch kind {
+	case jobKindDSE:
+		var req DSERequest
+		if err := decode(&req); err != nil {
+			return nil, err
+		}
+		return s.parseDSE(req)
+	case jobKindSearch:
+		var req SearchRequest
+		if err := decode(&req); err != nil {
+			return nil, err
+		}
+		return s.parseSearch(req)
+	default:
+		return nil, fmt.Errorf("unknown job kind %q", kind)
+	}
+}
+
+// parseDSE validates a DSE request into a job that sweeps the grid and
+// ranks its admissible designs.
+func (s *Server) parseDSE(req DSERequest) (*jobSpec, error) {
 	grid, err := req.grid()
 	if err != nil {
 		return nil, err
@@ -552,55 +572,61 @@ func (s *Server) parseDSE(req DSERequest) (*dseJob, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: %w", err)
 	}
-	dj := &dseJob{
-		grid:      grid,
-		wl:        wl,
-		metric:    metric,
-		keep:      keep,
-		top:       req.Top,
-		rule:      req.Rule,
-		objective: req.Objective,
+	top, rule, objective := req.Top, req.Rule, req.Objective
+	if top <= 0 {
+		top = 5
 	}
-	if dj.top <= 0 {
-		dj.top = 5
+	if rule == "" {
+		rule = "none"
 	}
-	if dj.rule == "" {
-		dj.rule = "none"
-	}
-	if dj.objective == "" {
-		dj.objective = "ttft"
+	if objective == "" {
+		objective = "ttft"
 	}
 	switch req.Eval {
 	case "", "scalar", "batch": // accepted for compatibility; every sweep batches
 	default:
 		return nil, fmt.Errorf("unknown eval %q (scalar, batch)", req.Eval)
 	}
-	if dj.spec, err = json.Marshal(req); err != nil {
+	spec, err := json.Marshal(req)
+	if err != nil {
 		return nil, fmt.Errorf("marshal spec: %w", err)
 	}
-	return dj, nil
-}
-
-// enqueueDSE submits a validated DSE job — under a fresh ID from HTTP
-// (id ""), or a journalled job's original ID on replay. The stream hub
-// exists before the submit so the stream cannot miss a frame, and the
-// spec is journalled once the job has an ID. Every job runs its own
-// sweep; concurrent identical designs are still simulated once, through
-// the point store's single-flight layer.
-func (s *Server) enqueueDSE(dj *dseJob, sc obs.SpanContext, id string) (*Job, error) {
-	hub := newStreamHub(dj.metric, dse.MetricArea, dj.keep)
-	enqueuedAt := time.Now()
-	fn := func(ctx context.Context) (any, error) {
-		ctx = sc.Attach(ctx)
-		_, wait := obs.StartAt(ctx, "queue.wait", enqueuedAt)
-		wait.End() // enqueue → dequeue: ends the moment the worker picks us up
+	run := func(ctx context.Context) (any, error) {
 		ctx, jsp := obs.Start(ctx, "dse.job")
 		defer jsp.End()
-		jsp.SetStr("grid", dj.grid.Name)
-		jsp.SetInt("designs", dj.grid.Size())
-		res, err := s.runDSE(dse.WithProgress(ctx, hub.point), dj)
+		jsp.SetStr("grid", grid.Name)
+		jsp.SetInt("designs", grid.Size())
+		start := time.Now()
+		var tally dse.CacheTally
+		points, err := s.explorer.RunContext(dse.WithCacheTally(ctx, &tally), grid, wl)
 		if err != nil {
 			return nil, err
+		}
+		admissible := dse.Filter(points, keep)
+		sort.Slice(admissible, func(i, j int) bool {
+			return metric(admissible[i]) < metric(admissible[j])
+		})
+		res := DSEResult{
+			Grid:        grid.Name,
+			Workload:    wl.Model.Name,
+			Rule:        rule,
+			Objective:   objective,
+			Designs:     len(points),
+			Admissible:  len(admissible),
+			CacheHits:   tally.Hits.Load(),
+			CacheMisses: tally.Misses.Load(),
+			DurationMS:  float64(time.Since(start)) / float64(time.Millisecond),
+		}
+		for i, p := range admissible[:min(top, len(admissible))] {
+			res.Top = append(res.Top, DesignSummary{
+				Rank:       i + 1,
+				Config:     p.Config.Name,
+				TTFTMS:     p.TTFT() * 1e3,
+				TBTMS:      p.TBT() * 1e3,
+				AreaMM2:    p.AreaMM2,
+				PD:         p.PD,
+				DieCostUSD: p.DieCostUSD,
+			})
 		}
 		if s.explorer.Cache != nil {
 			jsp.SetInt("cache_hits", int(res.CacheHits))
@@ -608,123 +634,23 @@ func (s *Server) enqueueDSE(dj *dseJob, sc obs.SpanContext, id string) (*Job, er
 		}
 		return res, nil
 	}
-	job, err := s.submitNamed(id, fn)
-	if err != nil {
-		return nil, err
-	}
-	s.registerStream(job.ID, hub)
-	if s.journal != nil {
-		s.journal.appendSpec(job.ID, jobKindDSE, dj.spec)
-	}
-	return job, nil
+	return &jobSpec{
+		kind:    jobKindDSE,
+		spec:    spec,
+		designs: grid.Size(),
+		hub:     newStreamHub(metric, dse.MetricArea, keep),
+		run:     run,
+	}, nil
 }
 
-// submitNamed routes between fresh and replayed-ID submission.
-func (s *Server) submitNamed(id string, fn JobFunc) (*Job, error) {
-	if id == "" {
-		return s.queue.Submit(fn)
-	}
-	return s.queue.SubmitNamed(id, fn)
-}
-
-// runDSE executes the sweep and assembles the DSEResult.
-func (s *Server) runDSE(ctx context.Context, dj *dseJob) (DSEResult, error) {
-	start := time.Now()
-	var before store.Stats
-	if s.explorer.Cache != nil {
-		before = s.explorer.Cache.Stats()
-	}
-	points, err := s.explorer.RunContext(ctx, dj.grid, dj.wl)
-	if err != nil {
-		return DSEResult{}, err
-	}
-	admissible := dse.Filter(points, dj.keep)
-	sort.Slice(admissible, func(i, j int) bool {
-		return dj.metric(admissible[i]) < dj.metric(admissible[j])
-	})
-	top := dj.top
-	if top > len(admissible) {
-		top = len(admissible)
-	}
-	res := DSEResult{
-		Grid:       dj.grid.Name,
-		Workload:   dj.wl.Model.Name,
-		Rule:       dj.rule,
-		Objective:  dj.objective,
-		Designs:    len(points),
-		Admissible: len(admissible),
-		DurationMS: float64(time.Since(start)) / float64(time.Millisecond),
-	}
-	if s.explorer.Cache != nil {
-		after := s.explorer.Cache.Stats()
-		res.CacheHits = after.Hits - before.Hits
-		res.CacheMisses = after.Misses - before.Misses
-	}
-	for i, p := range admissible[:top] {
-		res.Top = append(res.Top, DesignSummary{
-			Rank:       i + 1,
-			Config:     p.Config.Name,
-			TTFTMS:     p.TTFT() * 1e3,
-			TBTMS:      p.TBT() * 1e3,
-			AreaMM2:    p.AreaMM2,
-			PD:         p.PD,
-			DieCostUSD: p.DieCostUSD,
-		})
-	}
-	return res, nil
-}
-
-func (s *Server) handleDSE(w http.ResponseWriter, r *http.Request) {
-	if !s.allowSubmit(w, r) {
-		return
-	}
-	var req DSERequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	dj, err := s.parseDSE(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// The job outlives this request: capture the span context now and
-	// attach it inside the worker, so the sweep's spans join the request
-	// trace even after r.Context() has died with the response.
-	sc := obs.ContextOf(r.Context())
-	job, err := s.enqueueDSE(dj, sc, "")
-	if err != nil {
-		if errors.Is(err, ErrQueueFull) {
-			writeError(w, http.StatusServiceUnavailable, "job queue full, retry later")
-			return
-		}
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	s.log.Info("dse job enqueued", "job", job.ID, "grid", dj.grid.Name, "designs", dj.grid.Size())
-	writeJSON(w, http.StatusAccepted, EnqueueResponse{
-		JobID:     job.ID,
-		State:     job.State().String(),
-		PollURL:   "/v1/jobs/" + job.ID,
-		StreamURL: "/v1/jobs/" + job.ID + "/stream",
-		Designs:   dj.grid.Size(),
-		Trace:     sc.TraceID(),
-	})
-}
-
-// searchJob is a validated search submission, ready to enqueue.
-type searchJob struct {
-	spec   json.RawMessage
-	prob   search.Problem
-	eng    search.Explorer
-	engine string
-	seed   uint64
-	budget int
-}
-
-// parseSearch validates a search request into its runnable form; errors
-// map to 400s. The engine is freshly constructed from the (derived)
-// seed, so a journal replay reproduces the original run exactly.
-func (s *Server) parseSearch(req SearchRequest) (*searchJob, error) {
+// parseSearch validates a search request into a job that drives a
+// pluggable engine (package search) through the shared explorer under
+// an evaluation budget. The engine is freshly constructed from the
+// (derived) seed, so a journal replay reproduces the original run
+// exactly. The stream's front axes are the problem's first two
+// objectives (die area when there is only one), and its admissibility
+// is the problem's feasibility predicate.
+func (s *Server) parseSearch(req SearchRequest) (*jobSpec, error) {
 	prob, err := req.problem()
 	if err != nil {
 		return nil, err
@@ -752,21 +678,6 @@ func (s *Server) parseSearch(req SearchRequest) (*searchJob, error) {
 	if err != nil {
 		return nil, fmt.Errorf("marshal spec: %w", err)
 	}
-	return &searchJob{
-		spec:   spec,
-		prob:   prob,
-		eng:    eng,
-		engine: engine,
-		seed:   seed,
-		budget: req.Budget,
-	}, nil
-}
-
-// searchStreamHub builds the stream hub for a search job: the front
-// axes are the problem's first two objectives (die area when there is
-// only one), admissibility is the problem's feasibility predicate.
-func searchStreamHub(prob search.Problem) *streamHub {
-	xf := prob.Objectives[0].F // validateProblem guarantees at least one
 	yf := dse.MetricArea
 	if len(prob.Objectives) > 1 {
 		yf = prob.Objectives[1].F
@@ -779,85 +690,86 @@ func searchStreamHub(prob search.Problem) *streamHub {
 		ok, _ := feasible(p)
 		return ok
 	}
-	return newStreamHub(xf, yf, keep)
-}
-
-// enqueueSearch submits a validated search job; id works as in
-// enqueueDSE. The runner evaluates through the shared explorer, so the
-// progress hook streams every newly simulated design.
-func (s *Server) enqueueSearch(sj *searchJob, sc obs.SpanContext, id string) (*Job, error) {
-	hub := searchStreamHub(sj.prob)
-	enqueuedAt := time.Now()
-	fn := func(ctx context.Context) (any, error) {
-		ctx = sc.Attach(ctx)
-		_, wait := obs.StartAt(ctx, "queue.wait", enqueuedAt)
-		wait.End()
+	run := func(ctx context.Context) (any, error) {
 		start := time.Now()
-		var before store.Stats
-		if s.explorer.Cache != nil {
-			before = s.explorer.Cache.Stats()
-		}
-		ctx = dse.WithProgress(ctx, hub.point)
-		out, err := (&search.Runner{Explorer: s.explorer}).Run(ctx, sj.prob, sj.eng, sj.budget, sj.seed)
+		var tally dse.CacheTally
+		out, err := (&search.Runner{Explorer: s.explorer}).Run(dse.WithCacheTally(ctx, &tally), prob, eng, req.Budget, seed)
 		if err != nil {
 			return nil, err
 		}
 		res := searchResult(out, time.Since(start))
-		if s.explorer.Cache != nil {
-			after := s.explorer.Cache.Stats()
-			res.CacheHits = after.Hits - before.Hits
-			res.CacheMisses = after.Misses - before.Misses
-		}
+		res.CacheHits, res.CacheMisses = tally.Hits.Load(), tally.Misses.Load()
 		return res, nil
 	}
-	job, err := s.submitNamed(id, fn)
+	return &jobSpec{
+		kind:    jobKindSearch,
+		spec:    spec,
+		designs: req.Budget,
+		// validateProblem guarantees at least one objective.
+		hub: newStreamHub(prob.Objectives[0].F, yf, keep),
+		run: run,
+	}, nil
+}
+
+// enqueue submits a validated job — under a fresh ID from HTTP (id ""),
+// or a journalled job's original ID on replay — and journals its spec
+// once the job has an ID. The hub rides on the Job from the submit on,
+// so it sees every frame and, through the terminal hook, the job's end.
+// Every job runs its own work; concurrent identical designs are still
+// simulated once, through the point store's single-flight layer.
+func (s *Server) enqueue(js *jobSpec, sc obs.SpanContext, id string) (*Job, error) {
+	enqueuedAt := time.Now()
+	job, err := s.queue.submit(id, js.hub, func(ctx context.Context) (any, error) {
+		ctx = sc.Attach(ctx)
+		_, wait := obs.StartAt(ctx, "queue.wait", enqueuedAt)
+		wait.End() // enqueue → dequeue: ends the moment the worker picks us up
+		return js.run(dse.WithProgress(ctx, js.hub.point))
+	})
 	if err != nil {
 		return nil, err
 	}
-	s.registerStream(job.ID, hub)
 	if s.journal != nil {
-		s.journal.appendSpec(job.ID, jobKindSearch, sj.spec)
+		s.journal.appendSpec(job.ID, js.kind, js.spec)
 	}
 	return job, nil
 }
 
-// handleSearch enqueues an adaptive design-space search job. It mirrors
-// handleDSE's async shape, but the worker drives a pluggable engine
-// (package search) through the shared explorer under an evaluation
-// budget instead of sweeping a grid; the runner's search.run,
-// search.generation and search.evaluate spans join the request trace.
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	if !s.allowSubmit(w, r) {
-		return
-	}
-	var req SearchRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	sj, err := s.parseSearch(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	sc := obs.ContextOf(r.Context())
-	job, err := s.enqueueSearch(sj, sc, "")
-	if err != nil {
-		if errors.Is(err, ErrQueueFull) {
-			writeError(w, http.StatusServiceUnavailable, "job queue full, retry later")
+// handleSubmit serves the job endpoints, POST /v1/dse and /v1/search: it
+// parses the body into a job of the given kind and enqueues it, answering
+// 202 with the job's URLs, 400 for a bad body or 503 for a full backlog.
+func (s *Server) handleSubmit(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !s.allowSubmit(w, r) {
 			return
 		}
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
+		js, err := s.parseJob(kind, func(v any) error { return decodeJSON(w, r, v) })
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		// The job outlives this request: capture the span context now and
+		// attach it inside the worker, so the job's spans join the request
+		// trace even after r.Context() has died with the response.
+		sc := obs.ContextOf(r.Context())
+		job, err := s.enqueue(js, sc, "")
+		if err != nil {
+			if errors.Is(err, ErrQueueFull) {
+				writeError(w, http.StatusServiceUnavailable, "job queue full, retry later")
+				return
+			}
+			writeError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+		s.log.Info("job enqueued", "job", job.ID, "kind", kind, "designs", js.designs)
+		writeJSON(w, http.StatusAccepted, EnqueueResponse{
+			JobID:     job.ID,
+			State:     job.State().String(),
+			PollURL:   "/v1/jobs/" + job.ID,
+			StreamURL: "/v1/jobs/" + job.ID + "/stream",
+			Designs:   js.designs,
+			Trace:     sc.TraceID(),
+		})
 	}
-	s.log.Info("search job enqueued", "job", job.ID, "engine", sj.engine, "space", sj.prob.Space.Name, "budget", sj.budget)
-	writeJSON(w, http.StatusAccepted, EnqueueResponse{
-		JobID:     job.ID,
-		State:     job.State().String(),
-		PollURL:   "/v1/jobs/" + job.ID,
-		StreamURL: "/v1/jobs/" + job.ID + "/stream",
-		Designs:   sj.budget,
-		Trace:     sc.TraceID(),
-	})
 }
 
 // handleJobGet polls a job. Terminal statuses are immutable, so they
@@ -867,18 +779,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // the live response, even across a restart.
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	var st JobStatus
-	if job, ok := s.queue.Get(id); ok {
-		st = job.Status()
-	} else if jst, ok := s.journalStatus(id); ok {
-		st = jst
-	} else {
+	st, ok := s.jobStatus(id)
+	if !ok {
 		writeError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
-	switch st.State {
-	case JobSucceeded.String(), JobFailed.String(), JobCancelled.String():
-	default:
+	if !st.terminal() {
 		writeJSON(w, http.StatusOK, st) // still moving; not cacheable
 		return
 	}
@@ -898,8 +804,13 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	w.Write(body) //nolint:errcheck // client disconnects are not actionable
 }
 
-// journalStatus looks a job up in the journal's terminal records.
-func (s *Server) journalStatus(id string) (JobStatus, bool) {
+// jobStatus looks a job up: the queue's live record first, then the
+// journal's terminal record of a job the queue no longer holds (pruned
+// from its retention map, or finished before a restart).
+func (s *Server) jobStatus(id string) (JobStatus, bool) {
+	if job, ok := s.queue.Get(id); ok {
+		return job.Status(), true
+	}
 	if s.journal == nil {
 		return JobStatus{}, false
 	}
@@ -1002,10 +913,5 @@ func (s *Server) handleObsStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	var cache store.Stats
-	var tiers map[string]store.Stats
-	if s.explorer.Cache != nil {
-		cache, tiers = s.explorer.Cache.Stats(), s.explorer.Cache.TierStats()
-	}
-	writeJSON(w, http.StatusOK, s.metrics.snapshot(cache, tiers, s.queue.Snapshot()))
+	writeJSON(w, http.StatusOK, s.metricsSnapshot())
 }

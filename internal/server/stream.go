@@ -231,49 +231,6 @@ func (h *streamHub) finalFrames() []StreamFrame {
 	return out
 }
 
-// ---- server-side hub registry ----
-
-// registerStream attaches a hub to a job ID, pruning hubs whose jobs the
-// queue has since evicted so the registry stays bounded alongside the
-// queue's own retention map.
-//
-// The job is already queued, so a worker may have run it to a terminal
-// state before the hub was registered, when the terminal hook found no
-// hub to finish. The hub is therefore finished here when the job is
-// already terminal. The check follows the registration, and the hook
-// runs after the job's terminal transition, so every job's hub is
-// finished at least once; finish is idempotent.
-func (s *Server) registerStream(id string, h *streamHub) {
-	s.streamMu.Lock()
-	if len(s.streams) >= maxRetainedJobs {
-		for old := range s.streams {
-			// Unordered sweep: eligibility depends only on queue
-			// membership, not on visit order.
-			if _, ok := s.queue.Get(old); !ok {
-				delete(s.streams, old)
-			}
-		}
-	}
-	s.streams[id] = h
-	s.streamMu.Unlock()
-	if job, ok := s.queue.Get(id); ok && job.State().Terminal() {
-		h.finish(job.Status())
-	}
-}
-
-func (s *Server) stream(id string) *streamHub {
-	s.streamMu.Lock()
-	defer s.streamMu.Unlock()
-	return s.streams[id]
-}
-
-// finishStream is the queue terminal hook's streaming half.
-func (s *Server) finishStream(st JobStatus) {
-	if h := s.stream(st.ID); h != nil {
-		h.finish(st)
-	}
-}
-
 // ---- the HTTP surface ----
 
 // streamWriter writes frames in the negotiated encoding, recording each
@@ -331,20 +288,24 @@ func (sw *streamWriter) flush() {
 
 // handleJobStream serves GET /v1/jobs/{id}/stream: frames from the
 // job's hub until the terminal summary, NDJSON by default, SSE with
-// ?format=sse or an Accept: text/event-stream header. A terminal job —
-// including one restored from the journal after a restart — streams its
-// summary immediately.
+// ?format=sse or an Accept: text/event-stream header. A terminal job
+// without a hub — one the queue no longer holds, or one restored from
+// the journal after a restart — streams its summary alone.
 func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	hub := s.stream(id)
+	var hub *streamHub
+	if job, ok := s.queue.Get(id); ok {
+		hub = job.hub
+	}
 	if hub == nil {
-		if st, ok := s.terminalStatus(id); ok {
-			sw := newStreamWriter(w, r, s.obs)
-			sw.write(StreamFrame{Type: "summary", Seq: 1, Status: &st}) //nolint:errcheck // client disconnects are not actionable
-			sw.flush()
+		st, ok := s.jobStatus(id)
+		if !ok || !st.terminal() {
+			writeError(w, http.StatusNotFound, "unknown job %q", id)
 			return
 		}
-		writeError(w, http.StatusNotFound, "unknown job %q", id)
+		sw := newStreamWriter(w, r, s.obs)
+		sw.write(StreamFrame{Type: "summary", Seq: 1, Status: &st}) //nolint:errcheck // client disconnects are not actionable
+		sw.flush()
 		return
 	}
 	sw := newStreamWriter(w, r, s.obs)
@@ -384,20 +345,4 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// terminalStatus returns the terminal status of a job no longer in the
-// queue: first the live queue (a terminal job not yet pruned), then the
-// journal's persisted record.
-func (s *Server) terminalStatus(id string) (JobStatus, bool) {
-	if job, ok := s.queue.Get(id); ok {
-		if job.State().Terminal() {
-			return job.Status(), true
-		}
-		return JobStatus{}, false
-	}
-	if s.journal != nil {
-		return s.journal.terminal(id)
-	}
-	return JobStatus{}, false
 }

@@ -186,41 +186,141 @@ func TestJobStreamUnknownJob404s(t *testing.T) {
 	}
 }
 
-// TestStreamHubRegisteredAfterJobTerminal is the regression for the hub
-// registration race: the queue may run a job to its terminal state
-// before enqueueDSE/enqueueSearch register its stream hub, when the
-// terminal hook finds no hub to finish. That interleaving is forced
-// here — the job finishes and the hook returns before registration —
-// and the stream must still deliver the summary frame.
-func TestStreamHubRegisteredAfterJobTerminal(t *testing.T) {
+// getStream reads a job's whole stream, giving up after five seconds:
+// the stream of a job whose hub is never finished does not end.
+func getStream(base, id string) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+id+"/stream", nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	return io.ReadAll(resp.Body)
+}
+
+// streamFrames reads and decodes a job's whole stream.
+func streamFrames(t *testing.T, base, id string) []StreamFrame {
+	t.Helper()
+	data, err := getStream(base, id)
+	if err != nil {
+		t.Fatalf("stream of %s: %v", id, err)
+	}
+	return readFrames(t, bytes.NewReader(data))
+}
+
+// waitSubscribed waits until a stream reader has attached to hub.
+func waitSubscribed(t *testing.T, hub *streamHub, deadline time.Time) {
+	t.Helper()
+	for {
+		hub.mu.Lock()
+		subscribed := len(hub.subs) > 0
+		hub.mu.Unlock()
+		if subscribed {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("stream never subscribed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestStreamOpenedAfterJobTerminal opens the stream of a job submitted
+// with a hub only after the job's terminal hook has run. The hub rides
+// on the Job and the hook finished it, so the stream delivers the job's
+// succeeded summary alone.
+func TestStreamOpenedAfterJobTerminal(t *testing.T) {
 	s, ts := newTestServer(t)
 	hooked := make(chan struct{})
-	s.queue.SetTerminalHook(func(st JobStatus) {
-		s.onJobTerminal(st)
+	s.queue.SetTerminalHook(func(j *Job, st JobStatus) {
+		s.onJobTerminal(j, st)
 		close(hooked)
 	})
-	job, err := s.queue.Submit(func(context.Context) (any, error) { return "done", nil })
+	hub := newStreamHub(dse.MetricTTFT, dse.MetricArea, func(dse.Point) bool { return true })
+	job, err := s.queue.submit("", hub, func(context.Context) (any, error) { return "done", nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-hooked
-	s.registerStream(job.ID, newStreamHub(dse.MetricTTFT, dse.MetricArea, func(dse.Point) bool { return true }))
-
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/jobs/"+job.ID+"/stream", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("stream of a finished job: %v", err)
-	}
-	defer resp.Body.Close()
-	frames := readFrames(t, resp.Body)
+	frames := streamFrames(t, ts.URL, job.ID)
 	if len(frames) != 1 || frames[0].Type != "summary" || frames[0].Status == nil ||
 		frames[0].Status.ID != job.ID || frames[0].Status.State != "succeeded" {
 		t.Fatalf("stream frames = %+v, want the job's succeeded summary alone", frames)
+	}
+}
+
+// TestPendingCancelFinishesStream cancels a DSE job while it waits
+// behind a busy worker. The cancellation's terminal hook finishes the
+// job's hub: a stream attached before the DELETE ends with the cancelled
+// summary, and one attached after it serves that summary alone.
+func TestPendingCancelFinishesStream(t *testing.T) {
+	s := New(Config{
+		Workers: 1,
+		Backlog: 4,
+		Logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close() // releases the blocker
+	})
+	if _, err := s.queue.Submit(func(ctx context.Context) (any, error) {
+		<-ctx.Done()
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/dse", smallDSEBody)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var enq EnqueueResponse
+	if err := json.Unmarshal(body, &enq); err != nil {
+		t.Fatal(err)
+	}
+	job, ok := s.queue.Get(enq.JobID)
+	if !ok || job.hub == nil {
+		t.Fatalf("job %s is not queued with a hub", enq.JobID)
+	}
+
+	var early []byte
+	var earlyErr error
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		early, earlyErr = getStream(ts.URL, enq.JobID)
+	}()
+	waitSubscribed(t, job.hub, time.Now().Add(5*time.Second))
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+enq.JobID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp.Body.Close()
+	if dresp.StatusCode != http.StatusAccepted {
+		t.Fatalf("DELETE of a pending job: %d, want 202", dresp.StatusCode)
+	}
+
+	<-read
+	if earlyErr != nil {
+		t.Fatalf("stream attached before the cancel: %v", earlyErr)
+	}
+	for name, frames := range map[string][]StreamFrame{
+		"attached before the cancel": readFrames(t, bytes.NewReader(early)),
+		"attached after the cancel":  streamFrames(t, ts.URL, enq.JobID),
+	} {
+		if len(frames) != 1 || frames[0].Type != "summary" || frames[0].Status == nil ||
+			frames[0].Status.ID != enq.JobID || frames[0].Status.State != "cancelled" {
+			t.Errorf("stream %s: frames = %+v, want the cancelled summary alone", name, frames)
+		}
 	}
 }
 
@@ -302,19 +402,11 @@ func TestIdenticalDSEJobsEachStreamAndSimulateOnce(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for _, id := range ids {
-		hub := s.stream(id)
-		for {
-			hub.mu.Lock()
-			subscribed := len(hub.subs) > 0
-			hub.mu.Unlock()
-			if subscribed {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("stream of %s never subscribed", id)
-			}
-			time.Sleep(time.Millisecond)
+		job, ok := s.queue.Get(id)
+		if !ok {
+			t.Fatalf("job %s is not queued", id)
 		}
+		waitSubscribed(t, job.hub, deadline)
 	}
 	start()
 	wg.Wait()

@@ -480,7 +480,8 @@ type SearchResult struct {
 	Generations int            `json:"generations"`
 	Objectives  []string       `json:"objectives"`
 	Front       []SearchDesign `json:"front"`
-	// CacheHits and CacheMisses are the run's own shared-cache deltas.
+	// CacheHits and CacheMisses count the run's own point-store outcomes
+	// (dse.CacheTally), whatever other jobs run at the same time.
 	CacheHits   uint64  `json:"cache_hits"`
 	CacheMisses uint64  `json:"cache_misses"`
 	DurationMS  float64 `json:"duration_ms"`
@@ -531,9 +532,9 @@ type DSEResult struct {
 	Designs    int             `json:"designs"`
 	Admissible int             `json:"admissible"`
 	Top        []DesignSummary `json:"top,omitempty"`
-	// CacheHits and CacheMisses are the sweep's own cache deltas, the
-	// /metrics-visible evidence that a repeated grid skipped
-	// re-simulation.
+	// CacheHits and CacheMisses count the sweep's own point-store
+	// outcomes (dse.CacheTally), whatever other jobs run at the same
+	// time: the evidence that a repeated grid skipped re-simulation.
 	CacheHits   uint64  `json:"cache_hits"`
 	CacheMisses uint64  `json:"cache_misses"`
 	DurationMS  float64 `json:"duration_ms"`

@@ -11,7 +11,7 @@ import (
 // Tiered composes the tiers into the store consumers use: the memory LRU
 // and a single-flight layer deduplicating concurrent identical
 // computations. The top-level Hits/Misses invariant is the one the
-// serving layer's cache-delta accounting depends on: Misses counts
+// serving layer's /metrics cache figures depend on: Misses counts
 // evaluations actually performed, Hits counts lookups served from memory
 // or by a shared in-flight computation.
 //
