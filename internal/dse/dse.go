@@ -90,10 +90,23 @@ func Table5() Grid {
 	}
 }
 
-// Size returns the number of grid combinations before core-count solving.
+// Size returns the number of grid combinations before core-count
+// solving, saturating at math.MaxInt instead of wrapping, so a size
+// limit check always refuses a grid too large to expand.
 func (g Grid) Size() int {
-	return len(g.SystolicDims) * len(g.LanesPerCore) * len(g.L1KB) *
-		len(g.L2MB) * len(g.HBMBandwidthGBs) * len(g.DeviceBWGBs)
+	n := 1
+	for _, l := range [...]int{len(g.SystolicDims), len(g.LanesPerCore), len(g.L1KB),
+		len(g.L2MB), len(g.HBMBandwidthGBs), len(g.DeviceBWGBs)} {
+		switch {
+		case l == 0:
+			return 0
+		case n > math.MaxInt/l:
+			n = math.MaxInt
+		default:
+			n *= l
+		}
+	}
+	return n
 }
 
 // Expand materialises the grid into configurations. Combinations whose

@@ -35,6 +35,27 @@ func TestTable3GridSizesMatchPaper(t *testing.T) {
 	}
 }
 
+// TestGridSizeSaturates pins that a grid whose combination count
+// overflows int reports a size past any design limit: 1449 entries per
+// axis is 1449^6 combinations, which a plain product wraps to a
+// negative number.
+func TestGridSizeSaturates(t *testing.T) {
+	axis := make([]int, 1449)
+	bw := make([]float64, 1449)
+	g := Grid{SystolicDims: axis, LanesPerCore: axis, L1KB: axis, L2MB: axis,
+		HBMBandwidthGBs: bw, DeviceBWGBs: bw}
+	if got := g.Size(); got != math.MaxInt {
+		t.Errorf("Size() = %d, want math.MaxInt", got)
+	}
+	if g.Size() <= 65536 {
+		t.Error("an overflowing grid fits the 65536-design limit")
+	}
+	g.DeviceBWGBs = nil
+	if got := g.Size(); got != 0 {
+		t.Errorf("Size() with an empty axis = %d, want 0", got)
+	}
+}
+
 func TestExpandRespectsTPPBudget(t *testing.T) {
 	for _, tpp := range []float64{1600, 2400, 4800} {
 		for _, cfg := range Table3(tpp, []float64{600}).Expand() {

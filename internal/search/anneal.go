@@ -35,7 +35,7 @@ type anneal struct {
 
 // chain is one annealing walker.
 type chain struct {
-	weights []float64
+	weights [2]float64
 	cur     Result
 	hasCur  bool
 	// stall counts observations without an accepted move.
@@ -58,7 +58,6 @@ const (
 )
 
 func newAnneal(space Space, seed uint64) Explorer {
-	objs := 2 // weight spread; extended lazily if problems carry more
 	e := &anneal{
 		archive: newArchive(),
 		space:   space,
@@ -70,7 +69,7 @@ func newAnneal(space Space, seed uint64) Explorer {
 	for k := 0; k < annealChains; k++ {
 		// Initial chains stride across the full direction pool; restarts
 		// later fill the gaps via nextWeight.
-		e.chains = append(e.chains, &chain{weights: weightVector(k*stride, annealDirections, objs)})
+		e.chains = append(e.chains, &chain{weights: weightVector(k*stride, annealDirections)})
 	}
 	e.nextWeight = 2
 	return e
@@ -128,7 +127,7 @@ func (e *anneal) Propose(max int) []Genome {
 			// archive keeps everything found so far.
 			c.hasCur = false
 			c.stall = 0
-			c.weights = weightVector(e.nextWeight%annealDirections, annealDirections, len(c.weights))
+			c.weights = weightVector(e.nextWeight%annealDirections, annealDirections)
 			e.nextWeight++
 			out = append(out, e.restartGenome())
 			continue
@@ -236,7 +235,8 @@ func (e *anneal) Observe(results []Result) {
 	// emitted (at most) one genome per chain in chain order, except for
 	// the seeding batch, which any chain may adopt.
 	ci := 0
-	for _, r := range results {
+	for i := range results {
+		r := &results[i]
 		if r.DecodeErr != "" {
 			continue
 		}
@@ -244,16 +244,16 @@ func (e *anneal) Observe(results []Result) {
 		ci++
 		e.proposed++
 		if !c.hasCur {
-			c.cur = r
+			c.cur = *r
 			c.hasCur = true
 			e.accepted++
 			continue
 		}
-		cur := chebyshev(c.cur, c.weights, lo, hi)
+		cur := chebyshev(&c.cur, c.weights, lo, hi)
 		cand := chebyshev(r, c.weights, lo, hi)
 		delta := cand - cur
 		if delta <= 0 || e.rng.Float64() < math.Exp(-delta/math.Max(e.temp, annealMinTemp)) {
-			c.cur = r
+			c.cur = *r
 			e.accepted++
 			if delta < 0 {
 				c.stall = 0

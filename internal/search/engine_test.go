@@ -152,7 +152,7 @@ func TestConcurrentObserve(t *testing.T) {
 							results[i] = Result{
 								Genome:   g,
 								Hash:     h,
-								Objs:     []float64{float64(h % 17), float64(h % 13)},
+								Objs:     [2]float64{float64(h % 17), float64(h % 13)},
 								Feasible: h%5 != 0,
 							}
 						}

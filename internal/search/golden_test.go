@@ -40,11 +40,11 @@ type searchFixture struct {
 }
 
 type fixtureDesign struct {
-	Name    string    `json:"name"`
-	Hash    string    `json:"hash"`
-	TTFTMs  float64   `json:"ttft_ms"`
-	AreaMM2 float64   `json:"area_mm2"`
-	Objs    []float64 `json:"objs"`
+	Name    string     `json:"name"`
+	Hash    string     `json:"hash"`
+	TTFTMs  float64    `json:"ttft_ms"`
+	AreaMM2 float64    `json:"area_mm2"`
+	Objs    [2]float64 `json:"objs"`
 }
 
 // TestGoldenSearchFixtures pins one fixed-seed run per engine on the

@@ -113,9 +113,9 @@ func TestEnginesMatchExhaustiveOracle(t *testing.T) {
 func assertDominatedByOrMatch(t *testing.T, got []Result, truth []dse.Point) {
 	t.Helper()
 	truthHashes := hashSet(truth)
-	truthObjs := make([][]float64, len(truth))
+	truthObjs := make([][2]float64, len(truth))
 	for i, p := range truth {
-		truthObjs[i] = []float64{p.TTFT() * 1e3, p.AreaMM2}
+		truthObjs[i] = [2]float64{p.TTFT() * 1e3, p.AreaMM2}
 	}
 	for _, r := range got {
 		if truthHashes[r.Hash] {
@@ -127,7 +127,8 @@ func assertDominatedByOrMatch(t *testing.T, got []Result, truth []dse.Point) {
 				t.Fatalf("engine front point %s (%v) strictly dominates a true-front point (%v): oracle miss",
 					r.Point.Config.Name, r.Objs, to)
 			}
-			if Dominates(to, r.Objs) || equalObjs(to, r.Objs) {
+			//lint:ignore floateq oracle identity check: same design evaluated through the same pipeline must agree bitwise
+			if Dominates(to, r.Objs) || to == r.Objs {
 				dominated = true
 			}
 		}
@@ -136,19 +137,6 @@ func assertDominatedByOrMatch(t *testing.T, got []Result, truth []dse.Point) {
 				r.Point.Config.Name, r.Objs)
 		}
 	}
-}
-
-func equalObjs(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		//lint:ignore floateq oracle identity check: same design evaluated through the same pipeline must agree bitwise
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestGridEngineIsExhaustive pins the oracle path itself: the grid
@@ -192,7 +180,8 @@ func TestGridEngineIsExhaustive(t *testing.T) {
 			// exactly.
 			tied := false
 			for _, p := range truth {
-				if equalObjs(fr.Objs, []float64{p.TTFT() * 1e3, p.AreaMM2}) {
+				//lint:ignore floateq oracle identity check: same design evaluated through the same pipeline must agree bitwise
+				if fr.Objs == [2]float64{p.TTFT() * 1e3, p.AreaMM2} {
 					tied = true
 					break
 				}

@@ -5,13 +5,10 @@ import (
 	"sort"
 )
 
-// Dominates reports whether objective vector a Pareto-dominates b (all
-// objectives minimised): a is no worse everywhere and strictly better
-// somewhere. Vectors of differing lengths are never comparable.
-func Dominates(a, b []float64) bool {
-	if len(a) != len(b) || len(a) == 0 {
-		return false
-	}
+// Dominates reports whether objective vector a Pareto-dominates b (both
+// objectives minimised): a is no worse on either and strictly better on
+// one.
+func Dominates(a, b [2]float64) bool {
 	strict := false
 	for i := range a {
 		if a[i] > b[i] {
@@ -24,32 +21,11 @@ func Dominates(a, b []float64) bool {
 	return strict
 }
 
-// FrontIndices returns the indices of the non-dominated vectors, in
-// input order. Duplicate vectors all survive, since none strictly
-// dominates its copies; dse.ParetoFront, by contrast, keeps one copy
-// of a duplicated point.
-func FrontIndices(objs [][]float64) []int {
-	front := make([]int, 0, len(objs))
-	for i, a := range objs {
-		dominated := false
-		for j, b := range objs {
-			if i != j && Dominates(b, a) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front = append(front, i)
-		}
-	}
-	return front
-}
-
 // betterConstrained is Deb's constrained-dominance relation between two
 // results: feasible beats infeasible, less-violating beats
 // more-violating among infeasible, and Pareto dominance decides among
 // feasible.
-func betterConstrained(a, b Result) bool {
+func betterConstrained(a, b *Result) bool {
 	if a.Feasible != b.Feasible {
 		return a.Feasible
 	}
@@ -71,9 +47,9 @@ func nondominatedRanks(rs []Result) []int {
 			if i == j {
 				continue
 			}
-			if betterConstrained(rs[i], rs[j]) {
+			if betterConstrained(&rs[i], &rs[j]) {
 				dominated[i] = append(dominated[i], j)
-			} else if betterConstrained(rs[j], rs[i]) {
+			} else if betterConstrained(&rs[j], &rs[i]) {
 				count[i]++
 			}
 		}
@@ -112,9 +88,8 @@ func crowdingDistances(rs []Result, front []int) map[int]float64 {
 	if len(front) == 0 {
 		return d
 	}
-	m := len(rs[front[0]].Objs)
 	order := make([]int, len(front))
-	for k := 0; k < m; k++ {
+	for k := range 2 {
 		copy(order, front)
 		sort.SliceStable(order, func(a, b int) bool {
 			return rs[order[a]].Objs[k] < rs[order[b]].Objs[k]
@@ -138,10 +113,10 @@ func crowdingDistances(rs []Result, front []int) map[int]float64 {
 // (both minimised) relative to a reference point; points not dominating
 // the reference contribute nothing. A front-quality scalar for
 // benchmarks on spaces too large for an exhaustive oracle.
-func Hypervolume2D(front [][]float64, refX, refY float64) float64 {
-	pts := make([][]float64, 0, len(front))
+func Hypervolume2D(front [][2]float64, refX, refY float64) float64 {
+	pts := make([][2]float64, 0, len(front))
 	for _, p := range front {
-		if len(p) == 2 && p[0] < refX && p[1] < refY {
+		if p[0] < refX && p[1] < refY {
 			pts = append(pts, p)
 		}
 	}

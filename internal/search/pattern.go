@@ -23,7 +23,7 @@ type pattern struct {
 
 	weightRuns int
 	runIdx     int
-	weights    []float64
+	weights    [2]float64
 	base       []int
 	baseRes    Result
 	hasBase    bool
@@ -48,7 +48,7 @@ func newPattern(space Space, seed uint64) Explorer {
 		space:      space,
 		rng:        newRNG(seed),
 		weightRuns: patternWeightRuns,
-		weights:    weightVector(0, patternWeightRuns, 2),
+		weights:    weightVector(0, patternWeightRuns),
 		step:       initialStep(space),
 		filter:     newVisitFilter(),
 	}
@@ -181,14 +181,14 @@ func (e *pattern) Observe(results []Result) {
 		e.adoptBestLocked(results, lo, hi)
 		return
 	}
-	baseE := chebyshev(e.baseRes, e.weights, lo, hi)
+	baseE := chebyshev(&e.baseRes, e.weights, lo, hi)
 	bestI := -1
 	bestE := baseE
-	for i, r := range results {
-		if r.DecodeErr != "" || i >= len(e.polls) {
+	for i := range results {
+		if results[i].DecodeErr != "" || i >= len(e.polls) {
 			continue
 		}
-		if en := chebyshev(r, e.weights, lo, hi); en < bestE {
+		if en := chebyshev(&results[i], e.weights, lo, hi); en < bestE {
 			bestE = en
 			bestI = i
 		}
@@ -210,34 +210,32 @@ func (e *pattern) Observe(results []Result) {
 
 // adoptBestLocked starts a run from the best candidate among the batch
 // and the archive under the current weights.
-func (e *pattern) adoptBestLocked(results []Result, lo, hi []float64) {
+func (e *pattern) adoptBestLocked(results []Result, lo, hi [2]float64) {
 	bestE := 0.0
-	var best Result
-	found := false
-	consider := func(r Result) {
+	var best *Result
+	consider := func(r *Result) {
 		if r.DecodeErr != "" {
 			return
 		}
 		en := chebyshev(r, e.weights, lo, hi)
-		if !found || en < bestE || (en == bestE && r.Hash < best.Hash) { //lint:ignore floateq deterministic tie-break on equal energies needs exact comparison
+		if best == nil || en < bestE || (en == bestE && r.Hash < best.Hash) { //lint:ignore floateq deterministic tie-break on equal energies needs exact comparison
 			bestE = en
 			best = r
-			found = true
 		}
 	}
 	e.archive.mu.Lock()
-	for _, r := range e.archive.all {
-		consider(r)
+	for i := range e.archive.all {
+		consider(&e.archive.all[i])
 	}
 	e.archive.mu.Unlock()
-	for _, r := range results {
-		consider(r)
+	for i := range results {
+		consider(&results[i])
 	}
-	if !found {
+	if best == nil {
 		return
 	}
 	e.base = e.space.Indices(best.Genome)
-	e.baseRes = best
+	e.baseRes = *best
 	e.hasBase = true
 	e.lastDir = nil
 	e.step = initialStep(e.space)
@@ -253,7 +251,7 @@ func (e *pattern) shrinkLocked() {
 		return
 	}
 	e.runIdx++
-	e.weights = weightVector(e.runIdx%e.weightRuns, e.weightRuns, 2)
+	e.weights = weightVector(e.runIdx%e.weightRuns, e.weightRuns)
 	e.step = initialStep(e.space)
 	// Every other full weight cycle restarts from a random base to keep
 	// exploring once all directions have been polished.

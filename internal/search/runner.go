@@ -42,8 +42,8 @@ type Outcome struct {
 
 // FrontObjs returns the front's objective vectors (for hypervolume and
 // reporting).
-func (o Outcome) FrontObjs() [][]float64 {
-	objs := make([][]float64, len(o.Front))
+func (o Outcome) FrontObjs() [][2]float64 {
+	objs := make([][2]float64, len(o.Front))
 	for i, r := range o.Front {
 		objs[i] = r.Objs
 	}
@@ -113,6 +113,8 @@ func (r *Runner) Run(ctx context.Context, prob Problem, eng Explorer, budget int
 		results := make([]Result, len(genomes))
 		newCfgs := make([]arch.Config, 0, len(genomes))
 		newIdx := make([]int, 0, len(genomes))
+		// dupIdx holds batch-internal duplicates, filled after evaluation.
+		var dupIdx []int
 		batch := make(map[uint64]bool, len(genomes))
 		for i, g := range genomes {
 			if len(newCfgs) == remaining {
@@ -138,7 +140,8 @@ func (r *Runner) Run(ctx context.Context, prob Problem, eng Explorer, budget int
 			}
 			results[i] = Result{Genome: g, Hash: h, Revisited: batch[h]}
 			if batch[h] {
-				continue // batch-internal duplicate: filled after evaluation
+				dupIdx = append(dupIdx, i)
+				continue
 			}
 			batch[h] = true
 			newCfgs = append(newCfgs, cfg)
@@ -166,15 +169,12 @@ func (r *Runner) Run(ctx context.Context, prob Problem, eng Explorer, budget int
 			}
 			// Fill batch-internal duplicates from their now-evaluated
 			// originals.
-			for i := range results {
-				r := &results[i]
-				if r.Revisited && r.Objs == nil && r.DecodeErr == "" {
-					full := archive[r.Hash]
-					full.Genome = r.Genome
-					full.Revisited = true
-					*r = full
-					revisits++
-				}
+			for _, i := range dupIdx {
+				full := archive[results[i].Hash]
+				full.Genome = results[i].Genome
+				full.Revisited = true
+				results[i] = full
+				revisits++
 			}
 		}
 		eng.Observe(results)

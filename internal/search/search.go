@@ -3,6 +3,7 @@ package search
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"sync"
 
@@ -19,38 +20,30 @@ type Objective struct {
 
 // ObjectivesLatencyArea is the oracle objective pair: prefill latency
 // (ms) against die area — the trade the paper's Fig. 6 fronts plot.
-func ObjectivesLatencyArea() []Objective {
-	return []Objective{
+func ObjectivesLatencyArea() [2]Objective {
+	return [2]Objective{
 		{Name: "ttft_ms", F: func(p dse.Point) float64 { return p.TTFT() * 1e3 }},
 		{Name: "area_mm2", F: func(p dse.Point) float64 { return p.AreaMM2 }},
-	}
-}
-
-// ObjectivesLatencyCost trades prefill latency against good-die cost,
-// the Fig. 8 axis pair.
-func ObjectivesLatencyCost() []Objective {
-	return []Objective{
-		{Name: "ttft_ms", F: func(p dse.Point) float64 { return p.TTFT() * 1e3 }},
-		{Name: "good_die_usd", F: func(p dse.Point) float64 { return p.GoodDieCostUSD }},
 	}
 }
 
 // ObjectivesDecodeTPP trades decode latency against TPP — the Jan-2025
 // quantity-cap question: how fast can a device be per unit of the
 // national allocation it consumes.
-func ObjectivesDecodeTPP() []Objective {
-	return []Objective{
+func ObjectivesDecodeTPP() [2]Objective {
+	return [2]Objective{
 		{Name: "tbt_ms", F: func(p dse.Point) float64 { return p.TBT() * 1e3 }},
 		{Name: "tpp", F: func(p dse.Point) float64 { return p.TPP }},
 	}
 }
 
 // Problem is one search instance: a space, the workload every point is
-// simulated on, the minimised objectives, and a feasibility predicate.
+// simulated on, the minimised objective pair, and a feasibility
+// predicate.
 type Problem struct {
 	Space      Space
 	Workload   model.Workload
-	Objectives []Objective
+	Objectives [2]Objective
 	// Feasible classifies an evaluated point and quantifies constraint
 	// violation for infeasible ones (engines steer by Deb's constrained
 	// dominance: any feasible point beats any infeasible one). Nil means
@@ -79,12 +72,8 @@ func (p Problem) feasible(pt dse.Point) (bool, float64) {
 }
 
 // objectives evaluates the problem's objective vector for a point.
-func (p Problem) objectives(pt dse.Point) []float64 {
-	objs := make([]float64, len(p.Objectives))
-	for i, o := range p.Objectives {
-		objs[i] = o.F(pt)
-	}
-	return objs
+func (p Problem) objectives(pt dse.Point) [2]float64 {
+	return [2]float64{p.Objectives[0].F(pt), p.Objectives[1].F(pt)}
 }
 
 // Result is one observed design: the genome as proposed, the decoded
@@ -97,7 +86,7 @@ type Result struct {
 	// the runner's archive and the oracle's front-recovery metric share.
 	Hash  uint64
 	Point dse.Point
-	Objs  []float64
+	Objs  [2]float64
 	// Feasible and Violation carry the problem's constraint verdict.
 	Feasible  bool
 	Violation float64
@@ -126,21 +115,25 @@ type Explorer interface {
 	// proposal order (revisited and undecodable proposals included).
 	Observe(results []Result)
 	// Front returns the non-dominated feasible results observed so far,
-	// sorted by the first objective then design hash.
+	// sorted by objective vector then design hash.
 	Front() []Result
 }
 
 // archive is the engine-shared memory of every observed design: dedup by
-// hash, running objective ranges for scalarisation, and the incremental
-// Pareto front. A mutex guards all state so concurrent Observe calls
-// (the dse worker pool feeding batches back) are safe.
+// hash, running objective ranges for scalarisation, and the Pareto front,
+// kept up to date as results are added. A mutex guards all state, so an
+// engine stays safe for concurrent Observe calls; the runner itself
+// calls Propose, Observe and Front from one goroutine.
 type archive struct {
 	mu   sync.Mutex
 	seen map[uint64]int // hash -> index in all
 	all  []Result
 	// lo, hi are running per-objective ranges over feasible results,
-	// used to normalise scalarised energies.
-	lo, hi []float64
+	// used to normalise scalarised energies; zero until the first one.
+	lo, hi [2]float64
+	// front indexes all's feasible non-dominated results, every tie
+	// included, ordered by objective vector then hash.
+	front []int
 }
 
 func newArchive() archive {
@@ -163,10 +156,8 @@ func (a *archive) add(rs []Result) {
 		if !r.Feasible {
 			continue
 		}
-		if a.lo == nil {
-			a.lo = append([]float64(nil), r.Objs...)
-			a.hi = append([]float64(nil), r.Objs...)
-			continue
+		if len(a.front) == 0 { // the first feasible result
+			a.lo, a.hi = r.Objs, r.Objs
 		}
 		for i, v := range r.Objs {
 			if v < a.lo[i] {
@@ -176,37 +167,58 @@ func (a *archive) add(rs []Result) {
 				a.hi[i] = v
 			}
 		}
+		a.insertFront(len(a.all) - 1)
 	}
+}
+
+// insertFront files the feasible result all[i] into the front: a member
+// that dominates it drops it, otherwise it evicts the members it
+// dominates. Along a two-objective front in objective-vector order the
+// second objective never rises, so the only possible dominator is the
+// member just before the insertion point, and the members it dominates
+// are the run just after it.
+func (a *archive) insertFront(i int) {
+	r := &a.all[i]
+	pos := sort.Search(len(a.front), func(k int) bool { return frontLess(r, &a.all[a.front[k]]) })
+	if pos > 0 && Dominates(a.all[a.front[pos-1]].Objs, r.Objs) {
+		return
+	}
+	end := pos
+	for end < len(a.front) && Dominates(r.Objs, a.all[a.front[end]].Objs) {
+		end++
+	}
+	a.front = slices.Replace(a.front, pos, end, i)
+}
+
+// frontLess orders results by objective vector then hash — a total,
+// deterministic order, since the archive holds each hash once.
+func frontLess(a, b *Result) bool {
+	for k := range a.Objs {
+		if a.Objs[k] < b.Objs[k] {
+			return true
+		}
+		if a.Objs[k] > b.Objs[k] {
+			return false
+		}
+	}
+	return a.Hash < b.Hash
 }
 
 // ranges snapshots the per-objective normalisation ranges.
-func (a *archive) ranges() (lo, hi []float64) {
+func (a *archive) ranges() (lo, hi [2]float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return append([]float64(nil), a.lo...), append([]float64(nil), a.hi...)
+	return a.lo, a.hi
 }
 
-// Front returns the archive's constrained non-dominated feasible set,
-// deterministically ordered by first objective, remaining objectives,
-// then hash.
+// Front returns a copy of the archive's front.
 func (a *archive) Front() []Result {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	feas := make([]Result, 0, len(a.all))
-	for _, r := range a.all {
-		if r.Feasible {
-			feas = append(feas, r)
-		}
+	front := make([]Result, len(a.front))
+	for k, i := range a.front {
+		front[k] = a.all[i]
 	}
-	objs := make([][]float64, len(feas))
-	for i, r := range feas {
-		objs[i] = r.Objs
-	}
-	front := make([]Result, 0, 16)
-	for _, i := range FrontIndices(objs) {
-		front = append(front, feas[i])
-	}
-	sortResults(front)
 	return front
 }
 
@@ -217,32 +229,12 @@ func (a *archive) size() int {
 	return len(a.all)
 }
 
-// sortResults orders results by objective vector then hash — a total,
-// deterministic order used for fronts and fixtures.
-func sortResults(rs []Result) {
-	sort.SliceStable(rs, func(i, j int) bool {
-		a, b := rs[i], rs[j]
-		for k := range a.Objs {
-			if k >= len(b.Objs) {
-				break
-			}
-			if a.Objs[k] < b.Objs[k] {
-				return true
-			}
-			if a.Objs[k] > b.Objs[k] {
-				return false
-			}
-		}
-		return a.Hash < b.Hash
-	})
-}
-
 // chebyshev is the weighted-Chebyshev achievement scalarisation of an
 // objective vector against normalisation ranges: unlike a weighted sum
 // it can reach non-convex front regions, so annealing and pattern
 // search cover the same fronts NSGA-II does. Infeasible results rank
 // after every feasible one by a violation-scaled penalty.
-func chebyshev(r Result, weights, lo, hi []float64) float64 {
+func chebyshev(r *Result, weights, lo, hi [2]float64) float64 {
 	if !r.Feasible {
 		return 1e3 + r.Violation
 	}
@@ -250,19 +242,11 @@ func chebyshev(r Result, weights, lo, hi []float64) float64 {
 	sum := 0.0
 	for i, v := range r.Objs {
 		span := 1.0
-		if i < len(lo) && i < len(hi) && hi[i] > lo[i] {
+		if hi[i] > lo[i] {
 			span = hi[i] - lo[i]
 		}
-		norm := v
-		if i < len(lo) {
-			norm = (v - lo[i]) / span
-		}
-		w := 1.0
-		if i < len(weights) {
-			w = weights[i]
-		}
-		t := w * norm
-		if t > worst {
+		norm := (v - lo[i]) / span
+		if t := weights[i] * norm; t > worst {
 			worst = t
 		}
 		sum += norm
@@ -272,19 +256,10 @@ func chebyshev(r Result, weights, lo, hi []float64) float64 {
 	return worst + 1e-3*sum
 }
 
-// weightVector returns the k-th of n evenly spread two-objective weight
-// vectors (extended uniformly past two objectives).
-func weightVector(k, n, objectives int) []float64 {
-	w := make([]float64, objectives)
-	if objectives == 0 {
-		return w
-	}
+// weightVector returns the k-th of n evenly spread weight vectors.
+func weightVector(k, n int) [2]float64 {
 	t := (float64(k) + 0.5) / float64(n)
-	w[0] = t
-	for i := 1; i < objectives; i++ {
-		w[i] = (1 - t) / float64(objectives-1)
-	}
-	return w
+	return [2]float64{t, 1 - t}
 }
 
 // newRNG builds a per-engine PCG source, mirroring internal/trace: each
@@ -409,8 +384,8 @@ func validateProblem(p Problem) error {
 			return fmt.Errorf("search: axis %s of space %q has no values", a.Role, p.Space.Name)
 		}
 	}
-	if len(p.Objectives) == 0 {
-		return fmt.Errorf("search: problem needs at least one objective")
+	if p.Objectives[0].F == nil || p.Objectives[1].F == nil {
+		return fmt.Errorf("search: problem needs two objective functions")
 	}
 	return nil
 }

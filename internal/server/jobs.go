@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -167,7 +168,10 @@ type Queue struct {
 	mu      sync.Mutex
 	backlog []*Job
 	jobs    map[string]*Job
-	seq     uint64
+	// retained holds the jobs of the map in submission order, which is
+	// creation order, so pruning walks from the oldest job.
+	retained []*Job
+	seq      uint64
 	// onTerminal, when set (SetTerminalHook), receives every job with its
 	// terminal status snapshot; the server finishes the job's stream hub
 	// and journals the result through it.
@@ -345,6 +349,7 @@ func (q *Queue) submit(id string, hub *streamHub, fn JobFunc) (*Job, error) {
 		fn:      fn,
 	}
 	q.jobs[j.ID] = j
+	q.retained = append(q.retained, j)
 	q.backlog = append(q.backlog, j)
 	q.pruneLocked()
 	q.mu.Unlock()
@@ -373,28 +378,19 @@ func (q *Queue) reserveSeqLocked(id string) {
 	}
 }
 
-// pruneLocked evicts the oldest terminal jobs past maxRetainedJobs.
-// Callers hold q.mu.
+// pruneLocked evicts the oldest terminal job once more than
+// maxRetainedJobs are retained. The walk from the oldest job skips only
+// pending and running ones. Callers hold q.mu.
 func (q *Queue) pruneLocked() {
-	if len(q.jobs) <= maxRetainedJobs {
+	if len(q.retained) <= maxRetainedJobs {
 		return
 	}
-	var oldest *Job
-	for _, j := range q.jobs {
-		if !j.State().Terminal() {
-			continue
+	for i, j := range q.retained {
+		if j.State().Terminal() {
+			delete(q.jobs, j.ID)
+			q.retained = slices.Delete(q.retained, i, i+1)
+			return
 		}
-		// The comparator is total: equal creation times (coarse clocks
-		// produce them) break on the unique job ID, so the evicted job does
-		// not depend on map iteration order.
-		if oldest == nil || j.created.Before(oldest.created) ||
-			(j.created.Equal(oldest.created) && j.ID < oldest.ID) {
-			//lint:ignore detorder comparator is total (created, then unique ID), so the selection is iteration-order independent
-			oldest = j
-		}
-	}
-	if oldest != nil {
-		delete(q.jobs, oldest.ID)
 	}
 }
 

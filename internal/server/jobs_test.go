@@ -182,11 +182,13 @@ func TestCancelSnapshotSurvivesPrune(t *testing.T) {
 	}
 	waitTerminal(t, j)
 
-	// Fill the retention map so the terminal job is the prune victim.
+	// Fill the retained jobs so the terminal job is the prune victim.
 	q.mu.Lock()
 	for i := 0; i < maxRetainedJobs; i++ {
 		id := fmt.Sprintf("filler-%06d", i)
-		q.jobs[id] = &Job{ID: id, state: JobSucceeded, created: time.Now()}
+		filler := &Job{ID: id, state: JobSucceeded, created: time.Now()}
+		q.jobs[id] = filler
+		q.retained = append(q.retained, filler)
 	}
 	q.mu.Unlock()
 
@@ -335,11 +337,11 @@ func TestJobStateStrings(t *testing.T) {
 }
 
 // TestPruneDeterministicTieBreak is the regression test for the prune
-// comparator: when several terminal jobs share the oldest creation time
+// order: when several terminal jobs share the oldest creation time
 // (coarse clocks make that routine), the evicted job must not depend on
-// map iteration order. The total order breaks ties on the unique job ID,
-// so across repeated runs the lexicographically smallest tied ID is
-// always the one pruned.
+// map iteration order. Pruning walks the jobs in submission order, so
+// across repeated runs the first submitted tied job is always the one
+// pruned.
 func TestPruneDeterministicTieBreak(t *testing.T) {
 	created := time.Now()
 	for round := 0; round < 20; round++ {
@@ -351,6 +353,7 @@ func TestPruneDeterministicTieBreak(t *testing.T) {
 				created: created, // every job ties on creation time
 			}
 			q.jobs[j.ID] = j
+			q.retained = append(q.retained, j)
 		}
 		q.mu.Lock()
 		q.pruneLocked()
@@ -381,6 +384,7 @@ func TestPruneEvictsOldestTerminal(t *testing.T) {
 			created: base.Add(time.Duration(i) * time.Second),
 		}
 		q.jobs[j.ID] = j
+		q.retained = append(q.retained, j)
 	}
 	q.mu.Lock()
 	q.pruneLocked()
@@ -390,5 +394,55 @@ func TestPruneEvictsOldestTerminal(t *testing.T) {
 	}
 	if _, ok := q.jobs["job-000001"]; ok {
 		t.Fatal("prune kept the oldest terminal job")
+	}
+}
+
+// TestPruneKeepsRetainedAndMapInStep submits 3×maxRetainedJobs jobs in
+// batches behind a gate, cancelling some while pending, and lets every
+// job finish: afterwards the retained slice and the ID map must hold the
+// same maxRetainedJobs jobs, the newest ones, in submission order.
+func TestPruneKeepsRetainedAndMapInStep(t *testing.T) {
+	const batch = 16
+	q := NewQueue(1, batch+1, 0)
+	defer q.Shutdown(context.Background())
+	var all []*Job
+	for len(all) < 3*maxRetainedJobs {
+		gate := make(chan struct{})
+		j, err := q.Submit(func(ctx context.Context) (any, error) { <-gate; return nil, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, j)
+		for i := 1; i < batch; i++ {
+			j, err := q.Submit(func(ctx context.Context) (any, error) { return nil, nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, j)
+			if i%3 == 0 {
+				if _, found, cancelled := q.Cancel(j.ID); !found || !cancelled {
+					t.Fatalf("cancel pending %s: found %v cancelled %v", j.ID, found, cancelled)
+				}
+			}
+		}
+		close(gate)
+		for _, j := range all[len(all)-batch:] {
+			waitTerminal(t, j)
+		}
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if len(q.jobs) != maxRetainedJobs || len(q.retained) != maxRetainedJobs {
+		t.Fatalf("retained %d jobs in the map and %d in the slice, want %d",
+			len(q.jobs), len(q.retained), maxRetainedJobs)
+	}
+	newest := all[len(all)-maxRetainedJobs:]
+	for i, j := range q.retained {
+		if j != newest[i] {
+			t.Fatalf("retained[%d] = %s, want %s", i, j.ID, newest[i].ID)
+		}
+		if q.jobs[j.ID] != j {
+			t.Fatalf("map entry for %s is not the retained job", j.ID)
+		}
 	}
 }

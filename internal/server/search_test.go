@@ -2,6 +2,8 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
+	"maps"
 	"net/http"
 	"strings"
 	"testing"
@@ -53,7 +55,7 @@ func TestSearchJobLifecycle(t *testing.T) {
 		t.Errorf("objectives = %v, want [ttft_ms area_mm2]", res.Objectives)
 	}
 	for _, d := range res.Front {
-		if d.Config == "" || len(d.Objs) != 2 {
+		if d.Config == "" || d.Objs == [2]float64{} {
 			t.Errorf("front member incomplete: %+v", d)
 		}
 	}
@@ -87,6 +89,52 @@ func TestSearchJobLifecycle(t *testing.T) {
 		if res2.Front[i].Config != res.Front[i].Config {
 			t.Errorf("front[%d] changed across identical runs: %q vs %q",
 				i, res2.Front[i].Config, res.Front[i].Config)
+		}
+	}
+}
+
+// TestSearchStreamFrontMatchesResult checks the two fronts a search job
+// computes over the same designs and objectives: the stream hub's,
+// which keeps one design per objective vector, and the search
+// archive's, which keeps every tie. The last front frame must hold
+// exactly the distinct objective vectors of the result's front.
+func TestSearchStreamFrontMatchesResult(t *testing.T) {
+	_, ts := newTestServer(t)
+	for seed := 1; seed <= 3; seed++ {
+		body := fmt.Sprintf(`{"engine":"nsga2","space":"jan2025","budget":192,"seed":%d}`, seed)
+		resp, data := postJSON(t, ts.URL+"/v1/search", body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("seed %d: status %d: %s", seed, resp.StatusCode, data)
+		}
+		var enq EnqueueResponse
+		if err := json.Unmarshal(data, &enq); err != nil {
+			t.Fatal(err)
+		}
+		var last []StreamPoint
+		var res SearchResult
+		for _, f := range streamFrames(t, ts.URL, enq.JobID) {
+			switch f.Type {
+			case "front":
+				last = f.Front
+			case "summary":
+				if f.Status == nil || f.Status.State != "succeeded" {
+					t.Fatalf("seed %d: summary status = %+v", seed, f.Status)
+				}
+				res = decodeSearchResult(t, *f.Status)
+			}
+		}
+		streamSet := make(map[[2]float64]bool, len(last))
+		for _, p := range last {
+			streamSet[[2]float64{p.X, p.Y}] = true
+		}
+		resultSet := make(map[[2]float64]bool, len(res.Front))
+		for _, d := range res.Front {
+			resultSet[d.Objs] = true
+		}
+		t.Logf("seed %d: stream front %d designs, result front %d designs over %d vectors",
+			seed, len(last), len(res.Front), len(resultSet))
+		if len(resultSet) == 0 || !maps.Equal(streamSet, resultSet) {
+			t.Errorf("seed %d: stream front %v, result front vectors %v", seed, streamSet, resultSet)
 		}
 	}
 }

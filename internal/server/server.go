@@ -647,9 +647,8 @@ func (s *Server) parseDSE(req DSERequest) (*jobSpec, error) {
 // pluggable engine (package search) through the shared explorer under
 // an evaluation budget. The engine is freshly constructed from the
 // (derived) seed, so a journal replay reproduces the original run
-// exactly. The stream's front axes are the problem's first two
-// objectives (die area when there is only one), and its admissibility
-// is the problem's feasibility predicate.
+// exactly. The stream's front axes are the problem's two objectives,
+// and its admissibility is the problem's feasibility predicate.
 func (s *Server) parseSearch(req SearchRequest) (*jobSpec, error) {
 	prob, err := req.problem()
 	if err != nil {
@@ -678,10 +677,6 @@ func (s *Server) parseSearch(req SearchRequest) (*jobSpec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("marshal spec: %w", err)
 	}
-	yf := dse.MetricArea
-	if len(prob.Objectives) > 1 {
-		yf = prob.Objectives[1].F
-	}
 	feasible := prob.Feasible
 	if feasible == nil {
 		feasible = search.FeasibleReticle
@@ -705,9 +700,8 @@ func (s *Server) parseSearch(req SearchRequest) (*jobSpec, error) {
 		kind:    jobKindSearch,
 		spec:    spec,
 		designs: req.Budget,
-		// validateProblem guarantees at least one objective.
-		hub: newStreamHub(prob.Objectives[0].F, yf, keep),
-		run: run,
+		hub:     newStreamHub(prob.Objectives[0].F, prob.Objectives[1].F, keep),
+		run:     run,
 	}, nil
 }
 

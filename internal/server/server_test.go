@@ -418,6 +418,25 @@ func TestDSERejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestDSERejectsOverflowingGrid posts an explicit grid of 1449 entries on
+// every axis, whose 1449^6 combinations overflow int: the request must
+// get a 400 naming the design limit, and the server must keep serving
+// (an accepted job would panic expanding the grid on a queue worker).
+func TestDSERejectsOverflowingGrid(t *testing.T) {
+	_, ts := newTestServer(t)
+	axis := "[" + strings.Repeat("1,", 1448) + "1]"
+	body := fmt.Sprintf(`{"grid":{"tpp_target":4800,"systolic_dims":%[1]s,"lanes_per_core":%[1]s,`+
+		`"l1_kb":%[1]s,"l2_mb":%[1]s,"hbm_bandwidth_gbs":%[1]s,"device_bw_gbs":%[1]s}}`, axis)
+	resp, data := postJSON(t, ts.URL+"/v1/dse", body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "65536-design limit") {
+		t.Fatalf("overflowing grid: status %d (%s), want 400 naming the design limit", resp.StatusCode, data)
+	}
+	resp, data = postJSON(t, ts.URL+"/v1/classify", `{"tpp":4992,"device_bw_gbs":600,"die_area_mm2":826}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("classify after the overflowing grid: status %d (%s)", resp.StatusCode, data)
+	}
+}
+
 func TestDSEBackpressure503(t *testing.T) {
 	s := New(Config{
 		Workers: 1,

@@ -23,7 +23,7 @@ import (
 // StreamPoint is one design on the wire: the summary fields plus the
 // point's coordinates on the running front's axes (for DSE jobs X is
 // the objective metric and Y the die area; for search jobs the
-// problem's first two objectives; both minimised).
+// problem's two objectives; both minimised).
 type StreamPoint struct {
 	Config     string  `json:"config"`
 	TTFTMS     float64 `json:"ttft_ms"`

@@ -460,12 +460,12 @@ func (r SearchRequest) problem() (search.Problem, error) {
 
 // SearchDesign is one Pareto-front member of a search result.
 type SearchDesign struct {
-	Config  string    `json:"config"`
-	Objs    []float64 `json:"objs"`
-	TTFTMS  float64   `json:"ttft_ms"`
-	TBTMS   float64   `json:"tbt_ms"`
-	AreaMM2 float64   `json:"area_mm2"`
-	TPP     float64   `json:"tpp"`
+	Config  string     `json:"config"`
+	Objs    [2]float64 `json:"objs"`
+	TTFTMS  float64    `json:"ttft_ms"`
+	TBTMS   float64    `json:"tbt_ms"`
+	AreaMM2 float64    `json:"area_mm2"`
+	TPP     float64    `json:"tpp"`
 }
 
 // SearchResult is the terminal payload of a search job: the run's
