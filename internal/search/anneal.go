@@ -102,20 +102,14 @@ func (e *anneal) Propose(max int) []Genome {
 		}
 		return out
 	}
-	// Batch-shared front snapshot: chains that stopped accepting moves
-	// exploit the unexplored front neighbourhood instead of walking.
-	var front []Result
-	frontReady := false
+	// Chains that stopped accepting moves exploit the unexplored front
+	// neighbourhood instead of walking.
 	for _, c := range e.chains {
 		if len(out) == max {
 			break
 		}
 		if c.hasCur && c.stall > 1 {
-			if !frontReady {
-				front = e.archive.Front()
-				frontReady = true
-			}
-			if gs := frontNeighbors(e.space, front, &e.filter, 1); len(gs) > 0 {
+			if gs := e.archive.frontNeighbors(e.space, &e.filter, 1); len(gs) > 0 {
 				out = append(out, gs[0])
 				continue
 			}
@@ -143,12 +137,11 @@ func (e *anneal) Propose(max int) []Genome {
 // neighbours of known ones), else every other restart perturbs a random
 // front member, else it samples uniformly.
 func (e *anneal) restartGenome() Genome {
-	if gs := frontNeighbors(e.space, e.archive.Front(), &e.filter, 1); len(gs) > 0 {
+	if gs := e.archive.frontNeighbors(e.space, &e.filter, 1); len(gs) > 0 {
 		return gs[0]
 	}
 	if e.nextWeight%2 == 0 {
-		if front := e.archive.Front(); len(front) > 0 {
-			g := front[e.rng.IntN(len(front))].Genome
+		if g, ok := e.archive.randomFrontGenome(e.rng); ok {
 			return e.novel(e.neighbor(g))
 		}
 	}

@@ -69,23 +69,51 @@ func TestGoldenSearchFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fix := searchFixture{
-				Engine:      out.Engine,
-				Seed:        out.Seed,
-				Budget:      out.Budget,
-				Evaluations: out.Evaluations,
-				Generations: out.Generations,
-			}
-			for _, r := range out.Front {
-				fix.Front = append(fix.Front, fixtureDesign{
-					Name:    r.Point.Config.Name,
-					Hash:    fmt.Sprintf("%016x", r.Hash),
-					TTFTMs:  r.Point.TTFT() * 1e3,
-					AreaMM2: r.Point.AreaMM2,
-					Objs:    r.Objs,
-				})
-			}
-			golden.Compare(t, "search_"+name, fix)
+			golden.Compare(t, "search_"+name, fixtureOf(out))
 		})
 	}
+}
+
+// TestGoldenSearchJan2025Fixtures pins each adaptive engine at scale: a
+// budget-1536 run on the jan2025 lattice, whose fronts hold a few
+// hundred designs, so the engines' ranking, archive and neighbour-scan
+// bookkeeping all run long enough for an ordering change to show.
+func TestGoldenSearchJan2025Fixtures(t *testing.T) {
+	prob := Jan2025Problem(model.PaperWorkload(model.GPT3_175B()))
+	ex := dse.NewExplorer()
+	const seed, budget = 5, 1536
+	for _, name := range []string{"nsga2", "anneal", "pattern"} {
+		t.Run(name, func(t *testing.T) {
+			eng, err := New(name, prob.Space, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := (&Runner{Explorer: ex}).Run(context.Background(), prob, eng, budget, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden.Compare(t, "search_jan2025_"+name, fixtureOf(out))
+		})
+	}
+}
+
+// fixtureOf snapshots a run's counters and front.
+func fixtureOf(out Outcome) searchFixture {
+	fix := searchFixture{
+		Engine:      out.Engine,
+		Seed:        out.Seed,
+		Budget:      out.Budget,
+		Evaluations: out.Evaluations,
+		Generations: out.Generations,
+	}
+	for _, r := range out.Front {
+		fix.Front = append(fix.Front, fixtureDesign{
+			Name:    r.Point.Config.Name,
+			Hash:    fmt.Sprintf("%016x", r.Hash),
+			TTFTMs:  r.Point.TTFT() * 1e3,
+			AreaMM2: r.Point.AreaMM2,
+			Objs:    r.Objs,
+		})
+	}
+	return fix
 }

@@ -1,9 +1,10 @@
 package search
 
 import (
+	"cmp"
 	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -84,7 +85,7 @@ func (e *nsga2) Propose(max int) []Genome {
 	// Memetic local search first: polish the current elite front by
 	// proposing its unvisited lattice neighbours (up to half the
 	// generation), then fill with genetic offspring.
-	out = append(out, frontNeighbors(e.space, e.archive.Front(), &e.filter, n/2)...)
+	out = append(out, e.archive.frontNeighbors(e.space, &e.filter, n/2)...)
 	for len(out) < n {
 		p1 := e.tournament()
 		p2 := e.tournament()
@@ -228,51 +229,41 @@ func (e *nsga2) Observe(results []Result) {
 	defer e.emu.Unlock()
 	// Environmental selection over parents + offspring, deduplicated by
 	// design hash so crowding distances are not skewed by revisits.
-	pool := make([]Result, 0, len(e.parents)+len(results))
-	seen := make(map[uint64]bool, len(e.parents)+len(results))
-	for _, r := range append(append([]Result(nil), e.parents...), results...) {
-		if r.DecodeErr != "" || seen[r.Hash] {
-			continue
+	pool := make([]*Result, 0, len(e.parents)+len(results))
+	seen := make(map[uint64]bool, cap(pool))
+	for _, rs := range [2][]Result{e.parents, results} {
+		for i := range rs {
+			r := &rs[i]
+			if r.DecodeErr != "" || seen[r.Hash] {
+				continue
+			}
+			seen[r.Hash] = true
+			pool = append(pool, r)
 		}
-		seen[r.Hash] = true
-		pool = append(pool, r)
 	}
 	if len(pool) == 0 {
 		return
 	}
-	ranks := nondominatedRanks(pool)
-	byRank := map[int][]int{}
-	for i, r := range ranks {
-		byRank[r] = append(byRank[r], i)
-	}
-	crowd := make(map[int]float64, len(pool))
-	for _, members := range byRank {
-		for i, d := range crowdingDistances(pool, members) {
-			crowd[i] = d
-		}
-	}
+	ranks := constrainedRanks(pool)
+	crowd := crowding(pool, ranks)
 	order := make([]int, len(pool))
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if ranks[ia] != ranks[ib] {
-			return ranks[ia] < ranks[ib]
+	// Hashes are distinct within the pool, so this order is total and
+	// any sort yields the same permutation.
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(ranks[a], ranks[b]); c != 0 {
+			return c
 		}
-		//lint:ignore floateq sort comparator: a tolerance here would break strict weak ordering
-		if crowd[ia] != crowd[ib] {
-			return crowd[ia] > crowd[ib]
+		if c := cmp.Compare(crowd[b], crowd[a]); c != 0 {
+			return c
 		}
-		return pool[ia].Hash < pool[ib].Hash
+		return cmp.Compare(pool[a].Hash, pool[b].Hash)
 	})
-	n := e.pop
-	if n > len(order) {
-		n = len(order)
-	}
-	next := make([]Result, n)
-	for i := 0; i < n; i++ {
-		next[i] = pool[order[i]]
+	next := make([]Result, min(e.pop, len(order)))
+	for i := range next {
+		next[i] = *pool[order[i]]
 	}
 	e.parents = next
 }

@@ -1,7 +1,9 @@
 package search
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -21,89 +23,94 @@ func Dominates(a, b [2]float64) bool {
 	return strict
 }
 
-// betterConstrained is Deb's constrained-dominance relation between two
-// results: feasible beats infeasible, less-violating beats
-// more-violating among infeasible, and Pareto dominance decides among
-// feasible.
-func betterConstrained(a, b *Result) bool {
-	if a.Feasible != b.Feasible {
-		return a.Feasible
-	}
-	if !a.Feasible {
-		return a.Violation < b.Violation
-	}
-	return Dominates(a.Objs, b.Objs)
-}
-
-// nondominatedRanks assigns each result its non-dominated sorting rank
-// (0 = best front) under constrained dominance.
-func nondominatedRanks(rs []Result) []int {
-	n := len(rs)
-	rank := make([]int, n)
-	dominated := make([][]int, n) // i dominates dominated[i]
-	count := make([]int, n)       // how many dominate i
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if betterConstrained(&rs[i], &rs[j]) {
-				dominated[i] = append(dominated[i], j)
-			} else if betterConstrained(&rs[j], &rs[i]) {
-				count[i]++
-			}
+// constrainedRanks returns each pooled result's non-dominated sorting
+// rank (0 = best front) under Deb's constrained dominance: feasible
+// beats infeasible, less-violating beats more-violating among
+// infeasible, and Pareto dominance decides among feasible.
+//
+// Feasible results are ranked by Jensen's two-objective sort. Taken in
+// lexicographic order of their vectors, a result joins the first front
+// whose latest member does not dominate it, found by binary search:
+// along any front in that order the second objective never rises, so
+// its latest member dominates a later vector whenever any member does,
+// and a result dominated from front k is dominated from every front
+// before k. Infeasible results follow the last feasible rank in dense
+// order of their violation, which orders them totally. Objectives and
+// violations must be ordered values (no NaN).
+func constrainedRanks(pool []*Result) []int {
+	rank := make([]int, len(pool))
+	var feasible, infeasible []int
+	for i, r := range pool {
+		if r.Feasible {
+			feasible = append(feasible, i)
+		} else {
+			infeasible = append(infeasible, i)
 		}
 	}
-	current := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if count[i] == 0 {
-			rank[i] = 0
-			current = append(current, i)
+	slices.SortFunc(feasible, func(a, b int) int {
+		if c := cmp.Compare(pool[a].Objs[0], pool[b].Objs[0]); c != 0 {
+			return c
 		}
+		return cmp.Compare(pool[a].Objs[1], pool[b].Objs[1])
+	})
+	var latest []int // latest[k] is the last result filed into front k
+	for _, i := range feasible {
+		k := sort.Search(len(latest), func(k int) bool {
+			return !Dominates(pool[latest[k]].Objs, pool[i].Objs)
+		})
+		if k == len(latest) {
+			latest = append(latest, i)
+		} else {
+			latest[k] = i
+		}
+		rank[i] = k
 	}
-	for r := 0; len(current) > 0; r++ {
-		next := current[:0:0]
-		for _, i := range current {
-			for _, j := range dominated[i] {
-				count[j]--
-				if count[j] == 0 {
-					rank[j] = r + 1
-					next = append(next, j)
-				}
-			}
+	slices.SortFunc(infeasible, func(a, b int) int {
+		return cmp.Compare(pool[a].Violation, pool[b].Violation)
+	})
+	r := len(latest) - 1
+	for k, i := range infeasible {
+		if k == 0 || pool[infeasible[k-1]].Violation < pool[i].Violation {
+			r++
 		}
-		current = next
+		rank[i] = r
 	}
 	return rank
 }
 
-// crowdingDistances returns NSGA-II crowding distances for the results
-// at the given indices (one front). Boundary points get +Inf so they are
-// always preferred, preserving objective-space spread.
-func crowdingDistances(rs []Result, front []int) map[int]float64 {
-	d := make(map[int]float64, len(front))
-	for _, i := range front {
-		d[i] = 0
-	}
-	if len(front) == 0 {
-		return d
-	}
-	order := make([]int, len(front))
-	for k := range 2 {
-		copy(order, front)
-		sort.SliceStable(order, func(a, b int) bool {
-			return rs[order[a]].Objs[k] < rs[order[b]].Objs[k]
-		})
-		lo := rs[order[0]].Objs[k]
-		hi := rs[order[len(order)-1]].Objs[k]
-		span := hi - lo
-		d[order[0]] = math.Inf(1)
-		d[order[len(order)-1]] = math.Inf(1)
-		if span <= 0 {
-			continue
+// crowding returns each pooled result's NSGA-II crowding distance
+// within its rank's front. Boundary members get +Inf so they are always
+// preferred, preserving objective-space spread. Ranks must be dense, as
+// constrainedRanks returns them. Each front lists its members in pool
+// order and is sorted stably per objective, so ties and the distance
+// sums fall the same way on every run.
+func crowding(pool []*Result, rank []int) []float64 {
+	var fronts [][]int
+	for i, r := range rank {
+		for len(fronts) <= r {
+			fronts = append(fronts, nil)
 		}
-		for p := 1; p < len(order)-1; p++ {
-			d[order[p]] += (rs[order[p+1]].Objs[k] - rs[order[p-1]].Objs[k]) / span
+		fronts[r] = append(fronts[r], i)
+	}
+	d := make([]float64, len(pool))
+	order := make([]int, len(pool))
+	for _, front := range fronts {
+		order := order[:len(front)]
+		for k := range 2 {
+			copy(order, front)
+			slices.SortStableFunc(order, func(a, b int) int {
+				return cmp.Compare(pool[a].Objs[k], pool[b].Objs[k])
+			})
+			first, last := order[0], order[len(order)-1]
+			span := pool[last].Objs[k] - pool[first].Objs[k]
+			d[first] = math.Inf(1)
+			d[last] = math.Inf(1)
+			if span <= 0 {
+				continue
+			}
+			for p := 1; p < len(order)-1; p++ {
+				d[order[p]] += (pool[order[p+1]].Objs[k] - pool[order[p-1]].Objs[k]) / span
+			}
 		}
 	}
 	return d

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/dse"
@@ -58,6 +59,16 @@ func TestArchiveFront(t *testing.T) {
 	}
 }
 
+// pointers returns the results' addresses, the pool form the engines
+// rank.
+func pointers(rs []Result) []*Result {
+	pool := make([]*Result, len(rs))
+	for i := range rs {
+		pool[i] = &rs[i]
+	}
+	return pool
+}
+
 func TestNondominatedRanksConstrained(t *testing.T) {
 	rs := []Result{
 		{Objs: [2]float64{1, 1}, Feasible: true},       // rank 0
@@ -67,11 +78,13 @@ func TestNondominatedRanksConstrained(t *testing.T) {
 		{Objs: [2]float64{3, 0.5}, Feasible: true},     // rank 0: trades off
 		{Objs: [2]float64{3, 0.5 + 1}, Feasible: true}, // rank 1
 	}
-	ranks := nondominatedRanks(rs)
 	wants := []int{0, 1, 2, 3, 0, 1}
-	for i, w := range wants {
-		if ranks[i] != w {
-			t.Errorf("rank[%d] = %d, want %d (all: %v)", i, ranks[i], w, ranks)
+	for name, ranks := range map[string][]int{
+		"constrainedRanks":  constrainedRanks(pointers(rs)),
+		"nondominatedRanks": nondominatedRanks(rs),
+	} {
+		if !slices.Equal(ranks, wants) {
+			t.Errorf("%s = %v, want %v", name, ranks, wants)
 		}
 	}
 }
@@ -82,13 +95,164 @@ func TestCrowdingDistances(t *testing.T) {
 		{Objs: [2]float64{1, 2}},
 		{Objs: [2]float64{4, 0}},
 	}
-	d := crowdingDistances(rs, []int{0, 1, 2})
-	if !math.IsInf(d[0], 1) || !math.IsInf(d[2], 1) {
-		t.Errorf("boundary points should be +Inf, got %v / %v", d[0], d[2])
+	ref := crowdingDistances(rs, []int{0, 1, 2})
+	got := crowding(pointers(rs), []int{0, 0, 0})
+	for name, d := range map[string][]float64{"crowding": got, "crowdingDistances": {ref[0], ref[1], ref[2]}} {
+		if !math.IsInf(d[0], 1) || !math.IsInf(d[2], 1) {
+			t.Errorf("%s: boundary points should be +Inf, got %v / %v", name, d[0], d[2])
+		}
+		if math.IsInf(d[1], 1) || d[1] <= 0 {
+			t.Errorf("%s: interior point distance = %v, want finite positive", name, d[1])
+		}
 	}
-	if math.IsInf(d[1], 1) || d[1] <= 0 {
-		t.Errorf("interior point distance = %v, want finite positive", d[1])
+}
+
+// betterConstrained is Deb's constrained-dominance relation between two
+// results: feasible beats infeasible, less-violating beats
+// more-violating among infeasible, and Pareto dominance decides among
+// feasible.
+func betterConstrained(a, b *Result) bool {
+	if a.Feasible != b.Feasible {
+		return a.Feasible
 	}
+	if !a.Feasible {
+		return a.Violation < b.Violation
+	}
+	return Dominates(a.Objs, b.Objs)
+}
+
+// nondominatedRanks is the O(N²) reference for constrainedRanks: it
+// peels fronts off the full pairwise constrained-dominance relation.
+func nondominatedRanks(rs []Result) []int {
+	n := len(rs)
+	rank := make([]int, n)
+	dominated := make([][]int, n) // i dominates dominated[i]
+	count := make([]int, n)       // how many dominate i
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i == j {
+				continue
+			}
+			if betterConstrained(&rs[i], &rs[j]) {
+				dominated[i] = append(dominated[i], j)
+			} else if betterConstrained(&rs[j], &rs[i]) {
+				count[i]++
+			}
+		}
+	}
+	current := make([]int, 0, n)
+	for i := 0; i < n; i++ {
+		if count[i] == 0 {
+			rank[i] = 0
+			current = append(current, i)
+		}
+	}
+	for r := 0; len(current) > 0; r++ {
+		next := current[:0:0]
+		for _, i := range current {
+			for _, j := range dominated[i] {
+				count[j]--
+				if count[j] == 0 {
+					rank[j] = r + 1
+					next = append(next, j)
+				}
+			}
+		}
+		current = next
+	}
+	return rank
+}
+
+// crowdingDistances is the map-based reference for crowding: NSGA-II
+// crowding distances for the results at the given indices (one front).
+func crowdingDistances(rs []Result, front []int) map[int]float64 {
+	d := make(map[int]float64, len(front))
+	for _, i := range front {
+		d[i] = 0
+	}
+	if len(front) == 0 {
+		return d
+	}
+	order := make([]int, len(front))
+	for k := range 2 {
+		copy(order, front)
+		sort.SliceStable(order, func(a, b int) bool {
+			return rs[order[a]].Objs[k] < rs[order[b]].Objs[k]
+		})
+		lo := rs[order[0]].Objs[k]
+		hi := rs[order[len(order)-1]].Objs[k]
+		span := hi - lo
+		d[order[0]] = math.Inf(1)
+		d[order[len(order)-1]] = math.Inf(1)
+		if span <= 0 {
+			continue
+		}
+		for p := 1; p < len(order)-1; p++ {
+			d[order[p]] += (rs[order[p+1]].Objs[k] - rs[order[p-1]].Objs[k]) / span
+		}
+	}
+	return d
+}
+
+// decodePool turns fuzz bytes into a pool of results, four bytes each:
+// objectives on an 8×8 lattice (ties and duplicate vectors are common),
+// a feasibility flag (one in three infeasible), and one of four
+// violation levels (equal violations are common).
+func decodePool(data []byte) []Result {
+	const maxResults = 40
+	var rs []Result
+	for len(data) >= 4 && len(rs) < maxResults {
+		r := Result{
+			Hash:     uint64(len(rs)),
+			Objs:     [2]float64{float64(data[0] % 8), float64(data[1] % 8)},
+			Feasible: data[2]%3 != 0,
+		}
+		if !r.Feasible {
+			r.Violation = float64(data[3]%4+1) / 4
+		}
+		rs = append(rs, r)
+		data = data[4:]
+	}
+	return rs
+}
+
+// FuzzConstrainedRanks checks the sort-based ranking and the slice-based
+// crowding distances against the O(N²) and map-based references, bit
+// for bit: environmental selection sorts on both, so any difference
+// would change which parents survive.
+func FuzzConstrainedRanks(f *testing.F) {
+	f.Add([]byte{1, 2, 1, 0, 2, 1, 1, 0, 1, 2, 1, 0, 3, 3, 1, 0}) // a duplicate vector
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 3, 2, 5, 5, 0, 1})             // all infeasible, two equal violations
+	f.Add([]byte{0, 6, 1, 0, 1, 5, 1, 0, 2, 4, 1, 0, 3, 3, 1, 0, 4, 4, 0, 3, 5, 5, 0, 3})
+	// (3,0) joins front 1 although front 2 already exists.
+	f.Add([]byte{0, 0, 1, 0, 1, 1, 1, 0, 2, 2, 1, 0, 3, 0, 1, 0})
+	// One front of 16 members, every vector twice: past insertion-sort
+	// sizes, so only a stable per-objective sort keeps the duplicates'
+	// order.
+	diag := []byte{}
+	for _, x := range []byte{3, 0, 6, 5, 1, 4, 2, 7, 7, 2, 4, 1, 5, 6, 0, 3} {
+		diag = append(diag, x, 7-x, 1, 0)
+	}
+	f.Add(diag)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rs := decodePool(data)
+		ranks := constrainedRanks(pointers(rs))
+		if want := nondominatedRanks(rs); !slices.Equal(ranks, want) {
+			t.Fatalf("ranks = %v, want %v (pool %+v)", ranks, want, rs)
+		}
+		got := crowding(pointers(rs), ranks)
+		byRank := map[int][]int{}
+		for i, r := range ranks {
+			byRank[r] = append(byRank[r], i)
+		}
+		for r, members := range byRank {
+			for i, want := range crowdingDistances(rs, members) {
+				if math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("rank %d: crowding[%d] = %v, want %v (pool %+v)", r, i, got[i], want, rs)
+				}
+			}
+		}
+	})
 }
 
 func TestHypervolume2D(t *testing.T) {

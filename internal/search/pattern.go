@@ -99,7 +99,7 @@ func (e *pattern) Propose(max int) []Genome {
 		if limit > max {
 			limit = max
 		}
-		gs := frontNeighbors(e.space, e.archive.Front(), &e.filter, limit)
+		gs := e.archive.frontNeighbors(e.space, &e.filter, limit)
 		if len(gs) == 0 {
 			gs = []Genome{randomGenome(e.rng, e.space.Dims())}
 			e.filter.visit(e.space, gs[0])

@@ -309,10 +309,15 @@ func cornerGenomes(dims int) []Genome {
 // runner serves it from the archive at zero budget), just wasteful.
 type visitFilter struct {
 	seen map[uint64]bool
+	// scanned maps a front member's design hash to the ±1 slot
+	// (2·axis, +1 before −1) its neighbour scan resumes from. Every slot
+	// before the cursor is already in seen, and seen only grows, so a
+	// rescan of those slots could propose nothing.
+	scanned map[uint64]int
 }
 
 func newVisitFilter() visitFilter {
-	return visitFilter{seen: make(map[uint64]bool)}
+	return visitFilter{seen: make(map[uint64]bool), scanned: make(map[uint64]int)}
 }
 
 // key hashes snapped indices.
@@ -337,41 +342,64 @@ func (f *visitFilter) visit(s Space, g Genome) bool {
 }
 
 // frontNeighbors returns up to limit not-yet-visited lattice points
-// adjacent (±1 along a single axis) to the given front members, in
+// adjacent (±1 along a single axis) to the archive's front members, in
 // deterministic front-then-axis order, recording each in the filter.
-// On a two-objective staircase front, adjacent lattice points hold most
-// of the remaining front, so engines use this as their local-polish
-// move (memetic local search for NSGA-II, low-temperature exploitation
-// for annealing, poll seeding for pattern search).
-func frontNeighbors(s Space, front []Result, f *visitFilter, limit int) []Genome {
+// Each member's scan resumes from its cursor in the filter, so a call
+// costs one lookup per exhausted member rather than a rescan of its
+// whole neighbourhood. On a two-objective staircase front, adjacent
+// lattice points hold most of the remaining front, so engines use this
+// as their local-polish move (memetic local search for NSGA-II,
+// low-temperature exploitation for annealing, poll seeding for pattern
+// search).
+func (a *archive) frontNeighbors(s Space, f *visitFilter, limit int) []Genome {
 	if limit <= 0 {
 		// A non-positive limit means no slots, not "unbounded": the
 		// equality check below would never fire and the whole
 		// neighbourhood would be proposed, blowing the caller's batch.
 		return nil
 	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	out := make([]Genome, 0, limit)
-	for _, r := range front {
+	slots := 2 * s.Dims()
+	for _, i := range a.front {
+		r := &a.all[i]
+		slot := f.scanned[r.Hash]
+		if slot == slots {
+			continue
+		}
 		idx := s.Indices(r.Genome)
-		for ax := range idx {
-			for _, d := range []int{1, -1} {
-				v := idx[ax] + d
-				if v < 0 || v >= s.Axes[ax].Levels() {
-					continue
-				}
-				n := append([]int(nil), idx...)
-				n[ax] = v
-				g := s.GenomeAt(n)
-				if f.visit(s, g) {
-					out = append(out, g)
-					if len(out) == limit {
-						return out
-					}
+		for ; slot < slots; slot++ {
+			ax := slot / 2
+			v := idx[ax] + 1 - 2*(slot%2)
+			if v < 0 || v >= s.Axes[ax].Levels() {
+				continue
+			}
+			n := slices.Clone(idx)
+			n[ax] = v
+			g := s.GenomeAt(n)
+			if f.visit(s, g) {
+				out = append(out, g)
+				if len(out) == limit {
+					f.scanned[r.Hash] = slot + 1
+					return out
 				}
 			}
 		}
+		f.scanned[r.Hash] = slots
 	}
 	return out
+}
+
+// randomFrontGenome returns the genome of a uniformly drawn front
+// member, drawing from rng only when the front is non-empty.
+func (a *archive) randomFrontGenome(rng *rand.Rand) (Genome, bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if len(a.front) == 0 {
+		return nil, false
+	}
+	return a.all[a.front[rng.IntN(len(a.front))]].Genome, true
 }
 
 // validateProblem rejects unusable problems before any evaluation.

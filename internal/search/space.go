@@ -21,7 +21,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"strings"
+	"strconv"
 
 	"repro/internal/arch"
 	"repro/internal/dse"
@@ -253,8 +253,10 @@ func (s Space) At(idx []int) (arch.Config, error) {
 	if stackGB == 0 {
 		stackGB = 16
 	}
-	var label strings.Builder
-	label.WriteString(s.Name)
+	// The label renders each level as "/<role><%g of value>"; strconv's
+	// shortest 'g' form is the same bytes as fmt's %g.
+	var buf [128]byte
+	label := append(buf[:0], s.Name...)
 	for i, a := range s.Axes {
 		j := idx[i]
 		if j < 0 || j >= a.Levels() {
@@ -262,7 +264,9 @@ func (s Space) At(idx []int) (arch.Config, error) {
 				j, a.Levels(), a.Role)
 		}
 		v := a.Values[j]
-		fmt.Fprintf(&label, "/%s%g", a.Role, v)
+		label = append(label, '/')
+		label = append(label, a.Role.String()...)
+		label = strconv.AppendFloat(label, v, 'g', -1, 64)
 		switch a.Role {
 		case RoleSystolicDim:
 			dim = int(v)
@@ -292,7 +296,7 @@ func (s Space) At(idx []int) (arch.Config, error) {
 		capacityGB = 80
 	}
 	return arch.Config{
-		Name:            label.String(),
+		Name:            string(label),
 		CoreCount:       cores,
 		LanesPerCore:    lanes,
 		SystolicDimX:    dim,

@@ -2,6 +2,9 @@ package search
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -233,6 +236,42 @@ func TestJan2025ProblemRuns(t *testing.T) {
 	for _, fr := range out.Front {
 		if !fr.Feasible {
 			t.Errorf("infeasible design %s on the front", fr.Point.Config.Name)
+		}
+	}
+}
+
+// TestConfigNamesMatchFmt pins design names to fmt's "/%s%g" rendering
+// of each level: names label fixtures, stream frames and results, so
+// the strconv rendering must match it byte for byte on any level,
+// however large, small, fractional or signed.
+func TestConfigNamesMatchFmt(t *testing.T) {
+	odd := Space{
+		Name: "odd",
+		Axes: []Axis{FloatAxis(RoleDeviceBWGBs,
+			math.Copysign(0, -1), 0, 0.1, 1.0/3, 2.5e-5, 1e-7, 12.5, 600,
+			99999, 123456, 999999, 1e6, 1234567, 1e21, -7, -0.25, math.MaxFloat64)},
+		TPPTarget: 4800,
+	}
+	jan := Jan2025Space()
+	for _, s := range []Space{odd, FromGrid(dse.Table3(4800, []float64{600})), jan} {
+		idx := make([]int, s.Dims())
+		for ax, a := range s.Axes {
+			for j := range a.Values {
+				idx[ax] = j
+				cfg, err := s.At(idx)
+				if err != nil {
+					continue // the TPP budget admits no core at these levels
+				}
+				var want strings.Builder
+				want.WriteString(s.Name)
+				for k, b := range s.Axes {
+					fmt.Fprintf(&want, "/%s%g", b.Role, b.Values[idx[k]])
+				}
+				if cfg.Name != want.String() {
+					t.Fatalf("name %q, want %q", cfg.Name, want.String())
+				}
+			}
+			idx[ax] = a.Levels() / 2
 		}
 	}
 }

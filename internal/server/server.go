@@ -602,22 +602,20 @@ func (s *Server) parseDSE(req DSERequest) (*jobSpec, error) {
 		if err != nil {
 			return nil, err
 		}
-		admissible := dse.Filter(points, keep)
-		sort.Slice(admissible, func(i, j int) bool {
-			return metric(admissible[i]) < metric(admissible[j])
-		})
+		ranked := rankAdmissible(points, keep, metric)
 		res := DSEResult{
 			Grid:        grid.Name,
 			Workload:    wl.Model.Name,
 			Rule:        rule,
 			Objective:   objective,
 			Designs:     len(points),
-			Admissible:  len(admissible),
+			Admissible:  len(ranked),
 			CacheHits:   tally.Hits.Load(),
 			CacheMisses: tally.Misses.Load(),
 			DurationMS:  float64(time.Since(start)) / float64(time.Millisecond),
 		}
-		for i, p := range admissible[:min(top, len(admissible))] {
+		for i, k := range ranked[:min(top, len(ranked))] {
+			p := &points[k]
 			res.Top = append(res.Top, DesignSummary{
 				Rank:       i + 1,
 				Config:     p.Config.Name,
@@ -641,6 +639,31 @@ func (s *Server) parseDSE(req DSERequest) (*jobSpec, error) {
 		hub:     newStreamHub(metric, dse.MetricArea, keep),
 		run:     run,
 	}, nil
+}
+
+// rankAdmissible returns the indices of the points keep admits, by
+// ascending metric. It sorts (value, index) keys built in input order
+// rather than the points themselves: sort.Slice's permutation depends
+// only on the length and the comparison outcomes, so every tie falls
+// exactly as in a sort.Slice over the admitted points, without moving
+// whole points.
+func rankAdmissible(points []dse.Point, keep func(dse.Point) bool, metric func(dse.Point) float64) []int {
+	type key struct {
+		v float64
+		i int
+	}
+	keys := make([]key, 0, len(points))
+	for i := range points {
+		if keep(points[i]) {
+			keys = append(keys, key{metric(points[i]), i})
+		}
+	}
+	sort.Slice(keys, func(a, b int) bool { return keys[a].v < keys[b].v })
+	ranked := make([]int, len(keys))
+	for r, k := range keys {
+		ranked[r] = k.i
+	}
+	return ranked
 }
 
 // parseSearch validates a search request into a job that drives a

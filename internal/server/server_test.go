@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -446,18 +447,27 @@ func TestDSEBackpressure503(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer func() { ts.Close(); s.Close() }()
 
-	// Saturate the single worker, then the single backlog slot.
-	seen503 := false
-	for i := 0; i < 8 && !seen503; i++ {
-		resp, _ := postJSON(t, ts.URL+"/v1/dse", smallDSEBody)
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			seen503 = true
-		} else if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("unexpected status %d", resp.StatusCode)
+	// Hold the single worker, then fill the single backlog slot: the next
+	// sweep must be refused. A held worker keeps the check from racing
+	// the sweeps, which finish in about a millisecond.
+	started, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	if _, err := s.Queue().Submit(func(ctx context.Context) (any, error) {
+		close(started)
+		select {
+		case <-release:
+		case <-ctx.Done():
 		}
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if !seen503 {
-		t.Skip("worker drained the backlog too fast to observe 503 on this machine")
+	<-started
+	if resp, _ := postJSON(t, ts.URL+"/v1/dse", smallDSEBody); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("sweep into the free backlog slot: status %d, want 202", resp.StatusCode)
+	}
+	if resp, _ := postJSON(t, ts.URL+"/v1/dse", smallDSEBody); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("sweep past the full backlog: status %d, want 503", resp.StatusCode)
 	}
 }
 
