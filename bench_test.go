@@ -239,8 +239,19 @@ func BenchmarkDSECacheHit(b *testing.B) {
 // store. TestBatchScalarBitEqualOnGoldenGrids pins both to bit-equal
 // results against the single-design reference.
 func BenchmarkSweepTable3(b *testing.B) {
+	benchSweep(b, dse.Table3(4800, []float64{600}))
+}
+
+// BenchmarkSweepTable5 is BenchmarkSweepTable3 on the paper's 2304-design
+// Table 5 grid: 72 windows that each meet about three of the four L2
+// sizes, the sweep whose windows share the most L2 blocking searches.
+func BenchmarkSweepTable5(b *testing.B) {
+	benchSweep(b, dse.Table5())
+}
+
+// benchSweep runs the cold and warm sweeps of grid on the GPT-3 workload.
+func benchSweep(b *testing.B, grid dse.Grid) {
 	w := model.PaperWorkload(model.GPT3_175B())
-	grid := dse.Table3(4800, []float64{600})
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

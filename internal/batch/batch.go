@@ -8,9 +8,10 @@
 //
 // # Why it is fast
 //
-// A sweep's designs share almost all of their expensive sub-problems. The
-// evaluator discovers, per sweep, the distinct groups of each resource
-// term's input axes:
+// A sweep's designs share almost all of their expensive sub-problems. Each
+// Sweep or SweepInto call — one 32-design window, when dse.Explorer is the
+// caller — discovers the distinct groups of each resource term's input
+// axes among its own designs:
 //
 //   - compute groups: core/lane/array geometry, vector width, L1, clock —
 //     the axes perf.MatmulComputeTime and the vector compute term read
@@ -19,12 +20,17 @@
 //   - HBM groups: the memory bandwidth the DRAM term divides by (4);
 //   - interconnect groups: the device bandwidth the collective reads.
 //
-// Each expensive term (L1 tile search, L2 blocking search, utilisation
-// model, ring all-reduce) is computed once per group per node into a flat
-// scratch arena; the per-design loop then assembles final perf.Times from
-// table lookups — no divides, no searches, no map probes. The scratch
-// arena is pooled and reused across sweeps, so the steady-state hot loop
-// performs zero allocations (pinned by TestBatchSteadyStateZeroAllocs).
+// Each term (L1 tile search, utilisation model, ring all-reduce) is
+// computed once per group per node into a flat scratch arena; the
+// per-design loop then assembles final perf.Times from table lookups — no
+// divides, no searches, no map probes. The L2 blocking search, the most
+// expensive term, is shared wider: the Evaluator keeps one result per
+// distinct (capacity, M, K, N, bytes-per-element) tuple, so the windows
+// of a sweep that share an evaluator search each tuple once between them
+// (Table 3 needs 768 searches window by window, but has at most 40
+// distinct tuples). The scratch arena is pooled and reused across sweeps,
+// so the steady-state hot loop performs zero allocations (pinned by
+// TestBatchSteadyStateZeroAllocs).
 //
 // # Why it is exactly equal to the scalar path
 //
@@ -61,13 +67,31 @@ const DefaultWidth = 32
 
 // Evaluator evaluates sweeps struct-of-arrays against one analytic engine.
 // It is safe for concurrent use: each sweep draws its scratch arena from
-// a shared pool and only reads the engine's fields.
+// a shared pool and only reads the engine's fields. An Evaluator keeps
+// the L2 blocking search's results for its own lifetime, so it is meant
+// to span one sweep (every window of it, on every worker) and then be
+// dropped; it must not be copied after first use.
 type Evaluator struct {
 	// Engine holds the analytic model constants. Must be non-nil; only
 	// its fields are read.
 	Engine *perf.Engine
 	// Width is the assembly chunk size; 0 or negative means DefaultWidth.
 	Width int
+
+	// l2 holds one perf.BlockedDRAMTraffic result per distinct argument
+	// tuple this evaluator has met, filled under l2mu on first use. The
+	// zero value is ready: the map is made on the first insert.
+	l2mu sync.Mutex
+	l2   map[l2Args]float64
+}
+
+// l2Args is the exact argument list of perf.BlockedDRAMTraffic, a pure
+// function: equal tuples give bit-identical traffic, so a stored result
+// is what a fresh call would return.
+type l2Args struct {
+	capBits uint64 // Float64bits of the usable L2 capacity in bytes
+	m, k, n int
+	bpeBits uint64 // Float64bits of the weight bytes per element
 }
 
 // scratchPool recycles scratch arenas across all evaluators. Nothing in a
@@ -623,7 +647,7 @@ func (e *Evaluator) prepNode(s *scratch, cfgs []arch.Config, j int) {
 			if eng.NaiveDRAMTraffic {
 				per = perf.WorstCaseDRAMTraffic(m.M, m.K, m.N, bb)
 			} else {
-				per = perf.BlockedDRAMTraffic(s.l2Cap[dgi], m.M, m.K, m.N, bb)
+				per = e.blockedTraffic(s.l2Cap[dgi], m, bb)
 			}
 			s.terms[nd.trOff+dgi] = float64(m.Batch) * per
 		}
@@ -671,6 +695,28 @@ func (e *Evaluator) prepNode(s *scratch, cfgs []arch.Config, j int) {
 		s.times[nd.tmOff] = perf.Time{Name: nd.ar.Name}
 	}
 	s.nodeReady[j] = true
+}
+
+// blockedTraffic returns perf.BlockedDRAMTraffic(capBytes, m.M, m.K, m.N,
+// bpe), searching each distinct argument tuple once per evaluator. A
+// sweep's windows each discover their own L2 groups, but they share a
+// few capacities and one graph's matmul shapes, so most windows need only
+// searches an earlier window already ran. The lock is held across the
+// search: a worker that needs a tuple another is computing waits for it
+// instead of repeating it.
+func (e *Evaluator) blockedTraffic(capBytes float64, m perf.Matmul, bpe float64) float64 {
+	key := l2Args{capBits: math.Float64bits(capBytes), m: m.M, k: m.K, n: m.N, bpeBits: math.Float64bits(bpe)}
+	e.l2mu.Lock()
+	defer e.l2mu.Unlock()
+	if per, ok := e.l2[key]; ok {
+		return per
+	}
+	per := perf.BlockedDRAMTraffic(capBytes, m.M, m.K, m.N, bpe)
+	if e.l2 == nil {
+		e.l2 = make(map[l2Args]float64)
+	}
+	e.l2[key] = per
+	return per
 }
 
 // chunk runs the assembly loop for designs [lo, hi): fill any term tables

@@ -94,9 +94,32 @@ func Table5() Grid {
 // solving, saturating at math.MaxInt instead of wrapping, so a size
 // limit check always refuses a grid too large to expand.
 func (g Grid) Size() int {
+	return product(len(g.SystolicDims), len(g.LanesPerCore), len(g.L1KB),
+		len(g.L2MB), len(g.HBMBandwidthGBs), len(g.DeviceBWGBs))
+}
+
+// Designs returns the number of configurations Expand yields: Size less
+// the combinations of every (systolic dim, lanes) pair whose one-core
+// device already reaches the TPP budget. It solves the core count once
+// per pair and builds no configuration; like Size, it saturates at
+// math.MaxInt, so check Size against a limit before paying for the pairs.
+func (g Grid) Designs() int {
+	pairs := 0
+	for _, dim := range g.SystolicDims {
+		for _, lanes := range g.LanesPerCore {
+			if _, err := arch.MaxCoresForTPP(g.TPPTarget, lanes, dim, dim, g.ClockGHz); err == nil {
+				pairs++
+			}
+		}
+	}
+	return product(pairs, len(g.L1KB), len(g.L2MB), len(g.HBMBandwidthGBs), len(g.DeviceBWGBs))
+}
+
+// product multiplies axis lengths, saturating at math.MaxInt instead of
+// wrapping.
+func product(lens ...int) int {
 	n := 1
-	for _, l := range [...]int{len(g.SystolicDims), len(g.LanesPerCore), len(g.L1KB),
-		len(g.L2MB), len(g.HBMBandwidthGBs), len(g.DeviceBWGBs)} {
+	for _, l := range lens {
 		switch {
 		case l == 0:
 			return 0

@@ -69,6 +69,33 @@ func TestExpandRespectsTPPBudget(t *testing.T) {
 	}
 }
 
+// TestGridDesignsCountsExpansion pins Designs to Expand on grids where
+// core-count solving drops nothing, some pairs and every pair: at TPP 100
+// one core of the 32x32 arrays with 4 or 8 lanes already reaches the
+// budget, so Table 3 keeps 384 of its 512 combinations.
+func TestGridDesignsCountsExpansion(t *testing.T) {
+	empty := Table5()
+	empty.L2MB = nil
+	for _, c := range []struct {
+		g    Grid
+		want int
+	}{
+		{Table3(4800, []float64{600}), 512},
+		{Table3(2400, []float64{400, 500, 600}), 1536},
+		{Table3(100, []float64{600}), 384},
+		{Table3(1, []float64{600}), 0},
+		{Table5(), 2304},
+		{empty, 0},
+	} {
+		if got := c.g.Designs(); got != c.want {
+			t.Errorf("%s: Designs() = %d, want %d", c.g.Name, got, c.want)
+		}
+		if got := len(c.g.Expand()); got != c.want {
+			t.Errorf("%s: Expand() yields %d designs, want %d", c.g.Name, got, c.want)
+		}
+	}
+}
+
 func TestExpandSkipsOversizedCores(t *testing.T) {
 	// At a tiny TPP budget, large-core combinations are dropped rather than
 	// emitted invalid.

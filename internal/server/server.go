@@ -516,7 +516,8 @@ type jobSpec struct {
 	kind string
 	// spec is the accepted request, journalled verbatim.
 	spec json.RawMessage
-	// designs is the grid size or the evaluation budget.
+	// designs is the number of designs the grid expands to, or the
+	// evaluation budget.
 	designs int
 	hub     *streamHub
 	// run does the job's work; its context streams evaluated designs to
@@ -556,6 +557,9 @@ func (s *Server) parseDSE(req DSERequest) (*jobSpec, error) {
 		return nil, fmt.Errorf("grid of %d designs exceeds the %d-design limit",
 			grid.Size(), s.cfg.MaxGridSize)
 	}
+	// What the sweep will evaluate: expansion drops the combinations
+	// whose one-core device already reaches the TPP budget.
+	designs := grid.Designs()
 	metric, err := req.metric()
 	if err != nil {
 		return nil, err
@@ -595,7 +599,7 @@ func (s *Server) parseDSE(req DSERequest) (*jobSpec, error) {
 		ctx, jsp := obs.Start(ctx, "dse.job")
 		defer jsp.End()
 		jsp.SetStr("grid", grid.Name)
-		jsp.SetInt("designs", grid.Size())
+		jsp.SetInt("designs", designs)
 		start := time.Now()
 		var tally dse.CacheTally
 		points, err := s.explorer.RunContext(dse.WithCacheTally(ctx, &tally), grid, wl)
@@ -635,7 +639,7 @@ func (s *Server) parseDSE(req DSERequest) (*jobSpec, error) {
 	return &jobSpec{
 		kind:    jobKindDSE,
 		spec:    spec,
-		designs: grid.Size(),
+		designs: designs,
 		hub:     newStreamHub(metric, dse.MetricArea, keep),
 		run:     run,
 	}, nil

@@ -419,6 +419,40 @@ func TestDSERejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestDSEReportsExpandedDesigns pins that a job reports the designs it
+// evaluates, not the grid's raw combination count: at TPP 100, Table 3's
+// 512 combinations expand to 384 designs (one core of the 32x32 arrays
+// with 4 or 8 lanes already reaches the budget), and at TPP 1 to none.
+func TestDSEReportsExpandedDesigns(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, c := range []struct {
+		body string
+		want int
+	}{
+		{`{"table3":{"tpp":100},"top":3}`, 384},
+		{`{"table3":{"tpp":1},"top":3}`, 0},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/dse", c.body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: status %d: %s", c.body, resp.StatusCode, body)
+		}
+		var enq EnqueueResponse
+		if err := json.Unmarshal(body, &enq); err != nil {
+			t.Fatal(err)
+		}
+		if enq.Designs != c.want {
+			t.Errorf("%s: enqueue response reports %d designs, want %d", c.body, enq.Designs, c.want)
+		}
+		st := pollJob(t, ts.URL, enq.JobID)
+		if st.State != "succeeded" {
+			t.Fatalf("%s: job %s: %s (%s)", c.body, enq.JobID, st.State, st.Error)
+		}
+		if res := decodeDSEResult(t, st); res.Designs != c.want {
+			t.Errorf("%s: result covers %d designs, want %d", c.body, res.Designs, c.want)
+		}
+	}
+}
+
 // TestDSERejectsOverflowingGrid posts an explicit grid of 1449 entries on
 // every axis, whose 1449^6 combinations overflow int: the request must
 // get a 400 naming the design limit, and the server must keep serving

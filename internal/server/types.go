@@ -549,7 +549,9 @@ type EnqueueResponse struct {
 	// SSE with ?format=sse): per-design point frames, a running Pareto
 	// front, and a terminal summary.
 	StreamURL string `json:"stream_url"`
-	// Designs is the sweep size about to be evaluated.
+	// Designs is the number of designs the job will evaluate: a grid's
+	// expanded size (combinations whose one-core device already reaches
+	// the TPP budget are not counted) or a search's budget.
 	Designs int `json:"designs"`
 	// Trace is the request's trace ID; fetch the sweep's span tree from
 	// /debug/obs/trace?trace=<id> once the job runs. Empty when tracing
