@@ -26,10 +26,11 @@
 // divides, no searches, no map probes. The L2 blocking search, the most
 // expensive term, is shared wider: the Evaluator keeps one result per
 // distinct (capacity, M, K, N, bytes-per-element) tuple, so the windows
-// of a sweep that share an evaluator search each tuple once between them
-// (Table 3 needs 768 searches window by window, but has at most 40
-// distinct tuples). The scratch arena is pooled and reused across sweeps,
-// so the steady-state hot loop performs zero allocations (pinned by
+// that share an evaluator, every window of every sweep of one dse
+// session, search each tuple once between them (Table 3 needs 768
+// searches window by window, but has at most 40 distinct tuples). The
+// scratch arena is pooled and reused across sweeps, so the steady-state
+// hot loop performs zero allocations (pinned by
 // TestBatchSteadyStateZeroAllocs).
 //
 // # Why it is exactly equal to the scalar path
@@ -69,7 +70,8 @@ const DefaultWidth = 32
 // It is safe for concurrent use: each sweep draws its scratch arena from
 // a shared pool and only reads the engine's fields. An Evaluator keeps
 // the L2 blocking search's results for its own lifetime, so it is meant
-// to span one sweep (every window of it, on every worker) and then be
+// to span one session (every window of its sweeps, on every worker: one
+// grid sweep, or every generation of one search run) and then be
 // dropped; it must not be copied after first use.
 type Evaluator struct {
 	// Engine holds the analytic model constants. Must be non-nil; only
@@ -96,7 +98,7 @@ type l2Args struct {
 
 // scratchPool recycles scratch arenas across all evaluators. Nothing in a
 // scratch escapes a sweep (the per-op Times are copied into the caller's
-// backing array), so even short-lived evaluators — one per dse sweep —
+// backing array), so even short-lived evaluators — one per dse session —
 // inherit grown, warm arenas instead of re-allocating them.
 var scratchPool sync.Pool // *scratch
 
@@ -278,7 +280,8 @@ func growT(s []perf.Time, n int) []perf.Time {
 // and do not stop the sweep. On context cancellation the completed chunks
 // are returned as partial results (Done marks them) alongside an error
 // wrapping ctx.Err() — the same partial-result semantics as
-// dse.EvaluateContext, which evaluates its windows through SweepInto.
+// dse.Session.EvaluateContext, which evaluates its windows through
+// SweepInto.
 func (e *Evaluator) Sweep(ctx context.Context, cfgs []arch.Config, g ir.Graph) (Outcome, error) {
 	out := Outcome{
 		Results: make([]sim.Result, len(cfgs)),

@@ -322,45 +322,77 @@ func (e *Explorer) Evaluate(configs []arch.Config, w model.Workload) ([]Point, e
 // errors.Join, and every successful point still returned — one bad design
 // no longer discards an entire sweep.
 //
-// The workload is lowered once and the configs split into fixed windows
-// of batch.DefaultWidth designs. Parallelism workers each take one window
-// at a time from the caller: they probe the point store, claim the misses
-// in its single-flight layer in one critical section, evaluate the
-// claimed misses (one batch.Evaluator pass, or one
-// Sim.SimulateGraphContext call per design when Sim.Backend is set),
-// finish, store and release them, wait for misses another sweep is
-// computing, and deliver the window's points in input order to the
-// context's ProgressFunc. Each window records one dse.window span with int
-// attributes configs, hits (memory), misses (simulated here) and shared
-// (computed by a concurrent sweep).
+// It is a Session with one sweep: the workload is lowered once and the
+// configs split into fixed windows of batch.DefaultWidth designs.
+// Parallelism workers each take one window at a time from the caller:
+// they probe the point store, claim the misses in its single-flight layer
+// in one critical section, evaluate the claimed misses (one
+// batch.Evaluator pass, or one Sim.SimulateGraphContext call per design
+// when Sim.Backend is set), finish, store and release them, wait for
+// misses another sweep is computing, and deliver the window's points in
+// input order to the context's ProgressFunc. Each window records one
+// dse.window span with int attributes configs, hits (memory), misses
+// (simulated here) and shared (computed by a concurrent sweep).
 func (e *Explorer) EvaluateContext(ctx context.Context, configs []arch.Config, w model.Workload) ([]Point, error) {
+	return e.NewSession(w).EvaluateContext(ctx, configs)
+}
+
+// Session evaluates one job's sweeps of one workload. Its first sweep
+// lowers and hashes the workload, inside that sweep's dse.sweep span, and
+// every sweep shares the graph and one batch.Evaluator, so the L2
+// blocking searches of earlier sweeps serve later ones. A search run opens
+// a session and evaluates each generation through it. A session serves
+// one sweep at a time and lives for one job: kept longer, its L2 table
+// would grow into a process-wide memo.
+type Session struct {
+	e *Explorer
+	w model.Workload
+	// lowered is set by the first sweep, with g, wh and the lowering
+	// error err.
+	lowered bool
+	err     error
+	g       ir.Graph
+	wh      uint64 // ir.WorkloadHash of w
+	ev      batch.Evaluator
+}
+
+// NewSession opens a session evaluating configurations for w on e.
+func (e *Explorer) NewSession(w model.Workload) *Session {
+	return &Session{e: e, w: w, ev: batch.Evaluator{Engine: e.Sim.Engine}}
+}
+
+// EvaluateContext sweeps configs on the session's workload, with
+// Explorer.EvaluateContext's ordering, cancellation and partial-result
+// semantics.
+func (s *Session) EvaluateContext(ctx context.Context, configs []arch.Config) ([]Point, error) {
 	ctx, sp := obs.Start(ctx, "dse.sweep")
 	defer sp.End()
 	sp.SetInt("configs", len(configs))
-	// Lower once: the operator graph depends only on the workload, so
-	// every design of the sweep shares it.
-	_, lower := obs.Start(ctx, "dse.lower")
-	g, err := ir.Lower(w)
-	lower.SetStr("model", w.Model.Name)
-	lower.End()
-	if err != nil {
-		return nil, fmt.Errorf("dse: %w", err)
+	if !s.lowered {
+		// The operator graph depends only on the workload, so every
+		// design of every sweep shares it.
+		_, lower := obs.Start(ctx, "dse.lower")
+		s.g, s.err = ir.Lower(s.w)
+		lower.SetStr("model", s.w.Model.Name)
+		lower.End()
+		s.wh = ir.WorkloadHash(s.w)
+		s.lowered = true
+	}
+	if s.err != nil {
+		return nil, fmt.Errorf("dse: %w", s.err)
 	}
 	n := len(configs)
 	sw := &sweep{
-		e:        e,
+		Session:  s,
 		ctx:      ctx,
 		configs:  configs,
-		g:        g,
-		wh:       ir.WorkloadHash(w),
-		ev:       batch.Evaluator{Engine: e.Sim.Engine},
 		progress: progressFrom(ctx),
 		tally:    tallyFrom(ctx),
 		points:   make([]Point, n),
 		done:     make([]bool, n),
 		errs:     make([]error, n),
 	}
-	workers := e.Parallelism
+	workers := s.e.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -406,16 +438,13 @@ feed:
 	return kept, errors.Join(allErrs...)
 }
 
-// sweep is one EvaluateContext call's shared state. Each design's
+// sweep is one Session.EvaluateContext call's shared state. Each design's
 // points, done and errs entries are written only by the worker holding
 // its window.
 type sweep struct {
-	e        *Explorer
+	*Session
 	ctx      context.Context
 	configs  []arch.Config
-	g        ir.Graph
-	wh       uint64 // ir.WorkloadHash of g's workload
-	ev       batch.Evaluator
 	progress ProgressFunc
 	tally    *CacheTally
 	points   []Point

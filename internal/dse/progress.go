@@ -18,8 +18,8 @@ type progressKey struct{}
 
 // WithProgress returns a context that streams evaluated points to fn:
 // any Explorer sweep run under the returned context (RunContext,
-// EvaluateContext, and the search runner's evaluations, which flow
-// through EvaluateContext) delivers each finished Point incrementally
+// EvaluateContext, and Session sweeps such as the search runner's
+// generations) delivers each finished Point incrementally
 // instead of only in the final slice. A nil fn returns ctx unchanged,
 // and sweeps without a progress func keep their zero-overhead path: the
 // callback is looked up once per sweep, never per point.

@@ -36,8 +36,8 @@ type anneal struct {
 // chain is one annealing walker.
 type chain struct {
 	weights [2]float64
-	cur     Result
-	hasCur  bool
+	// cur is the chain's current result, nil until it adopts one.
+	cur *Result
 	// stall counts observations without an accepted move.
 	stall int
 }
@@ -108,18 +108,18 @@ func (e *anneal) Propose(max int) []Genome {
 		if len(out) == max {
 			break
 		}
-		if c.hasCur && c.stall > 1 {
+		if c.cur != nil && c.stall > 1 {
 			if gs := e.archive.frontNeighbors(e.space, &e.filter, 1); len(gs) > 0 {
 				out = append(out, gs[0])
 				continue
 			}
 		}
-		if !c.hasCur || c.stall > annealStallMax {
+		if c.cur == nil || c.stall > annealStallMax {
 			// Cold or stalled chain: rotate onto a fresh scalarisation
 			// direction and restart — alternating between a perturbed
 			// front member (polish) and a random point (exploration). The
 			// archive keeps everything found so far.
-			c.hasCur = false
+			c.cur = nil
 			c.stall = 0
 			c.weights = weightVector(e.nextWeight%annealDirections, annealDirections)
 			e.nextWeight++
@@ -177,7 +177,7 @@ func (e *anneal) started() bool {
 		return true
 	}
 	for _, c := range e.chains {
-		if c.hasCur {
+		if c.cur != nil {
 			return true
 		}
 	}
@@ -236,17 +236,16 @@ func (e *anneal) Observe(results []Result) {
 		c := e.chains[ci%len(e.chains)]
 		ci++
 		e.proposed++
-		if !c.hasCur {
-			c.cur = *r
-			c.hasCur = true
+		if c.cur == nil {
+			c.cur = r
 			e.accepted++
 			continue
 		}
-		cur := chebyshev(&c.cur, c.weights, lo, hi)
+		cur := chebyshev(c.cur, c.weights, lo, hi)
 		cand := chebyshev(r, c.weights, lo, hi)
 		delta := cand - cur
 		if delta <= 0 || e.rng.Float64() < math.Exp(-delta/math.Max(e.temp, annealMinTemp)) {
-			c.cur = *r
+			c.cur = r
 			e.accepted++
 			if delta < 0 {
 				c.stall = 0

@@ -25,8 +25,8 @@ type nsga2 struct {
 	etaM  float64 // polynomial-mutation distribution index
 	// parents is the current population, sorted best-first by
 	// (rank, crowding, hash) so tournament selection can compare by
-	// position alone.
-	parents     []Result
+	// position alone. It points into observed results slices.
+	parents     []*Result
 	initialised bool
 	// filter steers offspring away from already-visited lattice points
 	// so the evaluation budget buys new designs, not revisits.
@@ -231,15 +231,17 @@ func (e *nsga2) Observe(results []Result) {
 	// design hash so crowding distances are not skewed by revisits.
 	pool := make([]*Result, 0, len(e.parents)+len(results))
 	seen := make(map[uint64]bool, cap(pool))
-	for _, rs := range [2][]Result{e.parents, results} {
-		for i := range rs {
-			r := &rs[i]
-			if r.DecodeErr != "" || seen[r.Hash] {
-				continue
-			}
+	consider := func(r *Result) {
+		if r.DecodeErr == "" && !seen[r.Hash] {
 			seen[r.Hash] = true
 			pool = append(pool, r)
 		}
+	}
+	for _, r := range e.parents {
+		consider(r)
+	}
+	for i := range results {
+		consider(&results[i])
 	}
 	if len(pool) == 0 {
 		return
@@ -261,9 +263,9 @@ func (e *nsga2) Observe(results []Result) {
 		}
 		return cmp.Compare(pool[a].Hash, pool[b].Hash)
 	})
-	next := make([]Result, min(e.pop, len(order)))
+	next := make([]*Result, min(e.pop, len(order)))
 	for i := range next {
-		next[i] = *pool[order[i]]
+		next[i] = pool[order[i]]
 	}
 	e.parents = next
 }

@@ -25,9 +25,9 @@ type pattern struct {
 	runIdx     int
 	weights    [2]float64
 	base       []int
-	baseRes    Result
-	hasBase    bool
-	step       int
+	// baseRes is the base's result, nil until a run adopts a base.
+	baseRes *Result
+	step    int
 	// polls records the index vectors proposed in the last batch, in
 	// proposal order, so Observe can map results back to moves.
 	polls [][]int
@@ -91,7 +91,7 @@ func (e *pattern) Propose(max int) []Genome {
 		}
 		return out
 	}
-	if !e.hasBase {
+	if e.baseRes == nil {
 		// Between runs: probe the unexplored neighbourhood of the current
 		// front (its missing staircase steps live there), falling back to
 		// a random probe; Observe adopts the best as the next base.
@@ -175,13 +175,13 @@ func (e *pattern) Observe(results []Result) {
 	lo, hi := e.archive.ranges()
 	e.emu.Lock()
 	defer e.emu.Unlock()
-	if !e.hasBase {
+	if e.baseRes == nil {
 		// Adopt the best result seen so far under the current weights as
 		// the run's base.
 		e.adoptBestLocked(results, lo, hi)
 		return
 	}
-	baseE := chebyshev(&e.baseRes, e.weights, lo, hi)
+	baseE := chebyshev(e.baseRes, e.weights, lo, hi)
 	bestI := -1
 	bestE := baseE
 	for i := range results {
@@ -201,7 +201,7 @@ func (e *pattern) Observe(results []Result) {
 		}
 		e.lastDir = dir
 		e.base = newBase
-		e.baseRes = results[bestI]
+		e.baseRes = &results[bestI]
 		return
 	}
 	e.lastDir = nil
@@ -224,8 +224,8 @@ func (e *pattern) adoptBestLocked(results []Result, lo, hi [2]float64) {
 		}
 	}
 	e.archive.mu.Lock()
-	for i := range e.archive.all {
-		consider(&e.archive.all[i])
+	for _, r := range e.archive.all {
+		consider(r)
 	}
 	e.archive.mu.Unlock()
 	for i := range results {
@@ -235,8 +235,7 @@ func (e *pattern) adoptBestLocked(results []Result, lo, hi [2]float64) {
 		return
 	}
 	e.base = e.space.Indices(best.Genome)
-	e.baseRes = *best
-	e.hasBase = true
+	e.baseRes = best
 	e.lastDir = nil
 	e.step = initialStep(e.space)
 }
@@ -257,9 +256,8 @@ func (e *pattern) shrinkLocked() {
 	// exploring once all directions have been polished.
 	if (e.runIdx/e.weightRuns)%2 == 1 {
 		e.base = e.space.Indices(randomGenome(e.rng, e.space.Dims()))
-		e.baseRes = Result{}
-		e.hasBase = false // adopt the evaluated random probe next Observe
+		e.baseRes = nil // adopt the evaluated random probe next Observe
 		return
 	}
-	e.hasBase = false
+	e.baseRes = nil
 }

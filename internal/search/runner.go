@@ -13,9 +13,11 @@ import (
 // Runner drives an Explorer against a Problem through the dse sweep
 // path: every proposed genome snaps to a config, deduplicates against
 // the run's archive by IR content hash, and only genuinely new designs
-// are evaluated — one explorer sweep per generation, through its point
-// store and batch evaluator, under dse.window spans. Revisited designs
-// are fed back to the engine from the archive without spending budget.
+// are evaluated — one sweep per generation, through the point store and
+// under dse.window spans, all in one dse.Session per run, so the run
+// lowers its workload once and its generations share one batch
+// evaluator. Revisited designs are fed back to the engine from the
+// archive without spending budget.
 type Runner struct {
 	// Explorer is the evaluation backend; nil means a fresh
 	// dse.NewExplorer (with its default point store).
@@ -75,6 +77,7 @@ func (r *Runner) Run(ctx context.Context, prob Problem, eng Explorer, budget int
 	if ex == nil {
 		ex = dse.NewExplorer()
 	}
+	sess := ex.NewSession(prob.Workload)
 	ctx, sp := obs.Start(ctx, "search.run")
 	defer sp.End()
 	sp.SetStr("engine", eng.Name())
@@ -90,10 +93,12 @@ func (r *Runner) Run(ctx context.Context, prob Problem, eng Explorer, budget int
 	// forever without consuming budget.
 	const maxStall = 64
 	stall := 0
-	// The run's visit archive maps config hash to evaluated result: the
-	// workload is fixed for the run, so the config hash alone identifies
-	// a design. revisits counts the proposals it served.
-	archive := make(map[uint64]Result)
+	// The run's visit archive maps config hash to evaluated result, an
+	// element of the generation's results slice, which nothing modifies
+	// once observed: the workload is fixed for the run, so the config
+	// hash alone identifies a design. revisits counts the proposals it
+	// served.
+	archive := make(map[uint64]*Result)
 	revisits := 0
 	defer func() { sp.SetInt("archive_revisits", revisits) }()
 	for out.Evaluations < budget && stall < maxStall {
@@ -132,9 +137,8 @@ func (r *Runner) Run(ctx context.Context, prob Problem, eng Explorer, budget int
 			}
 			h := ir.ConfigHash(cfg)
 			if prev, ok := archive[h]; ok {
-				prev.Genome = g
-				prev.Revisited = true
-				results[i] = prev
+				results[i] = *prev
+				results[i].Genome, results[i].Revisited = g, true
 				revisits++
 				continue
 			}
@@ -151,7 +155,7 @@ func (r *Runner) Run(ctx context.Context, prob Problem, eng Explorer, budget int
 
 		if len(newCfgs) > 0 {
 			ectx, esp := obs.Start(gctx, "search.evaluate")
-			pts, err := ex.EvaluateContext(ectx, newCfgs, prob.Workload)
+			pts, err := sess.EvaluateContext(ectx, newCfgs)
 			esp.SetInt("designs", len(newCfgs))
 			esp.End()
 			if err != nil {
@@ -164,16 +168,15 @@ func (r *Runner) Run(ctx context.Context, prob Problem, eng Explorer, budget int
 				res.Point = pts[k]
 				res.Objs = prob.objectives(pts[k])
 				res.Feasible, res.Violation = prob.feasible(pts[k])
-				archive[res.Hash] = *res
+				archive[res.Hash] = res
 				out.Evaluations++
 			}
 			// Fill batch-internal duplicates from their now-evaluated
 			// originals.
 			for _, i := range dupIdx {
-				full := archive[results[i].Hash]
-				full.Genome = results[i].Genome
-				full.Revisited = true
-				results[i] = full
+				g := results[i].Genome
+				results[i] = *archive[results[i].Hash]
+				results[i].Genome, results[i].Revisited = g, true
 				revisits++
 			}
 		}

@@ -113,6 +113,9 @@ type Explorer interface {
 	Propose(max int) []Genome
 	// Observe records evaluated results for a proposed batch, in
 	// proposal order (revisited and undecodable proposals included).
+	// An engine may keep pointers into results, so the caller must not
+	// modify the slice's elements afterwards; the runner passes a fresh
+	// slice every generation.
 	Observe(results []Result)
 	// Front returns the non-dominated feasible results observed so far,
 	// sorted by objective vector then design hash.
@@ -127,7 +130,8 @@ type Explorer interface {
 type archive struct {
 	mu   sync.Mutex
 	seen map[uint64]int // hash -> index in all
-	all  []Result
+	// all points into the observed results slices (Observe's contract).
+	all []*Result
 	// lo, hi are running per-objective ranges over feasible results,
 	// used to normalise scalarised energies; zero until the first one.
 	lo, hi [2]float64
@@ -144,7 +148,8 @@ func newArchive() archive {
 func (a *archive) add(rs []Result) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, r := range rs {
+	for j := range rs {
+		r := &rs[j]
 		if r.DecodeErr != "" {
 			continue
 		}
@@ -178,8 +183,8 @@ func (a *archive) add(rs []Result) {
 // member just before the insertion point, and the members it dominates
 // are the run just after it.
 func (a *archive) insertFront(i int) {
-	r := &a.all[i]
-	pos := sort.Search(len(a.front), func(k int) bool { return frontLess(r, &a.all[a.front[k]]) })
+	r := a.all[i]
+	pos := sort.Search(len(a.front), func(k int) bool { return frontLess(r, a.all[a.front[k]]) })
 	if pos > 0 && Dominates(a.all[a.front[pos-1]].Objs, r.Objs) {
 		return
 	}
@@ -217,7 +222,7 @@ func (a *archive) Front() []Result {
 	defer a.mu.Unlock()
 	front := make([]Result, len(a.front))
 	for k, i := range a.front {
-		front[k] = a.all[i]
+		front[k] = *a.all[i]
 	}
 	return front
 }
@@ -363,7 +368,7 @@ func (a *archive) frontNeighbors(s Space, f *visitFilter, limit int) []Genome {
 	out := make([]Genome, 0, limit)
 	slots := 2 * s.Dims()
 	for _, i := range a.front {
-		r := &a.all[i]
+		r := a.all[i]
 		slot := f.scanned[r.Hash]
 		if slot == slots {
 			continue

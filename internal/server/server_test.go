@@ -472,6 +472,48 @@ func TestDSERejectsOverflowingGrid(t *testing.T) {
 	}
 }
 
+// TestDSERejectsInvalidGridValues pins that an explicit grid holding a
+// value arch.Config.Validate rejects gets a 400 naming the field and the
+// value. Accepted, such a grid's job would fail as a whole, losing its
+// valid designs' results, and a large all-invalid grid would fail with
+// one joined error per design in its status body.
+func TestDSERejectsInvalidGridValues(t *testing.T) {
+	_, ts := newTestServer(t)
+	// grid returns a one-design grid with field set to value.
+	grid := func(field, value string) string {
+		var b strings.Builder
+		b.WriteString(`{"grid":{"tpp_target":4800`)
+		for _, f := range [][2]string{
+			{"systolic_dims", "[16]"}, {"lanes_per_core", "[4]"}, {"l1_kb", "[192]"}, {"l2_mb", "[40]"},
+			{"hbm_bandwidth_gbs", "[2000]"}, {"device_bw_gbs", "[600]"}, {"hbm_capacity_gb", "0"}, {"clock_ghz", "0"},
+		} {
+			if f[0] == field {
+				f[1] = value
+			}
+			fmt.Fprintf(&b, `,%q:%s`, f[0], f[1])
+		}
+		b.WriteString("}}")
+		return b.String()
+	}
+	negL1 := "[" + strings.Repeat("-1,", 4095) + "-1]"
+	for _, c := range []struct{ body, want string }{
+		{grid("l1_kb", "[-1,192]"), "grid.l1_kb value -1"},
+		{grid("l1_kb", negL1), "grid.l1_kb value -1"},
+		{grid("l2_mb", "[0]"), "grid.l2_mb value 0"},
+		{grid("hbm_bandwidth_gbs", "[-2000]"), "grid.hbm_bandwidth_gbs value -2000"},
+		{grid("device_bw_gbs", "[-600]"), "grid.device_bw_gbs value -600"},
+		{grid("systolic_dims", "[0,16]"), "grid.systolic_dims value 0"},
+		{grid("lanes_per_core", "[4,-4]"), "grid.lanes_per_core value -4"},
+		{grid("hbm_capacity_gb", "-80"), "grid.hbm_capacity_gb value -80"},
+		{grid("clock_ghz", "-1.41"), "grid.clock_ghz value -1.41"},
+	} {
+		resp, data := postJSON(t, ts.URL+"/v1/dse", c.body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), c.want) {
+			t.Errorf("%.120s: status %d (%s), want 400 naming %q", c.body, resp.StatusCode, data, c.want)
+		}
+	}
+}
+
 func TestDSEBackpressure503(t *testing.T) {
 	s := New(Config{
 		Workers: 1,

@@ -370,8 +370,49 @@ func (r DSERequest) grid() (dse.Grid, error) {
 		if g.TPPTarget <= 0 || g.Size() == 0 {
 			return dse.Grid{}, fmt.Errorf("grid needs a positive tpp_target and non-empty dimension lists")
 		}
+		if err := r.Grid.validate(); err != nil {
+			return dse.Grid{}, err
+		}
 		return g, nil
 	}
+}
+
+// validate refuses, before any design is evaluated, an explicit grid
+// value that arch.Config.Validate would reject in every design built
+// from it: systolic dims, lanes, L1, L2 and HBM bandwidth must be
+// positive, device bandwidth non-negative, and HBM capacity and clock
+// positive when given (0 means the default).
+func (g *GridRequest) validate() error {
+	for _, ax := range []struct {
+		field string
+		vals  []int
+	}{
+		{"systolic_dims", g.SystolicDims}, {"lanes_per_core", g.LanesPerCore},
+		{"l1_kb", g.L1KB}, {"l2_mb", g.L2MB},
+	} {
+		for _, v := range ax.vals {
+			if v <= 0 {
+				return fmt.Errorf("grid.%s value %d must be positive", ax.field, v)
+			}
+		}
+	}
+	for _, v := range g.HBMBandwidthGBs {
+		if v <= 0 {
+			return fmt.Errorf("grid.hbm_bandwidth_gbs value %g must be positive", v)
+		}
+	}
+	for _, v := range g.DeviceBWGBs {
+		if v < 0 {
+			return fmt.Errorf("grid.device_bw_gbs value %g must be non-negative", v)
+		}
+	}
+	if g.HBMCapacityGB < 0 {
+		return fmt.Errorf("grid.hbm_capacity_gb value %d must be positive", g.HBMCapacityGB)
+	}
+	if g.ClockGHz < 0 {
+		return fmt.Errorf("grid.clock_ghz value %g must be positive", g.ClockGHz)
+	}
+	return nil
 }
 
 func (r DSERequest) metric() (func(dse.Point) float64, error) {
@@ -551,7 +592,8 @@ type EnqueueResponse struct {
 	StreamURL string `json:"stream_url"`
 	// Designs is the number of designs the job will evaluate: a grid's
 	// expanded size (combinations whose one-core device already reaches
-	// the TPP budget are not counted) or a search's budget.
+	// the TPP budget are not counted), or for a search an upper bound,
+	// its budget: a run stops early when its engine converges or stalls.
 	Designs int `json:"designs"`
 	// Trace is the request's trace ID; fetch the sweep's span tree from
 	// /debug/obs/trace?trace=<id> once the job runs. Empty when tracing
