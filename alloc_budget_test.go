@@ -52,9 +52,11 @@ type allocCase struct {
 
 // allocCases are the paths whose memory claims the budgets pin: cold and
 // warm Table 3 and Table 5 sweeps, each search engine at the benchmark's
-// budget on the jan2025 lattice, and one POST /v1/classify through the
-// server's handler. Explorers run at Parallelism 1, so no count depends
-// on the CPU count.
+// budget on the jan2025 lattice, one warm Table 5 DSE job (its POST
+// /v1/dse through the server's handler and its run on the queue worker,
+// stream hub attached, no subscriber, tracing off), and one POST
+// /v1/classify through the handler. Explorers run at Parallelism 1, so
+// no count depends on the CPU count.
 func allocCases() []allocCase {
 	w := model.PaperWorkload(model.GPT3_175B())
 	explorer := func() *dse.Explorer {
@@ -99,6 +101,30 @@ func allocCases() []allocCase {
 			}
 		}})
 	}
+	cases = append(cases, allocCase{"server/dse/table5/warm", 5, func(t *testing.T) func() {
+		s := server.New(server.Config{Workers: 1, TraceCapacity: -1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+		t.Cleanup(func() { s.Close() })
+		s.Explorer().Parallelism = 1
+		// The hook signals each finished job in place of the server's,
+		// which would finish the job's stream hub; nobody reads this one.
+		finished := make(chan server.JobStatus, 1)
+		s.Queue().SetTerminalHook(func(_ *server.Job, st server.JobStatus) { finished <- st })
+		h := s.Handler()
+		job := func() {
+			req := httptest.NewRequest(http.MethodPost, "/v1/dse",
+				strings.NewReader(`{"table5":true,"rule":"oct2023","objective":"tbt"}`))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusAccepted {
+				t.Fatalf("dse: status %d: %s", rec.Code, rec.Body)
+			}
+			if st := <-finished; st.State != "succeeded" {
+				t.Fatalf("dse job: %s (%s)", st.State, st.Error)
+			}
+		}
+		job() // fills the point store
+		return job
+	}})
 	return append(cases, allocCase{"server/classify", 200, func(t *testing.T) func() {
 		s := server.New(server.Config{Workers: 1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 		t.Cleanup(func() { s.Close() })

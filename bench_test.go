@@ -421,10 +421,10 @@ func BenchmarkObsDisabledOverhead(b *testing.B) {
 
 // BenchmarkStreamOverhead prices the streaming tentpole's progress
 // plumbing (BENCH_obs.json): the cold 512-design Table 3 sweep with a
-// per-point progress callback attached must stay within ~5% of the same
-// sweep without one. The plumbing is one context lookup per sweep plus
-// one indirect call per finished point (dse.WithProgress), so the
-// callback's cost is amortised over a full simulation per point.
+// progress callback attached must stay within ~5% of the same sweep
+// without one. The plumbing is one context lookup per sweep plus one
+// indirect call per finished window of 32 points (dse.WithProgress), so
+// the callback's cost is amortised over a window of simulations.
 func BenchmarkStreamOverhead(b *testing.B) {
 	w := model.PaperWorkload(model.GPT3_175B())
 	g := dse.Table3(4800, []float64{600})
@@ -437,14 +437,23 @@ func BenchmarkStreamOverhead(b *testing.B) {
 		}
 	})
 	b.Run("sweep/progress", func(b *testing.B) {
-		// The consumer mimics a stream hub's bookkeeping: a counter and a
-		// running aggregate under a mutex, contended by the sweep workers.
+		// The consumer mimics a stream hub's bookkeeping: it reads the
+		// window's points in place, then takes a mutex once per window
+		// for a counter and a running aggregate, contended by the sweep
+		// workers.
 		var mu sync.Mutex
 		points, area := 0, 0.0
-		ctx := dse.WithProgress(context.Background(), func(p dse.Point) {
+		ctx := dse.WithProgress(context.Background(), func(win dse.Window) {
+			n, a := 0, 0.0
+			for k, p := range win.Points {
+				if win.Done[k] {
+					n++
+					a += p.AreaMM2
+				}
+			}
 			mu.Lock()
-			points++
-			area += p.AreaMM2
+			points += n
+			area += a
 			mu.Unlock()
 		})
 		b.ReportAllocs()

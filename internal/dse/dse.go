@@ -7,15 +7,18 @@
 package dse
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/area"
@@ -322,28 +325,19 @@ func (e *Explorer) Evaluate(configs []arch.Config, w model.Workload) ([]Point, e
 // errors.Join, and every successful point still returned — one bad design
 // no longer discards an entire sweep.
 //
-// It is a Session with one sweep: the workload is lowered once and the
-// configs split into fixed windows of batch.DefaultWidth designs.
-// Parallelism workers each take one window at a time from the caller:
-// they probe the point store, claim the misses in its single-flight layer
-// in one critical section, evaluate the claimed misses (one
-// batch.Evaluator pass, or one Sim.SimulateGraphContext call per design
-// when Sim.Backend is set), finish, store and release them, wait for
-// misses another sweep is computing, and deliver the window's points in
-// input order to the context's ProgressFunc. Each window records one
-// dse.window span with int attributes configs, hits (memory), misses
-// (simulated here) and shared (computed by a concurrent sweep).
+// It is a Session with one sweep, collected into the returned slice: see
+// Session.Sweep for the windows, their spans and their progress delivery.
 func (e *Explorer) EvaluateContext(ctx context.Context, configs []arch.Config, w model.Workload) ([]Point, error) {
 	return e.NewSession(w).EvaluateContext(ctx, configs)
 }
 
 // Session evaluates one job's sweeps of one workload. Its first sweep
 // lowers and hashes the workload, inside that sweep's dse.sweep span, and
-// every sweep shares the graph and one batch.Evaluator, so the L2
-// blocking searches of earlier sweeps serve later ones. A search run opens
-// a session and evaluates each generation through it. A session serves
-// one sweep at a time and lives for one job: kept longer, its L2 table
-// would grow into a process-wide memo.
+// every sweep shares the graph, one batch.Evaluator and the window
+// workers' scratch, so the L2 blocking searches of earlier sweeps serve
+// later ones. A search run opens a session and evaluates each generation
+// through it. A session serves one sweep at a time and lives for one job:
+// kept longer, its L2 table would grow into a process-wide memo.
 type Session struct {
 	e *Explorer
 	w model.Workload
@@ -354,6 +348,9 @@ type Session struct {
 	g       ir.Graph
 	wh      uint64 // ir.WorkloadHash of w
 	ev      batch.Evaluator
+	// windows holds one scratch per window worker, grown to the most
+	// workers a sweep has used.
+	windows []*window
 }
 
 // NewSession opens a session evaluating configurations for w on e.
@@ -363,8 +360,58 @@ func (e *Explorer) NewSession(w model.Workload) *Session {
 
 // EvaluateContext sweeps configs on the session's workload, with
 // Explorer.EvaluateContext's ordering, cancellation and partial-result
-// semantics.
+// semantics. It is Sweep writing each point straight into the slice it
+// returns.
 func (s *Session) EvaluateContext(ctx context.Context, configs []arch.Config) ([]Point, error) {
+	points := make([]Point, len(configs))
+	done := make([]bool, len(configs))
+	err := s.Sweep(ctx, configs, func(i int) *Point { return &points[i] }, func(w Window) {
+		copy(done[w.Lo:], w.Done)
+	})
+	if err == nil {
+		return points, nil
+	}
+	kept := points[:0]
+	for i, ok := range done {
+		if ok {
+			kept = append(kept, points[i])
+		}
+	}
+	return kept, err
+}
+
+// Sweep evaluates configs on the session's workload a window at a time.
+// The configs split into fixed windows of batch.DefaultWidth designs, and
+// Parallelism workers each take one window at a time from the caller.
+// A worker probes the point store, claims the misses in its single-flight
+// layer in one critical section, evaluates the claimed misses (one
+// batch.Evaluator pass, or one Sim.SimulateGraphContext call per design
+// when Sim.Backend is set), finishes, stores and releases them, and waits
+// for misses another sweep is computing. It then hands the finished
+// Window to visit and to the context's ProgressFunc, in that order (a nil
+// one is skipped). Windows finish in any order and every worker calls
+// the visitors, so they must be safe for concurrent use.
+//
+// at places the points: design i's point is written to *at(i), which the
+// caller owns, one place per design. With a nil at, each worker writes
+// into a window buffer of its own and reuses it for its next window, so
+// a caller that only folds the points keeps none of them.
+//
+// Each window records one dse.window span with int attributes configs,
+// hits (memory), misses (simulated here) and shared (computed by a
+// concurrent sweep), and the whole microseconds it spent in each stage:
+// probe_us (store probes), claim_us (single-flight claims, releases and
+// waits), evaluate_us, finish_us (finishing and storing what it
+// evaluated) and emit_us (the visitors). Each stage's time also goes to
+// the dse.window.<stage> histogram once per window; claim, evaluate and
+// finish only from windows that missed. Without a recorder in ctx a
+// window reads no clock.
+//
+// Sweep returns nil once every design is evaluated. Otherwise it returns
+// the designs' own failures, joined in input order, then an error
+// wrapping ctx.Err() when ctx ended first; every window evaluated before
+// then was visited.
+func (s *Session) Sweep(ctx context.Context, configs []arch.Config, at func(i int) *Point, visit ProgressFunc) error {
 	ctx, sp := obs.Start(ctx, "dse.sweep")
 	defer sp.End()
 	sp.SetInt("configs", len(configs))
@@ -379,22 +426,26 @@ func (s *Session) EvaluateContext(ctx context.Context, configs []arch.Config) ([
 		s.lowered = true
 	}
 	if s.err != nil {
-		return nil, fmt.Errorf("dse: %w", s.err)
+		return fmt.Errorf("dse: %w", s.err)
 	}
 	n := len(configs)
 	sw := &sweep{
 		Session:  s,
 		ctx:      ctx,
 		configs:  configs,
+		at:       at,
+		visit:    visit,
 		progress: progressFrom(ctx),
 		tally:    tallyFrom(ctx),
-		points:   make([]Point, n),
-		done:     make([]bool, n),
-		errs:     make([]error, n),
+		rec:      obs.RecorderFrom(ctx),
 	}
 	workers := s.e.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, (n+batch.DefaultWidth-1)/batch.DefaultWidth)
+	for len(s.windows) < workers {
+		s.windows = append(s.windows, new(window))
 	}
 	// The caller hands out window starts one at a time: a worker that
 	// finds none ready parks, which gives the scheduler the idle
@@ -402,9 +453,10 @@ func (s *Session) EvaluateContext(ctx context.Context, configs []arch.Config) ([
 	// requests are not starved behind the sweep.
 	windows := make(chan int)
 	var wg sync.WaitGroup
-	for i := 0; i < min(workers, (n+batch.DefaultWidth-1)/batch.DefaultWidth); i++ {
+	for _, w := range s.windows[:workers] {
+		w.sw = sw
 		wg.Add(1)
-		go func() { defer wg.Done(); sw.work(windows) }()
+		go func() { defer wg.Done(); w.work(windows) }()
 	}
 feed:
 	for lo := 0; lo < n; lo += batch.DefaultWidth {
@@ -416,120 +468,200 @@ feed:
 	}
 	close(windows)
 	wg.Wait()
+	for _, w := range s.windows[:workers] {
+		w.release()
+	}
 
-	allErrs := make([]error, 0, 1)
-	for _, err := range sw.errs {
-		if err != nil {
-			allErrs = append(allErrs, err)
-		}
+	cerr := ctx.Err()
+	if len(sw.errs) == 0 && cerr == nil {
+		return nil
 	}
-	if err := ctx.Err(); err != nil {
-		allErrs = append(allErrs, fmt.Errorf("dse: sweep aborted: %w", err))
+	slices.SortFunc(sw.errs, func(a, b designErr) int { return cmp.Compare(a.i, b.i) })
+	errs := make([]error, 0, len(sw.errs)+1)
+	for _, de := range sw.errs {
+		errs = append(errs, de.err)
 	}
-	if len(allErrs) == 0 {
-		return sw.points, nil
+	if cerr != nil {
+		errs = append(errs, fmt.Errorf("dse: sweep aborted: %w", cerr))
 	}
-	kept := sw.points[:0]
-	for i, ok := range sw.done {
-		if ok {
-			kept = append(kept, sw.points[i])
-		}
-	}
-	return kept, errors.Join(allErrs...)
+	return errors.Join(errs...)
 }
 
-// sweep is one Session.EvaluateContext call's shared state. Each design's
-// points, done and errs entries are written only by the worker holding
-// its window.
+// sweep is one Session.Sweep call's shared state.
 type sweep struct {
 	*Session
-	ctx      context.Context
-	configs  []arch.Config
-	progress ProgressFunc
-	tally    *CacheTally
-	points   []Point
-	done     []bool
-	errs     []error
+	ctx             context.Context
+	configs         []arch.Config
+	at              func(int) *Point
+	visit, progress ProgressFunc
+	tally           *CacheTally
+	rec             *obs.Recorder
+
+	mu   sync.Mutex
+	errs []designErr // under mu
 }
 
-// window is one worker's scratch, reused across the windows it takes:
-// nothing in it escapes a window.
+// designErr is one design's failure, at its index in the sweep's configs.
+type designErr struct {
+	i   int
+	err error
+}
+
+// fail records design i's failure.
+func (sw *sweep) fail(i int, err error) {
+	sw.mu.Lock()
+	sw.errs = append(sw.errs, designErr{i, fmt.Errorf("dse: %s: %w", sw.configs[i].Name, err)})
+	sw.mu.Unlock()
+}
+
+// The timed stages of a window, in the order a window runs them.
+const (
+	stageProbe = iota
+	stageClaim
+	stageEvaluate
+	stageFinish
+	stageEmit
+	numStages
+)
+
+var (
+	stageAttrs = [numStages]string{"probe_us", "claim_us", "evaluate_us", "finish_us", "emit_us"}
+	stageNames = [numStages]string{"dse.window.probe", "dse.window.claim", "dse.window.evaluate", "dse.window.finish", "dse.window.emit"}
+)
+
+// window is one worker's scratch, reused across the windows it takes and
+// kept by the session across its sweeps.
 type window struct {
 	sw *sweep
-	// miss holds the design indices that missed memory, keys their
-	// point keys, and all the positions 0..DefaultWidth-1 into both.
+	// lo is the index of the current window's first design. pts[k] is
+	// where design lo+k's point goes and done[k] whether it was
+	// evaluated; own backs pts when the sweep places no points itself.
+	lo   int
+	pts  [batch.DefaultWidth]*Point
+	done [batch.DefaultWidth]bool
+	own  []Point
+	// miss holds the window positions that missed memory and keys their
+	// point keys.
 	miss []int
 	keys []store.Key
-	all  []int
 	buf  store.WindowBuf
 	// cfgs and out are the batch evaluator's input and output.
 	cfgs []arch.Config
 	out  batch.Outcome
 	// The current window's span tallies.
 	hits, misses, shared int
+	// With a recorder, mark is when the last stage ended and dur holds
+	// each stage's time in the current window.
+	mark time.Time
+	dur  [numStages]time.Duration
+}
+
+// positions lists the window positions 0..DefaultWidth-1: a window
+// without a store evaluates positions[:len(miss)] of its misses.
+var positions = func() (p [batch.DefaultWidth]int) {
+	for i := range p {
+		p[i] = i
+	}
+	return p
+}()
+
+// release drops the window's references into its last sweep, so a
+// session kept between sweeps does not keep the caller's points alive.
+func (w *window) release() {
+	w.sw = nil
+	clear(w.pts[:])
 }
 
 // work evaluates the windows starting at each design index it receives,
 // skipping them once the sweep's context has ended.
-func (sw *sweep) work(windows <-chan int) {
-	const width = batch.DefaultWidth
-	w := &window{sw: sw, all: make([]int, width)}
-	for i := range w.all {
-		w.all[i] = i
-	}
+func (w *window) work(windows <-chan int) {
+	sw := w.sw
 	for lo := range windows {
 		if sw.ctx.Err() != nil {
 			continue // cancelled: drain without evaluating
 		}
-		w.run(lo, min(lo+width, len(sw.configs)))
+		w.run(lo, min(lo+batch.DefaultWidth, len(sw.configs)))
 		// Let a readied stream writer onto a processor between windows,
 		// so streamed points reach clients while the sweep goes on.
 		runtime.Gosched()
 	}
 }
 
-// run evaluates the designs [lo, hi) and delivers them to the sweep's
-// progress callback.
+// lap adds the time since the previous lap to stage s. Without a
+// recorder it reads no clock.
+func (w *window) lap(s int) {
+	if w.sw.rec == nil {
+		return
+	}
+	now := time.Now()
+	w.dur[s] += now.Sub(w.mark)
+	w.mark = now
+}
+
+// run evaluates the designs [lo, hi) and hands them to the sweep's
+// visitors.
 func (w *window) run(lo, hi int) {
 	sw := w.sw
 	ctx, sp := obs.Start(sw.ctx, "dse.window")
 	defer sp.End()
+	if sw.rec != nil {
+		w.mark, w.dur = time.Now(), [numStages]time.Duration{}
+	}
+	n := hi - lo
+	w.lo = lo
+	if sw.at == nil && w.own == nil {
+		w.own = make([]Point, batch.DefaultWidth)
+	}
+	for k := 0; k < n; k++ {
+		if sw.at != nil {
+			w.pts[k] = sw.at(lo + k)
+		} else {
+			w.pts[k] = &w.own[k]
+		}
+		w.done[k] = false
+	}
 	w.hits, w.misses, w.shared = 0, 0, 0
 	w.miss, w.keys = w.miss[:0], w.keys[:0]
 	cache := sw.e.Cache
-	for i := lo; i < hi; i++ {
+	for k := 0; k < n; k++ {
 		if cache == nil {
-			w.miss = append(w.miss, i)
+			w.miss = append(w.miss, k)
 			continue
 		}
-		k := store.Key{Hi: ir.ConfigHash(sw.configs[i]), Lo: sw.wh} // == PointKey(cfg, workload)
-		if p, ok := cache.Get(ctx, k); ok {
-			w.serve(i, p)
+		key := store.Key{Hi: ir.ConfigHash(sw.configs[lo+k]), Lo: sw.wh} // == PointKey(cfg, workload)
+		if cache.GetInto(key, w.pts[k]) {
+			w.serve(k)
 			w.hits++
 			continue
 		}
-		w.miss = append(w.miss, i)
-		w.keys = append(w.keys, k)
+		w.miss = append(w.miss, k)
+		w.keys = append(w.keys, key)
 	}
+	w.lap(stageProbe)
 	switch {
 	case len(w.miss) == 0:
 	case cache == nil:
-		w.evaluate(ctx, w.all[:len(w.miss)])
+		w.evaluate(ctx, positions[:len(w.miss)])
 	default:
 		// Misses complete under the single-flight layer, so concurrent
-		// identical sweeps share one evaluation per design.
+		// identical sweeps share one evaluation per design. The claim
+		// stage is all ComputeWindow spends outside compute: claims,
+		// re-probes, releases and waits.
 		cache.ComputeWindow(ctx, w.keys, &w.buf, func(lead []int) { //nolint:errcheck // a cancelled sweep reports ctx.Err() itself
+			w.lap(stageClaim)
 			w.evaluate(ctx, lead)
 		}, func(j int, p Point, shared bool) {
-			w.serve(w.miss[j], p)
+			*w.pts[w.miss[j]] = p
+			w.serve(w.miss[j])
 			if shared {
 				w.shared++
 			} else {
 				w.hits++
 			}
 		})
+		w.lap(stageClaim)
 	}
-	sp.SetInt("configs", hi-lo)
+	sp.SetInt("configs", n)
 	sp.SetInt("hits", w.hits)
 	sp.SetInt("misses", w.misses)
 	sp.SetInt("shared", w.shared)
@@ -537,82 +669,96 @@ func (w *window) run(lo, hi int) {
 		sw.tally.Hits.Add(uint64(w.hits + w.shared))
 		sw.tally.Misses.Add(uint64(w.misses))
 	}
-	if sw.progress != nil {
-		for i := lo; i < hi; i++ {
-			if sw.done[i] {
-				sw.progress(sw.points[i])
+	if sw.visit != nil || sw.progress != nil {
+		win := Window{Lo: lo, Points: w.pts[:n], Done: w.done[:n]}
+		if sw.visit != nil {
+			sw.visit(win)
+		}
+		if sw.progress != nil {
+			sw.progress(win)
+		}
+	}
+	w.lap(stageEmit)
+	if sw.rec != nil {
+		missed := len(w.miss) > 0
+		for s, d := range w.dur {
+			sp.SetInt(stageAttrs[s], int(d/time.Microsecond))
+			if missed || s == stageProbe || s == stageEmit {
+				sw.rec.Observe(stageNames[s], d)
 			}
 		}
 	}
 }
 
-// serve places a stored point at design i. The point may have been
-// evaluated under a different grid's display name; the requested one is
-// restored.
-func (w *window) serve(i int, p Point) {
-	cfg := w.sw.configs[i]
-	p.Config = cfg
-	p.Result.Config = cfg
-	w.sw.points[i] = p
-	w.sw.done[i] = true
+// serve completes the stored point at window position k. It may have
+// been evaluated under a different grid's display name; the requested
+// one is restored.
+func (w *window) serve(k int) {
+	p, cfg := w.pts[k], &w.sw.configs[w.lo+k]
+	p.Config = *cfg
+	p.Result.Config = *cfg
+	w.done[k] = true
 }
 
 // evaluate simulates the missed designs at positions lead of w.miss,
 // then finishes and stores each one that succeeds.
 func (w *window) evaluate(ctx context.Context, lead []int) {
 	sw := w.sw
-	simr := sw.e.Sim
-	if simr.Backend != nil || simr.Engine == nil {
-		for _, j := range lead {
-			if ctx.Err() != nil {
-				return
-			}
-			i := w.miss[j]
-			r, err := simr.SimulateGraphContext(ctx, sw.configs[i], sw.g)
-			w.misses++
-			if err != nil {
-				sw.errs[i] = fmt.Errorf("dse: %s: %w", sw.configs[i].Name, err)
-				continue
-			}
-			w.finish(ctx, j, &r)
-		}
-		return
-	}
-	w.cfgs = w.cfgs[:0]
-	for _, j := range lead {
-		w.cfgs = append(w.cfgs, sw.configs[w.miss[j]])
-	}
 	out := &w.out
 	if out.Results == nil { // first evaluation of this worker
 		out.Results, out.Done = make([]sim.Result, batch.DefaultWidth), make([]bool, batch.DefaultWidth)
 	}
 	out.Results, out.Done = out.Results[:len(lead)], out.Done[:len(lead)]
-	// The per-op Times escape into the points (and the store), so their
-	// backing array is the window's own. The only sweep-level error is
-	// cancellation, which EvaluateContext reports from ctx.
-	sw.ev.SweepInto(ctx, w.cfgs, sw.g, out, make([]perf.Time, len(lead)*len(sw.g.Nodes))) //nolint:errcheck
+	if simr := sw.e.Sim; simr.Backend != nil || simr.Engine == nil {
+		out.Errs = nil
+		for k, j := range lead {
+			out.Done[k] = false
+			if ctx.Err() != nil {
+				continue
+			}
+			i := w.lo + w.miss[j]
+			r, err := simr.SimulateGraphContext(ctx, sw.configs[i], sw.g)
+			if err != nil {
+				sw.fail(i, err)
+				w.misses++
+				continue
+			}
+			out.Results[k], out.Done[k] = r, true
+		}
+	} else {
+		w.cfgs = w.cfgs[:0]
+		for _, j := range lead {
+			w.cfgs = append(w.cfgs, sw.configs[w.lo+w.miss[j]])
+		}
+		// The per-op Times escape into the points (and the store), so
+		// their backing array is the window's own. The only sweep-level
+		// error is cancellation, which Sweep reports from ctx.
+		sw.ev.SweepInto(ctx, w.cfgs, sw.g, out, make([]perf.Time, len(lead)*len(sw.g.Nodes))) //nolint:errcheck
+	}
+	w.lap(stageEvaluate)
 	for k, j := range lead {
-		i := w.miss[j]
 		if out.Errs != nil && out.Errs[k] != nil {
-			sw.errs[i] = fmt.Errorf("dse: %s: %w", sw.configs[i].Name, out.Errs[k])
+			sw.fail(w.lo+w.miss[j], out.Errs[k])
 			w.misses++
 		} else if out.Done[k] {
 			w.finish(ctx, j, &out.Results[k])
 			w.misses++
 		}
 	}
+	w.lap(stageFinish)
 }
 
 // finish completes the missed design at position j of w.miss from its
 // simulated profile and stores it.
 func (w *window) finish(ctx context.Context, j int, r *sim.Result) {
 	sw := w.sw
-	i := w.miss[j]
-	sw.e.finishPoint(&sw.points[i], sw.configs[i], r)
+	k := w.miss[j]
+	p := w.pts[k]
+	sw.e.finishPoint(p, sw.configs[w.lo+k], r)
 	if sw.e.Cache != nil {
-		sw.e.Cache.Put(ctx, w.keys[j], sw.points[i])
+		sw.e.Cache.Put(ctx, w.keys[j], *p)
 	}
-	sw.done[i] = true
+	w.done[k] = true
 }
 
 // finishPoint derives the area, TPP, compliance and cost fields of one

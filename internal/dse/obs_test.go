@@ -152,3 +152,53 @@ func TestEvaluateWithoutRecorderStaysSilent(t *testing.T) {
 	// is that the instrumented path runs clean with tracing off, and
 	// (under -race) that the nil fast path is race-free.
 }
+
+// TestWindowStagesTimedOncePerWindow pins the sweep's timing to its
+// windows: a warm Table 5 sweep (2304 designs, 72 windows) under a fresh
+// recorder leaves no stage histogram with more samples than windows, so
+// nothing on the warm path observes per design, and each dse.window span
+// carries every stage's time. A cold sweep times its evaluation and
+// finishing stages in every window that missed.
+func TestWindowStagesTimedOncePerWindow(t *testing.T) {
+	e := NewExplorer()
+	w := model.PaperWorkload(model.GPT3_175B())
+	configs := Table5().Expand()
+	windows := (len(configs) + 31) / 32
+	for _, run := range []string{"cold", "warm"} {
+		rec := obs.NewRecorder(0)
+		if _, err := e.EvaluateContext(obs.WithRecorder(context.Background(), rec), configs, w); err != nil {
+			t.Fatal(err)
+		}
+		stages := map[string]uint64{}
+		for _, st := range rec.StageStats() {
+			stages[st.Stage] = st.Count
+			if st.Count > uint64(windows) {
+				t.Errorf("%s: stage %s has %d samples, more than the sweep's %d windows", run, st.Stage, st.Count, windows)
+			}
+		}
+		want := []string{"dse.window.probe", "dse.window.emit"}
+		if run == "cold" {
+			want = append(want, "dse.window.claim", "dse.window.evaluate", "dse.window.finish")
+		}
+		for _, stage := range want {
+			if stages[stage] != uint64(windows) {
+				t.Errorf("%s: stage %s has %d samples, want one per window (%d)", run, stage, stages[stage], windows)
+			}
+		}
+		spans := 0
+		for _, sr := range rec.Spans() {
+			if sr.Name != "dse.window" {
+				continue
+			}
+			spans++
+			for _, attr := range []string{"probe_us", "claim_us", "evaluate_us", "finish_us", "emit_us"} {
+				if v, ok := attrValue(sr, attr); !ok || v.(int) < 0 {
+					t.Errorf("%s: dse.window span has %s = %v", run, attr, v)
+				}
+			}
+		}
+		if spans != windows {
+			t.Errorf("%s: %d dse.window spans, want %d", run, spans, windows)
+		}
+	}
+}

@@ -5,24 +5,39 @@ import (
 	"sync/atomic"
 )
 
-// ProgressFunc receives each design point once its evaluation window
-// finishes — cache hits and fresh simulations alike. Each window
-// delivers its points in input order, but windows finish in any order
+// Window is one finished sweep window as its visitors see it: Points[k]
+// is the point of design Lo+k of the sweep's configs, and Done[k] reports
+// whether that design was evaluated (one that failed, or that
+// cancellation stopped, was not, and its point means nothing). Cache hits
+// and fresh simulations alike are Done.
+//
+// The slices, and the points they reach, belong to the sweep, which may
+// reuse them for its next window once the visitor returns. A visitor must
+// not keep either slice or any of the pointers after the call, and must
+// not modify the points: it copies out what it needs.
+type Window struct {
+	Lo     int
+	Points []*Point
+	Done   []bool
+}
+
+// ProgressFunc receives each finished window of a sweep, its points in
+// input order, under the Window contract. Windows finish in any order
 // and the callback is invoked concurrently from every window worker, so
 // implementations must be safe for concurrent use and should return
 // quickly (a slow callback stalls the worker that delivers it).
-type ProgressFunc func(Point)
+type ProgressFunc func(Window)
 
 // progressKey carries the per-sweep ProgressFunc through the context.
 type progressKey struct{}
 
-// WithProgress returns a context that streams evaluated points to fn:
+// WithProgress returns a context that streams evaluated windows to fn:
 // any Explorer sweep run under the returned context (RunContext,
 // EvaluateContext, and Session sweeps such as the search runner's
-// generations) delivers each finished Point incrementally
+// generations) delivers each finished window incrementally
 // instead of only in the final slice. A nil fn returns ctx unchanged,
 // and sweeps without a progress func keep their zero-overhead path: the
-// callback is looked up once per sweep, never per point.
+// callback is looked up once per sweep, never per window.
 func WithProgress(ctx context.Context, fn ProgressFunc) context.Context {
 	if fn == nil {
 		return ctx

@@ -154,8 +154,11 @@ func (r *Runner) Run(ctx context.Context, prob Problem, eng Explorer, budget int
 		out.Proposals += len(genomes)
 
 		if len(newCfgs) > 0 {
+			// The sweep writes each new design's point straight into its
+			// result; objectives, feasibility and the archive follow in
+			// proposal order once the whole generation is in.
 			ectx, esp := obs.Start(gctx, "search.evaluate")
-			pts, err := sess.EvaluateContext(ectx, newCfgs)
+			err := sess.Sweep(ectx, newCfgs, func(k int) *dse.Point { return &results[newIdx[k]].Point }, nil)
 			esp.SetInt("designs", len(newCfgs))
 			esp.End()
 			if err != nil {
@@ -163,11 +166,10 @@ func (r *Runner) Run(ctx context.Context, prob Problem, eng Explorer, budget int
 				out.Front = eng.Front()
 				return out, fmt.Errorf("search: generation %d: %w", out.Generations, err)
 			}
-			for k, i := range newIdx {
+			for _, i := range newIdx {
 				res := &results[i]
-				res.Point = pts[k]
-				res.Objs = prob.objectives(pts[k])
-				res.Feasible, res.Violation = prob.feasible(pts[k])
+				res.Objs = prob.objectives(res.Point)
+				res.Feasible, res.Violation = prob.feasible(res.Point)
 				archive[res.Hash] = res
 				out.Evaluations++
 			}

@@ -325,11 +325,16 @@ func newVisitFilter() visitFilter {
 	return visitFilter{seen: make(map[uint64]bool), scanned: make(map[uint64]int)}
 }
 
-// key hashes snapped indices.
+// key hashes the snapped indices, Space.Indices(g) folded level by
+// level without building the slice.
 func (f *visitFilter) key(s Space, g Genome) uint64 {
 	h := uint64(1469598103934665603) // FNV-1a offset basis
-	for _, i := range s.Indices(g) {
-		h ^= uint64(i)
+	for i, a := range s.Axes {
+		level := 0
+		if i < len(g) {
+			level = a.Snap(g[i])
+		}
+		h ^= uint64(level)
 		h *= 1099511628211
 	}
 	return h

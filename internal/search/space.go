@@ -226,7 +226,12 @@ func (s Space) Decode(g Genome) (arch.Config, error) {
 		return arch.Config{}, fmt.Errorf("search: genome has %d coordinates, space %q has %d axes",
 			len(g), s.Name, len(s.Axes))
 	}
-	return s.At(s.Indices(g))
+	var buf [16]int // room for every axis role; a longer genome spills to the heap
+	idx := buf[:0]
+	for i, a := range s.Axes {
+		idx = append(idx, a.Snap(g[i]))
+	}
+	return s.At(idx)
 }
 
 // At materialises the configuration at explicit per-axis level indices.

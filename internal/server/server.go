@@ -48,7 +48,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -602,33 +601,27 @@ func (s *Server) parseDSE(req DSERequest) (*jobSpec, error) {
 		jsp.SetInt("designs", designs)
 		start := time.Now()
 		var tally dse.CacheTally
-		points, err := s.explorer.RunContext(dse.WithCacheTally(ctx, &tally), grid, wl)
+		configs := grid.Expand()
+		fold := newDSEFold(len(configs), top, keep, metric)
+		if err := s.explorer.NewSession(wl).Sweep(dse.WithCacheTally(ctx, &tally), configs, nil, fold.visit); err != nil {
+			return nil, err
+		}
+		ranked := fold.ranked()
+		best, err := fold.best(ranked)
 		if err != nil {
 			return nil, err
 		}
-		ranked := rankAdmissible(points, keep, metric)
 		res := DSEResult{
 			Grid:        grid.Name,
 			Workload:    wl.Model.Name,
 			Rule:        rule,
 			Objective:   objective,
-			Designs:     len(points),
+			Designs:     fold.designs,
 			Admissible:  len(ranked),
+			Top:         best,
 			CacheHits:   tally.Hits.Load(),
 			CacheMisses: tally.Misses.Load(),
 			DurationMS:  float64(time.Since(start)) / float64(time.Millisecond),
-		}
-		for i, k := range ranked[:min(top, len(ranked))] {
-			p := &points[k]
-			res.Top = append(res.Top, DesignSummary{
-				Rank:       i + 1,
-				Config:     p.Config.Name,
-				TTFTMS:     p.TTFT() * 1e3,
-				TBTMS:      p.TBT() * 1e3,
-				AreaMM2:    p.AreaMM2,
-				PD:         p.PD,
-				DieCostUSD: p.DieCostUSD,
-			})
 		}
 		if s.explorer.Cache != nil {
 			jsp.SetInt("cache_hits", int(res.CacheHits))
@@ -643,31 +636,6 @@ func (s *Server) parseDSE(req DSERequest) (*jobSpec, error) {
 		hub:     newStreamHub(metric, dse.MetricArea, keep),
 		run:     run,
 	}, nil
-}
-
-// rankAdmissible returns the indices of the points keep admits, by
-// ascending metric. It sorts (value, index) keys built in input order
-// rather than the points themselves: sort.Slice's permutation depends
-// only on the length and the comparison outcomes, so every tie falls
-// exactly as in a sort.Slice over the admitted points, without moving
-// whole points.
-func rankAdmissible(points []dse.Point, keep func(dse.Point) bool, metric func(dse.Point) float64) []int {
-	type key struct {
-		v float64
-		i int
-	}
-	keys := make([]key, 0, len(points))
-	for i := range points {
-		if keep(points[i]) {
-			keys = append(keys, key{metric(points[i]), i})
-		}
-	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a].v < keys[b].v })
-	ranked := make([]int, len(keys))
-	for r, k := range keys {
-		ranked[r] = k.i
-	}
-	return ranked
 }
 
 // parseSearch validates a search request into a job that drives a
@@ -744,7 +712,7 @@ func (s *Server) enqueue(js *jobSpec, sc obs.SpanContext, id string) (*Job, erro
 		ctx = sc.Attach(ctx)
 		_, wait := obs.StartAt(ctx, "queue.wait", enqueuedAt)
 		wait.End() // enqueue → dequeue: ends the moment the worker picks us up
-		return js.run(dse.WithProgress(ctx, js.hub.point))
+		return js.run(dse.WithProgress(ctx, js.hub.window))
 	})
 	if err != nil {
 		return nil, err

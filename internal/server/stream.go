@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/batch"
 	"repro/internal/dse"
 	"repro/internal/obs"
 )
@@ -17,8 +18,8 @@ import (
 // design, a running Pareto front refreshed as it improves, and a
 // terminal summary frame carrying the job's final status. The frames
 // ride the dse.WithProgress callback, which the explorer's window
-// workers call once per design after each window, outside the batch
-// evaluator's hot loop.
+// workers call once per finished window, outside the batch evaluator's
+// hot loop.
 
 // StreamPoint is one design on the wire: the summary fields plus the
 // point's coordinates on the running front's axes (for DSE jobs X is
@@ -87,34 +88,60 @@ func newStreamHub(xf, yf func(dse.Point) float64, keep func(dse.Point) bool) *st
 	return &streamHub{xf: xf, yf: yf, keep: keep}
 }
 
-// point is the dse.ProgressFunc bridge: safe for concurrent use, called
-// by every sweep worker as designs finish.
-func (h *streamHub) point(p dse.Point) {
-	sp := StreamPoint{
-		Config:     p.Config.Name,
-		TTFTMS:     p.TTFT() * 1e3,
-		TBTMS:      p.TBT() * 1e3,
-		AreaMM2:    p.AreaMM2,
-		PD:         p.PD,
-		DieCostUSD: p.DieCostUSD,
-		Admissible: h.keep(p),
-		X:          h.xf(p),
-		Y:          h.yf(p),
+// window is the dse.ProgressFunc bridge, safe for concurrent use and
+// called by every sweep worker as its windows finish. It builds the
+// window's stream points outside the lock, reading each point in place,
+// then takes the lock once for the whole window: a point frame per
+// evaluated design, in input order, and a front frame after every
+// frontEvery-th point frame.
+func (h *streamHub) window(w dse.Window) {
+	var buf [batch.DefaultWidth]StreamPoint
+	sps := buf[:0]
+	for k, p := range w.Points {
+		if !w.Done[k] {
+			continue
+		}
+		sps = append(sps, StreamPoint{
+			Config:     p.Config.Name,
+			TTFTMS:     p.TTFT() * 1e3,
+			TBTMS:      p.TBT() * 1e3,
+			AreaMM2:    p.AreaMM2,
+			PD:         p.PD,
+			DieCostUSD: p.DieCostUSD,
+			Admissible: h.keep(*p),
+			X:          h.xf(*p),
+			Y:          h.yf(*p),
+		})
+	}
+	if len(sps) == 0 {
+		return
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.done {
 		return // a straggler worker after cancellation; the stream is over
 	}
-	h.points++
-	h.seq++
-	h.broadcastLocked(StreamFrame{Type: "point", Seq: h.seq, Point: &sp})
-	if sp.Admissible {
-		h.insertFrontLocked(sp)
+	// Queued point frames point into one copy of the window's points,
+	// made only when someone is listening.
+	var sent []StreamPoint
+	if len(h.subs) > 0 {
+		sent = append(sent, sps...)
 	}
-	if h.points%frontEvery == 0 && len(h.front) > 0 {
+	for k := range sps {
+		h.points++
 		h.seq++
-		h.broadcastLocked(StreamFrame{Type: "front", Seq: h.seq, Front: h.frontCopyLocked()})
+		if sent != nil {
+			h.broadcastLocked(StreamFrame{Type: "point", Seq: h.seq, Point: &sent[k]})
+		}
+		if sps[k].Admissible {
+			h.insertFrontLocked(sps[k])
+		}
+		if h.points%frontEvery == 0 && len(h.front) > 0 {
+			h.seq++
+			if len(h.subs) > 0 {
+				h.broadcastLocked(StreamFrame{Type: "front", Seq: h.seq, Front: h.frontCopyLocked()})
+			}
+		}
 	}
 }
 

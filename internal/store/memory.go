@@ -71,23 +71,24 @@ func (m *memory[V]) shardOf(k Key) *shard[V] {
 	return &m.shards[(k.Hi^k.Lo)>>(64-shardBits)]
 }
 
-// get returns the value cached for k, marking it most recently used.
+// get copies the value cached for k to *dst, marking it most recently
+// used, and reports whether there was one; on a miss *dst is untouched.
 //
 //acr:hotpath
-func (m *memory[V]) get(k Key) (V, bool) {
+func (m *memory[V]) get(k Key, dst *V) bool {
 	s := m.shardOf(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.entries[k]
 	if !ok {
 		s.misses++
-		var zero V
-		return zero, false
+		return false
 	}
 	s.hits++
 	e.unlink()
 	s.pushFront(e)
-	return e.value, true
+	*dst = e.value
+	return true
 }
 
 // put inserts or refreshes k, evicting the least recently used entry of

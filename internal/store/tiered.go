@@ -3,9 +3,6 @@ package store
 import (
 	"context"
 	"sync/atomic"
-	"time"
-
-	"repro/internal/obs"
 )
 
 // Tiered composes the tiers into the store consumers use: the memory LRU
@@ -15,9 +12,10 @@ import (
 // evaluations actually performed, Hits counts lookups served from memory
 // or by a shared in-flight computation.
 //
-// When a recorder is in ctx, memory probes and writes are timed into the
-// store.get.mem and store.put.mem histogram stages, alongside the spans
-// the callers already open.
+// The store times nothing itself: a probe or a write takes well under a
+// microsecond, so a clock read and a histogram sample per call would
+// cost more than the call. Callers time whole batches of calls instead,
+// as the dse sweep window does with its probe and finish stages.
 type Tiered[V any] struct {
 	mem    memory[V]
 	flight Flight
@@ -43,42 +41,32 @@ func NewTiered[V any](capacity int, size func(V) int) *Tiered[V] {
 	return t
 }
 
-// probe reads the memory tier without touching the top-level counters.
-func (t *Tiered[V]) probe(ctx context.Context, k Key) (V, bool) {
-	rec := obs.RecorderFrom(ctx)
-	var t0 time.Time
-	if rec != nil {
-		t0 = time.Now()
-	}
-	v, ok := t.mem.get(k)
-	if rec != nil {
-		rec.Observe("store.get.mem", time.Since(t0))
-	}
+// Get probes the memory tier, counting the lookup as a hit or a miss.
+// ctx is not used; the parameter stays for the callers that pass one.
+func (t *Tiered[V]) Get(_ context.Context, k Key) (V, bool) {
+	var v V
+	ok := t.GetInto(k, &v)
 	return v, ok
 }
 
-// Get probes the memory tier, counting the lookup as a hit or a miss.
-func (t *Tiered[V]) Get(ctx context.Context, k Key) (V, bool) {
-	v, ok := t.probe(ctx, k)
+// GetInto is Get writing a hit's value to *dst, the one copy out of the
+// memory tier, and leaving *dst untouched on a miss: a large V returned
+// by value would be copied again by each caller on its way to where it
+// is kept.
+func (t *Tiered[V]) GetInto(k Key, dst *V) bool {
+	ok := t.mem.get(k, dst)
 	if ok {
 		t.hits.add(1)
 	} else {
 		t.misses.add(1)
 	}
-	return v, ok
+	return ok
 }
 
-// Put writes v to the memory tier.
-func (t *Tiered[V]) Put(ctx context.Context, k Key, v V) {
-	rec := obs.RecorderFrom(ctx)
-	var t0 time.Time
-	if rec != nil {
-		t0 = time.Now()
-	}
+// Put writes v to the memory tier. ctx is not used; the parameter stays
+// for the callers that pass one.
+func (t *Tiered[V]) Put(_ context.Context, k Key, v V) {
 	t.mem.put(k, v)
-	if rec != nil {
-		rec.Observe("store.put.mem", time.Since(t0))
-	}
 }
 
 // WindowBuf is ComputeWindow's scratch space. A caller owns one and
@@ -138,7 +126,8 @@ func (t *Tiered[V]) ComputeWindow(ctx context.Context, keys []Key, buf *WindowBu
 			if wait[j] != nil {
 				continue
 			}
-			if v, ok := t.probe(ctx, keys[i]); ok {
+			var v V
+			if t.mem.get(keys[i], &v) {
 				t.served()
 				serve(i, v, false)
 				continue
@@ -160,7 +149,8 @@ func (t *Tiered[V]) ComputeWindow(ctx context.Context, keys []Key, buf *WindowBu
 			case <-ctx.Done():
 				return ctx.Err()
 			}
-			if v, ok := t.probe(ctx, keys[i]); ok {
+			var v V
+			if t.mem.get(keys[i], &v) {
 				t.flight.shares.Add(1)
 				t.served()
 				serve(i, v, true)
