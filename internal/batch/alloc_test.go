@@ -61,39 +61,47 @@ func sweepPrealloc(ev *Evaluator, s *scratch, ctx context.Context, cfgs []arch.C
 
 // TestBatchSteadyStateZeroAllocs pins the tentpole's steady-state claim:
 // once the scratch arena is warm and the result slices are caller-owned,
-// a full sweep performs exactly zero heap allocations.
+// a full sweep performs exactly zero heap allocations, with per-op
+// profiles and sums only (a nil backing) alike.
 func TestBatchSteadyStateZeroAllocs(t *testing.T) {
 	cfgs := allocGrid(t)
 	g, err := ir.Lower(model.PaperWorkload(model.GPT3_175B()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := &Evaluator{Engine: sim.New().Engine}
-	s := &scratch{}
-	out := Outcome{
-		Results: make([]sim.Result, len(cfgs)),
-		Done:    make([]bool, len(cfgs)),
-	}
-	backing := make([]perf.Time, len(cfgs)*len(g.Nodes))
-	ctx := context.Background()
-
-	// Warm the arena, then check the warmed sweep is loud about errors.
-	if err := sweepPrealloc(ev, s, ctx, cfgs, g, &out, backing); err != nil {
-		t.Fatal(err)
-	}
-	for d := range cfgs {
-		if !out.Done[d] {
-			t.Fatalf("design %d not evaluated", d)
+	for _, c := range []struct {
+		name    string
+		backing []perf.Time
+	}{
+		{"per-op", make([]perf.Time, len(cfgs)*len(g.Nodes))},
+		{"sums-only", nil},
+	} {
+		ev := &Evaluator{Engine: sim.New().Engine}
+		s := &scratch{}
+		out := Outcome{
+			Results: make([]sim.Result, len(cfgs)),
+			Done:    make([]bool, len(cfgs)),
 		}
-	}
+		ctx := context.Background()
 
-	allocs := testing.AllocsPerRun(10, func() {
-		if err := sweepPrealloc(ev, s, ctx, cfgs, g, &out, backing); err != nil {
+		// Warm the arena, then check the warmed sweep is loud about errors.
+		if err := sweepPrealloc(ev, s, ctx, cfgs, g, &out, c.backing); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state sweep allocates %v times per run, want 0", allocs)
+		for d := range cfgs {
+			if !out.Done[d] {
+				t.Fatalf("%s: design %d not evaluated", c.name, d)
+			}
+		}
+
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := sweepPrealloc(ev, s, ctx, cfgs, g, &out, c.backing); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: steady-state sweep allocates %v times per run, want 0", c.name, allocs)
+		}
 	}
 }
 

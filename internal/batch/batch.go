@@ -6,6 +6,14 @@
 // on the analytic engine: the explorer feeds it fixed windows of
 // DefaultWidth designs from parallel workers.
 //
+// A sweep evaluates sums only or per-operator profiles. Sweep returns
+// every design's per-operator Times; SweepInto with a nil backing
+// returns the phase sums and MFUs alone, writing each design's op row
+// into one reused scratch row, and that is how dse sweeps run: they rank
+// designs on per-design scalars, and a per-operator breakdown is a
+// one-design query (sim.Simulate, or Sweep). Both passes run the same
+// loop in the same summation order, so their sums are bit-identical.
+//
 // # Why it is fast
 //
 // A sweep's designs share almost all of their expensive sub-problems. Each
@@ -97,9 +105,10 @@ type l2Args struct {
 }
 
 // scratchPool recycles scratch arenas across all evaluators. Nothing in a
-// scratch escapes a sweep (the per-op Times are copied into the caller's
-// backing array), so even short-lived evaluators — one per dse session —
-// inherit grown, warm arenas instead of re-allocating them.
+// scratch escapes a sweep (per-op Times are copied into the caller's
+// backing array, or overwritten in the scratch row of a sums-only
+// sweep), so even short-lived evaluators — one per dse session — inherit
+// grown, warm arenas instead of re-allocating them.
 var scratchPool sync.Pool // *scratch
 
 // Outcome is the result of one batch sweep, indexed like the input configs.
@@ -242,6 +251,8 @@ type scratch struct {
 
 	// Per-design accumulators: phase seconds and FLOPs.
 	ttft, tbt, pfl, dfl []float64
+	// row is the one op row a sums-only sweep writes every design into.
+	row []perf.Time
 }
 
 // growF resizes s to length n, reusing capacity; fresh elements are not
@@ -287,18 +298,20 @@ func (e *Evaluator) Sweep(ctx context.Context, cfgs []arch.Config, g ir.Graph) (
 		Results: make([]sim.Result, len(cfgs)),
 		Done:    make([]bool, len(cfgs)),
 	}
-	// The per-op Times escape into results (and from there into caller
-	// caches), so their backing array is per-sweep, not pooled.
+	// The per-op Times escape into the results, so their backing array
+	// is per-sweep, not pooled.
 	err := e.SweepInto(ctx, cfgs, g, &out, make([]perf.Time, len(cfgs)*len(g.Nodes)))
 	return out, err
 }
 
 // SweepInto is Sweep on caller-owned memory: out.Results and out.Done
 // must hold len(cfgs) entries each, and backing len(cfgs)·len(g.Nodes)
-// Times, which the results' PrefillOps and DecodeOps slice into. It resets
-// out.Done and out.Errs first, so a caller can reuse one Outcome across
-// sweeps; with a warm pooled scratch arena it allocates nothing but the
-// per-design error list of a sweep that has failures.
+// Times, which the results' PrefillOps and DecodeOps slice into. With a
+// nil backing it evaluates sums only: the results' TTFT, TBT and MFUs are
+// bit-identical to Sweep's, and their PrefillOps and DecodeOps are nil.
+// It resets out.Done and out.Errs first, so a caller can reuse one
+// Outcome across sweeps; with a warm pooled scratch arena it allocates
+// nothing but the per-design error list of a sweep that has failures.
 func (e *Evaluator) SweepInto(ctx context.Context, cfgs []arch.Config, g ir.Graph, out *Outcome, backing []perf.Time) error {
 	for i := range out.Done {
 		out.Done[i] = false
@@ -318,8 +331,9 @@ func (e *Evaluator) SweepInto(ctx context.Context, cfgs []arch.Config, g ir.Grap
 
 // sweepInto is the allocation-free core: it prepares the scratch arena
 // (nodes, groups, term offsets) and runs the chunked assembly loop,
-// writing results into out and backing. It allocates only to grow the
-// arena (first sweeps) or to report per-design errors.
+// writing results into out and backing, or sums only when backing is
+// nil. It allocates only to grow the arena (first sweeps) or to report
+// per-design errors.
 func (e *Evaluator) sweepInto(ctx context.Context, s *scratch, cfgs []arch.Config, g ir.Graph, out *Outcome, backing []perf.Time) error {
 	s.prepare(e.Engine, cfgs, g, out)
 	width := e.Width
@@ -327,6 +341,14 @@ func (e *Evaluator) sweepInto(ctx context.Context, s *scratch, cfgs []arch.Confi
 		width = DefaultWidth
 	}
 	nNodes := len(s.nodes)
+	// A design's op row starts at d·stride: its own row of the caller's
+	// backing, or the one scratch row every design of a sums-only sweep
+	// overwrites.
+	stride, perOp := nNodes, backing != nil
+	if !perOp {
+		s.row = growT(s.row, nNodes)
+		backing, stride = s.row, 0
+	}
 	for lo := 0; lo < len(cfgs); lo += width {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("batch: sweep aborted: %w", err)
@@ -335,19 +357,23 @@ func (e *Evaluator) sweepInto(ctx context.Context, s *scratch, cfgs []arch.Confi
 		if hi > len(cfgs) {
 			hi = len(cfgs)
 		}
-		e.chunk(s, cfgs, backing, lo, hi, out)
+		e.chunk(s, cfgs, backing, stride, lo, hi, out)
 		for d := lo; d < hi; d++ {
 			if !s.ok[d] {
 				continue
 			}
-			base := d * nNodes
 			r := &out.Results[d]
 			r.Config = cfgs[d]
 			r.Workload = g.Workload
 			r.TTFTSeconds = s.ttft[d]
 			r.TBTSeconds = s.tbt[d]
-			r.PrefillOps = backing[base : base+s.nPrefill : base+s.nPrefill]
-			r.DecodeOps = backing[base+s.nPrefill : base+nNodes : base+nNodes]
+			if perOp {
+				base := d * stride
+				r.PrefillOps = backing[base : base+s.nPrefill : base+s.nPrefill]
+				r.DecodeOps = backing[base+s.nPrefill : base+nNodes : base+nNodes]
+			} else {
+				r.PrefillOps, r.DecodeOps = nil, nil
+			}
 			r.PrefillMFU = 0
 			r.DecodeMFU = 0
 			peak := s.peak[s.cg[d]]
@@ -725,13 +751,15 @@ func (e *Evaluator) blockedTraffic(capBytes float64, m perf.Matmul, bpe float64)
 // chunk runs the assembly loop for designs [lo, hi): fill any term tables
 // this is the first chunk to reach, then walk each design's nodes in phase
 // order (the scalar summation order), storing its Times and phase sums.
+// Design d's op row is backing[d·stride:][:len(nodes)]; a sums-only sweep
+// passes stride 0 and one scratch row, so both passes run this one loop.
 // The design-outer loop writes each design's op row sequentially — the
 // node-outer variant strided through the design-major backing one row
 // apart per store and its cache misses dominated the whole sweep — and
 // keeps the four phase accumulators in registers across the node walk.
 //
 //acr:hotpath
-func (e *Evaluator) chunk(s *scratch, cfgs []arch.Config, backing []perf.Time, lo, hi int, out *Outcome) {
+func (e *Evaluator) chunk(s *scratch, cfgs []arch.Config, backing []perf.Time, stride, lo, hi int, out *Outcome) {
 	eng := e.Engine
 	nNodes := len(s.nodes)
 	for j := range s.nodes {
@@ -749,7 +777,7 @@ design:
 		}
 		cg, dg, mem := int(s.cg[d]), int(s.dg[d]), int(s.mem[d])
 		hg, ig, vg := int(s.hg[d]), int(s.ig[d]), int(s.vg[d])
-		ops := backing[d*nNodes : d*nNodes+nNodes]
+		ops := backing[d*stride : d*stride+nNodes]
 		var ttft, tbt, pfl, dfl float64
 		for j := range nodes {
 			nd := &nodes[j]

@@ -1,13 +1,17 @@
 package batch_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/batch"
 	"repro/internal/dse"
 	"repro/internal/golden"
+	"repro/internal/ir"
 	"repro/internal/model"
+	"repro/internal/sim"
 )
 
 // FuzzBatchScalarEquality is the differential fuzzer behind the batch
@@ -16,8 +20,9 @@ import (
 // group discovery, dedup and the tabled/untabled matmul split all
 // exercise), and the sweep must come back bit-identical through the
 // default (batch) explorer and the single-design reference explorer
-// (golden.ReferenceExplorer) — every point field, every per-operator
-// Time, under math.Float64bits. Seeds live in
+// (golden.ReferenceExplorer) — every point field under math.Float64bits —
+// and through batch.Evaluator.Sweep and the reference's per-design
+// sim.SimulateGraph, every per-operator Time too. Seeds live in
 // testdata/fuzz/FuzzBatchScalarEquality.
 func FuzzBatchScalarEquality(f *testing.F) {
 	// The paper's Table 3 corner, a lanes-heavy feed-limited shape, a
@@ -95,6 +100,25 @@ func FuzzBatchScalarEquality(f *testing.F) {
 		}
 		if diffs := golden.DiffPointsExact(ps, pb); len(diffs) != 0 {
 			t.Fatalf("batch differs from scalar in %d fields, e.g.:\n%s", len(diffs), diffs[0])
+		}
+
+		// Per-operator profiles, where they are computed.
+		g, err := ir.Lower(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := make([]sim.Result, len(cfgs))
+		for i, cfg := range cfgs {
+			if rs[i], err = scalar.Sim.SimulateGraph(cfg, g); err != nil {
+				t.Fatalf("scalar profile of %s: %v", cfg.Name, err)
+			}
+		}
+		out, err := (&batch.Evaluator{Engine: scalar.Sim.Engine}).Sweep(context.Background(), cfgs, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diffs := golden.DiffResultsExact(rs, out.Results); len(diffs) != 0 {
+			t.Fatalf("batch profiles differ from scalar in %d fields, e.g.:\n%s", len(diffs), diffs[0])
 		}
 	})
 }

@@ -54,8 +54,10 @@ func table5Grid(tb testing.TB) []arch.Config {
 
 // TestWindowsShareBlockedTraffic drives the evaluator the way a dse sweep
 // does — eight workers taking DefaultWidth-design windows of one grid
-// through one Evaluator — and pins that sharing the L2 blocking results
-// across windows changes nothing: every op time, phase sum and MFU is
+// through one Evaluator, here with per-op backing where a sweep passes
+// none, so the op times can be compared too — and pins that sharing the
+// L2 blocking results across windows changes nothing: every op time,
+// phase sum and MFU is
 // bit-identical to one whole Sweep on a fresh evaluator, and the table
 // ends with exactly one entry, equal to a fresh perf.BlockedDRAMTraffic
 // call, per distinct argument tuple. CI's race-stress step runs it under

@@ -27,7 +27,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/perf"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -137,71 +136,178 @@ func product(lens ...int) int {
 
 // Expand materialises the grid into configurations. Combinations whose
 // smallest possible device (one core) already exceeds the TPP budget are
-// skipped. Names follow "<grid>/<dim>x<dim>-l<lanes>-L1:<kb>-L2:<mb>-m<gbs>-d<gbs>"
-// and are built incrementally per loop level — expansion sits on the cold
-// path of every sweep, and a per-design Sprintf dominated it.
+// skipped. Names follow "<grid>/<dim>x<dim>-l<lanes>-L1:<kb>-L2:<mb>-m<gbs>-d<gbs>".
+// It is a grid cursor run over the whole grid, the walk a grid sweep
+// makes a window at a time, so names are built in one place.
 func (g Grid) Expand() []arch.Config {
-	configs := make([]arch.Config, 0, g.Size())
-	buf := make([]byte, 0, 96)
-	// The bandwidth axes repeat in every name; format each value once
-	// instead of once per design.
-	hbmSeg := make([]string, len(g.HBMBandwidthGBs))
-	for i, hbm := range g.HBMBandwidthGBs {
-		hbmSeg[i] = "-m" + strconv.FormatFloat(hbm, 'f', 0, 64)
+	gw := g.walk()
+	configs := make([]arch.Config, gw.n)
+	if gw.n == 0 {
+		return configs
 	}
-	devSeg := make([]string, len(g.DeviceBWGBs))
-	for i, dev := range g.DeviceBWGBs {
-		devSeg[i] = "-d" + strconv.FormatFloat(dev, 'f', 0, 64)
+	var c gridCursor
+	c.seek(&gw, 0)
+	for i := range configs {
+		c.fill(&gw, &configs[i], string(c.name))
+		c.next(&gw)
 	}
+	return configs
+}
+
+// gridWalk is a grid prepared for cursors: the usable (dim, lanes) pairs
+// with their solved core counts, and the bandwidth name segments, which
+// repeat in every name, formatted once.
+type gridWalk struct {
+	g     Grid
+	pairs []gridPair
+	// seg holds the "-m<gbs>" segments, then the "-d<gbs>" ones; segment
+	// i is seg[segOff[i]:segOff[i+1]].
+	seg    []byte
+	segOff []int
+	// n is the number of designs, Designs().
+	n int
+}
+
+// gridPair is one usable (systolic dim, lanes) pair and its core count.
+type gridPair struct{ dim, lanes, cores int }
+
+// walk prepares g for cursors.
+func (g Grid) walk() gridWalk {
+	gw := gridWalk{g: g, pairs: make([]gridPair, 0, len(g.SystolicDims)*len(g.LanesPerCore))}
 	for _, dim := range g.SystolicDims {
 		for _, lanes := range g.LanesPerCore {
-			cores, err := arch.MaxCoresForTPP(g.TPPTarget, lanes, dim, dim, g.ClockGHz)
-			if err != nil {
-				continue
+			if cores, err := arch.MaxCoresForTPP(g.TPPTarget, lanes, dim, dim, g.ClockGHz); err == nil {
+				gw.pairs = append(gw.pairs, gridPair{dim, lanes, cores})
 			}
-			buf = append(buf[:0], g.Name...)
-			buf = append(buf, '/')
-			buf = strconv.AppendInt(buf, int64(dim), 10)
-			buf = append(buf, 'x')
-			buf = strconv.AppendInt(buf, int64(dim), 10)
-			buf = append(buf, "-l"...)
-			buf = strconv.AppendInt(buf, int64(lanes), 10)
-			lanesLen := len(buf)
-			for _, l1 := range g.L1KB {
-				buf = append(buf[:lanesLen], "-L1:"...)
-				buf = strconv.AppendInt(buf, int64(l1), 10)
-				l1Len := len(buf)
-				for _, l2 := range g.L2MB {
-					buf = append(buf[:l1Len], "-L2:"...)
-					buf = strconv.AppendInt(buf, int64(l2), 10)
-					l2Len := len(buf)
-					for hi, hbm := range g.HBMBandwidthGBs {
-						buf = append(buf[:l2Len], hbmSeg[hi]...)
-						hbmLen := len(buf)
-						for di, dev := range g.DeviceBWGBs {
-							buf = append(buf[:hbmLen], devSeg[di]...)
-							configs = append(configs, arch.Config{
-								Name:            string(buf),
-								CoreCount:       cores,
-								LanesPerCore:    lanes,
-								SystolicDimX:    dim,
-								SystolicDimY:    dim,
-								VectorWidth:     32,
-								L1KB:            l1,
-								L2MB:            l2,
-								HBMCapacityGB:   g.HBMCapacityGB,
-								HBMBandwidthGBs: hbm,
-								DeviceBWGBs:     dev,
-								ClockGHz:        g.ClockGHz,
-								Process:         arch.ProcessN7,
-							})
-						}
+		}
+	}
+	gw.n = product(len(gw.pairs), len(g.L1KB), len(g.L2MB), len(g.HBMBandwidthGBs), len(g.DeviceBWGBs))
+	segs := len(g.HBMBandwidthGBs) + len(g.DeviceBWGBs)
+	gw.seg, gw.segOff = make([]byte, 0, 8*segs), make([]int, 1, 1+segs)
+	for _, hbm := range g.HBMBandwidthGBs {
+		gw.seg = strconv.AppendFloat(append(gw.seg, "-m"...), hbm, 'f', 0, 64)
+		gw.segOff = append(gw.segOff, len(gw.seg))
+	}
+	for _, dev := range g.DeviceBWGBs {
+		gw.seg = strconv.AppendFloat(append(gw.seg, "-d"...), dev, 'f', 0, 64)
+		gw.segOff = append(gw.segOff, len(gw.seg))
+	}
+	return gw
+}
+
+// segment returns bandwidth name segment i.
+func (gw *gridWalk) segment(i int) []byte {
+	return gw.seg[gw.segOff[i]:gw.segOff[i+1]]
+}
+
+// The levels of a grid cursor's odometer, outermost first: the order
+// Expand nests its axes in.
+const (
+	levelPair = iota
+	levelL1
+	levelL2
+	levelHBM
+	levelDev
+)
+
+// gridCursor walks a grid's designs in Expand order. It is an odometer
+// over the pair, L1, L2, HBM and device-bandwidth indices, and it keeps
+// the current design's name, rewriting only the segments that changed.
+// Its methods take the walk it moves over.
+type gridCursor struct {
+	pair, l1, l2, hbm, d int
+	name                 []byte
+	// The ends of the name's pair, L1, L2 and HBM segments.
+	pairEnd, l1End, l2End, hbmEnd int
+}
+
+// seek points c at design i of gw, 0 ≤ i < gw.n, with one mixed-radix
+// decode, and builds its whole name.
+func (c *gridCursor) seek(gw *gridWalk, i int) {
+	g := &gw.g
+	c.d, i = i%len(g.DeviceBWGBs), i/len(g.DeviceBWGBs)
+	c.hbm, i = i%len(g.HBMBandwidthGBs), i/len(g.HBMBandwidthGBs)
+	c.l2, i = i%len(g.L2MB), i/len(g.L2MB)
+	c.l1, c.pair = i%len(g.L1KB), i/len(g.L1KB)
+	if c.name == nil {
+		c.name = make([]byte, 0, 96)
+	}
+	c.write(gw, levelPair)
+}
+
+// next advances c to the following design of gw, rewriting the name from
+// the outermost level that moved. Past the last design c holds no
+// design.
+func (c *gridCursor) next(gw *gridWalk) {
+	g := &gw.g
+	level := levelDev
+	if c.d++; c.d == len(g.DeviceBWGBs) {
+		c.d, level = 0, levelHBM
+		if c.hbm++; c.hbm == len(g.HBMBandwidthGBs) {
+			c.hbm, level = 0, levelL2
+			if c.l2++; c.l2 == len(g.L2MB) {
+				c.l2, level = 0, levelL1
+				if c.l1++; c.l1 == len(g.L1KB) {
+					c.l1, level = 0, levelPair
+					if c.pair++; c.pair == len(gw.pairs) {
+						return
 					}
 				}
 			}
 		}
 	}
-	return configs
+	c.write(gw, level)
+}
+
+// write rebuilds the name from level inwards.
+func (c *gridCursor) write(gw *gridWalk, level int) {
+	b := c.name
+	switch level {
+	case levelPair:
+		p := gw.pairs[c.pair]
+		b = append(append(b[:0], gw.g.Name...), '/')
+		b = strconv.AppendInt(b, int64(p.dim), 10)
+		b = append(b, 'x')
+		b = strconv.AppendInt(b, int64(p.dim), 10)
+		b = append(b, "-l"...)
+		b = strconv.AppendInt(b, int64(p.lanes), 10)
+		c.pairEnd = len(b)
+		fallthrough
+	case levelL1:
+		b = strconv.AppendInt(append(b[:c.pairEnd], "-L1:"...), int64(gw.g.L1KB[c.l1]), 10)
+		c.l1End = len(b)
+		fallthrough
+	case levelL2:
+		b = strconv.AppendInt(append(b[:c.l1End], "-L2:"...), int64(gw.g.L2MB[c.l2]), 10)
+		c.l2End = len(b)
+		fallthrough
+	case levelHBM:
+		b = append(b[:c.l2End], gw.segment(c.hbm)...)
+		c.hbmEnd = len(b)
+		fallthrough
+	case levelDev:
+		b = append(b[:c.hbmEnd], gw.segment(len(gw.g.HBMBandwidthGBs)+c.d)...)
+	}
+	c.name = b
+}
+
+// fill writes c's design of gw, named name, into *dst field by field, so
+// neither Expand nor a grid window copies a whole Config per design.
+func (c *gridCursor) fill(gw *gridWalk, dst *arch.Config, name string) {
+	g, p := &gw.g, &gw.pairs[c.pair]
+	dst.Name = name
+	dst.CoreCount = p.cores
+	dst.LanesPerCore = p.lanes
+	dst.SystolicDimX = p.dim
+	dst.SystolicDimY = p.dim
+	dst.VectorWidth = 32
+	dst.L1KB = g.L1KB[c.l1]
+	dst.L2MB = g.L2MB[c.l2]
+	dst.HBMCapacityGB = g.HBMCapacityGB
+	dst.HBMBandwidthGBs = g.HBMBandwidthGBs[c.hbm]
+	dst.DeviceBWGBs = g.DeviceBWGBs[c.d]
+	dst.ClockGHz = g.ClockGHz
+	dst.Process = arch.ProcessN7
 }
 
 // Point is one evaluated design.
@@ -259,8 +365,9 @@ type Explorer struct {
 }
 
 // DefaultCacheEntries bounds the explorer's result cache: larger than the
-// biggest paper sweep (Table 5's 2304 designs) so a full grid fits, small
-// enough (a few MB of Points) to be negligible next to the sweeps.
+// biggest paper sweep (Table 5's 2304 designs) so a full grid fits. Full
+// of GPT-3 Table 5 points it holds about 4.3 MB (about 23 MB when points
+// still carried per-operator profiles).
 const DefaultCacheEntries = 8192
 
 // NewExplorer returns an Explorer with the calibrated simulator, the 7 nm
@@ -284,29 +391,19 @@ func PointKey(cfg arch.Config, w model.Workload) store.Key {
 
 // NewPointStore returns the result store the explorer and the serving
 // layer share: the store's sharded memory LRU bounded to entries points
-// and byte-accounted with a deep Point sizer.
+// and byte-accounted with pointSize.
 func NewPointStore(entries int) *store.Tiered[Point] {
 	return store.NewTiered(entries, pointSize)
 }
 
-var (
-	pointStaticSize = int(reflect.TypeOf(Point{}).Size())
-	timeStaticSize  = int(reflect.TypeOf(perf.Time{}).Size())
-)
+var pointStaticSize = int(reflect.TypeOf(Point{}).Size())
 
-// pointSize deep-estimates one point's resident bytes for the memory
-// tier's accounting: the struct itself plus the op slices and name
-// strings it points at.
+// pointSize is what one point owns, for the memory tier's accounting: the
+// struct and its display name. Result.Config.Name shares the name's
+// bytes, the workload's model name is a shared constant, and a sweep
+// point holds no per-operator profiles.
 func pointSize(p Point) int {
-	n := pointStaticSize +
-		len(p.Config.Name) + len(p.Result.Config.Name) + len(p.Result.Workload.Model.Name)
-	for i := range p.Result.PrefillOps {
-		n += timeStaticSize + len(p.Result.PrefillOps[i].Name)
-	}
-	for i := range p.Result.DecodeOps {
-		n += timeStaticSize + len(p.Result.DecodeOps[i].Name)
-	}
-	return n
+	return pointStaticSize + len(p.Config.Name)
 }
 
 // Evaluate simulates every configuration for the workload and returns the
@@ -327,17 +424,22 @@ func (e *Explorer) Evaluate(configs []arch.Config, w model.Workload) ([]Point, e
 //
 // It is a Session with one sweep, collected into the returned slice: see
 // Session.Sweep for the windows, their spans and their progress delivery.
+// The points carry per-design scalars only: their Result's PrefillOps and
+// DecodeOps are nil, as they are in every sweep point (per-operator
+// profiles are a one-design query: sim.Simulate).
 func (e *Explorer) EvaluateContext(ctx context.Context, configs []arch.Config, w model.Workload) ([]Point, error) {
 	return e.NewSession(w).EvaluateContext(ctx, configs)
 }
 
 // Session evaluates one job's sweeps of one workload. Its first sweep
 // lowers and hashes the workload, inside that sweep's dse.sweep span, and
-// every sweep shares the graph, one batch.Evaluator and the window
-// workers' scratch, so the L2 blocking searches of earlier sweeps serve
-// later ones. A search run opens a session and evaluates each generation
-// through it. A session serves one sweep at a time and lives for one job:
-// kept longer, its L2 table would grow into a process-wide memo.
+// every sweep shares the graph and one batch.Evaluator, so the L2
+// blocking searches of earlier sweeps serve later ones. The window
+// workers' scratch is not the session's: each sweep takes it from a
+// package pool and returns it when the sweep ends. A search run opens a
+// session and evaluates each generation through it. A session serves one
+// sweep at a time and lives for one job: kept longer, its L2 table would
+// grow into a process-wide memo.
 type Session struct {
 	e *Explorer
 	w model.Workload
@@ -348,9 +450,6 @@ type Session struct {
 	g       ir.Graph
 	wh      uint64 // ir.WorkloadHash of w
 	ev      batch.Evaluator
-	// windows holds one scratch per window worker, grown to the most
-	// workers a sweep has used.
-	windows []*window
 }
 
 // NewSession opens a session evaluating configurations for w on e.
@@ -363,9 +462,16 @@ func (e *Explorer) NewSession(w model.Workload) *Session {
 // semantics. It is Sweep writing each point straight into the slice it
 // returns.
 func (s *Session) EvaluateContext(ctx context.Context, configs []arch.Config) ([]Point, error) {
-	points := make([]Point, len(configs))
-	done := make([]bool, len(configs))
-	err := s.Sweep(ctx, configs, func(i int) *Point { return &points[i] }, func(w Window) {
+	return s.collect(ctx, source{configs: configs})
+}
+
+// collect sweeps src into the slice it returns, keeping the evaluated
+// points in order when the sweep fails.
+func (s *Session) collect(ctx context.Context, src source) ([]Point, error) {
+	n := src.len()
+	points := make([]Point, n)
+	done := make([]bool, n)
+	err := s.sweep(ctx, src, func(i int) *Point { return &points[i] }, func(w Window) {
 		copy(done[w.Lo:], w.Done)
 	})
 	if err == nil {
@@ -385,17 +491,19 @@ func (s *Session) EvaluateContext(ctx context.Context, configs []arch.Config) ([
 // Parallelism workers each take one window at a time from the caller.
 // A worker probes the point store, claims the misses in its single-flight
 // layer in one critical section, evaluates the claimed misses (one
-// batch.Evaluator pass, or one Sim.SimulateGraphContext call per design
-// when Sim.Backend is set), finishes, stores and releases them, and waits
-// for misses another sweep is computing. It then hands the finished
-// Window to visit and to the context's ProgressFunc, in that order (a nil
-// one is skipped). Windows finish in any order and every worker calls
-// the visitors, so they must be safe for concurrent use.
+// sums-only batch.Evaluator pass, or one Sim.SimulateGraphContext call
+// per design when Sim.Backend is set), finishes, stores and releases
+// them, and waits for misses another sweep is computing. It then hands
+// the finished Window to visit and to the context's ProgressFunc, in that
+// order (a nil one is skipped). Windows finish in any order and every
+// worker calls the visitors, so they must be safe for concurrent use.
 //
 // at places the points: design i's point is written to *at(i), which the
 // caller owns, one place per design. With a nil at, each worker writes
 // into a window buffer of its own and reuses it for its next window, so
-// a caller that only folds the points keeps none of them.
+// a caller that only folds the points keeps none of them. The workers'
+// buffers come from a package pool and go back to it when the sweep
+// ends.
 //
 // Each window records one dse.window span with int attributes configs,
 // hits (memory), misses (simulated here) and shared (computed by a
@@ -412,9 +520,40 @@ func (s *Session) EvaluateContext(ctx context.Context, configs []arch.Config) ([
 // wrapping ctx.Err() when ctx ended first; every window evaluated before
 // then was visited.
 func (s *Session) Sweep(ctx context.Context, configs []arch.Config, at func(i int) *Point, visit ProgressFunc) error {
+	return s.sweep(ctx, source{configs: configs}, at, visit)
+}
+
+// SweepGrid is Sweep over g's designs, indexed in Expand order, without
+// expanding g: each window seeks a grid cursor to its first design and
+// steps it through the window, so a sweep holds one window of configs
+// per worker. A design's name is allocated when it is evaluated; a store
+// hit keeps the stored point's name when its bytes are the requested
+// name, and allocates only when they differ.
+func (s *Session) SweepGrid(ctx context.Context, g Grid, at func(i int) *Point, visit ProgressFunc) error {
+	gw := g.walk()
+	return s.sweep(ctx, source{grid: &gw}, at, visit)
+}
+
+// source is what a sweep evaluates: the caller's configs, or a grid
+// walked a window at a time.
+type source struct {
+	configs []arch.Config
+	grid    *gridWalk
+}
+
+func (src source) len() int {
+	if src.grid != nil {
+		return src.grid.n
+	}
+	return len(src.configs)
+}
+
+// sweep is the one sweep core behind Sweep and SweepGrid.
+func (s *Session) sweep(ctx context.Context, src source, at func(i int) *Point, visit ProgressFunc) error {
 	ctx, sp := obs.Start(ctx, "dse.sweep")
 	defer sp.End()
-	sp.SetInt("configs", len(configs))
+	n := src.len()
+	sp.SetInt("configs", n)
 	if !s.lowered {
 		// The operator graph depends only on the workload, so every
 		// design of every sweep shares it.
@@ -428,11 +567,10 @@ func (s *Session) Sweep(ctx context.Context, configs []arch.Config, at func(i in
 	if s.err != nil {
 		return fmt.Errorf("dse: %w", s.err)
 	}
-	n := len(configs)
 	sw := &sweep{
 		Session:  s,
 		ctx:      ctx,
-		configs:  configs,
+		src:      src,
 		at:       at,
 		visit:    visit,
 		progress: progressFrom(ctx),
@@ -444,19 +582,20 @@ func (s *Session) Sweep(ctx context.Context, configs []arch.Config, at func(i in
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, (n+batch.DefaultWidth-1)/batch.DefaultWidth)
-	for len(s.windows) < workers {
-		s.windows = append(s.windows, new(window))
-	}
 	// The caller hands out window starts one at a time: a worker that
 	// finds none ready parks, which gives the scheduler the idle
 	// moments it polls the network in, so streamed frames and new
 	// requests are not starved behind the sweep.
 	windows := make(chan int)
 	var wg sync.WaitGroup
-	for _, w := range s.windows[:workers] {
-		w.sw = sw
+	for i := 0; i < workers; i++ {
 		wg.Add(1)
-		go func() { defer wg.Done(); w.work(windows) }()
+		go func() {
+			defer wg.Done()
+			w := windowPool.get()
+			w.work(sw, windows)
+			windowPool.put(w)
+		}()
 	}
 feed:
 	for lo := 0; lo < n; lo += batch.DefaultWidth {
@@ -468,9 +607,6 @@ feed:
 	}
 	close(windows)
 	wg.Wait()
-	for _, w := range s.windows[:workers] {
-		w.release()
-	}
 
 	cerr := ctx.Err()
 	if len(sw.errs) == 0 && cerr == nil {
@@ -487,11 +623,11 @@ feed:
 	return errors.Join(errs...)
 }
 
-// sweep is one Session.Sweep call's shared state.
+// sweep is one sweep call's shared state.
 type sweep struct {
 	*Session
 	ctx             context.Context
-	configs         []arch.Config
+	src             source
 	at              func(int) *Point
 	visit, progress ProgressFunc
 	tally           *CacheTally
@@ -501,16 +637,16 @@ type sweep struct {
 	errs []designErr // under mu
 }
 
-// designErr is one design's failure, at its index in the sweep's configs.
+// designErr is one design's failure, at its index in the sweep.
 type designErr struct {
 	i   int
 	err error
 }
 
-// fail records design i's failure.
-func (sw *sweep) fail(i int, err error) {
+// fail records the failure of design i, named name.
+func (sw *sweep) fail(i int, name string, err error) {
 	sw.mu.Lock()
-	sw.errs = append(sw.errs, designErr{i, fmt.Errorf("dse: %s: %w", sw.configs[i].Name, err)})
+	sw.errs = append(sw.errs, designErr{i, fmt.Errorf("dse: %s: %w", name, err)})
 	sw.mu.Unlock()
 }
 
@@ -529,8 +665,9 @@ var (
 	stageNames = [numStages]string{"dse.window.probe", "dse.window.claim", "dse.window.evaluate", "dse.window.finish", "dse.window.emit"}
 )
 
-// window is one worker's scratch, reused across the windows it takes and
-// kept by the session across its sweeps.
+// window is one worker's scratch, reused across the windows it takes.
+// It comes from windowPool for one sweep and goes back when the sweep
+// ends, so jobs share grown buffers instead of allocating their own.
 type window struct {
 	sw *sweep
 	// lo is the index of the current window's first design. pts[k] is
@@ -540,20 +677,63 @@ type window struct {
 	pts  [batch.DefaultWidth]*Point
 	done [batch.DefaultWidth]bool
 	own  []Point
+	// cfgs are the current window's configs: a view of the sweep's
+	// configs, or a grid window's own, held in grid. A grid window
+	// keeps design k's name bytes in names, ending at nameEnd[k], until
+	// the probe gives its config a Name.
+	cfgs    []arch.Config
+	grid    [batch.DefaultWidth]arch.Config
+	cur     gridCursor
+	names   []byte
+	nameEnd [batch.DefaultWidth]int
 	// miss holds the window positions that missed memory and keys their
 	// point keys.
 	miss []int
 	keys []store.Key
 	buf  store.WindowBuf
-	// cfgs and out are the batch evaluator's input and output.
-	cfgs []arch.Config
-	out  batch.Outcome
+	// in and out are the batch evaluator's input and output.
+	in  []arch.Config
+	out batch.Outcome
 	// The current window's span tallies.
 	hits, misses, shared int
 	// With a recorder, mark is when the last stage ended and dur holds
 	// each stage's time in the current window.
 	mark time.Time
 	dur  [numStages]time.Duration
+}
+
+// windowPool recycles window scratch across sweeps: a sweep takes one
+// window per worker and puts them back when it ends. It is a plain free
+// list, not a sync.Pool, so any worker reuses any free window and a
+// garbage collection drops none: a warm sweep allocates no scratch, and
+// an allocation count does not depend on which processor a worker ran
+// on. It keeps at most four windows per processor.
+var windowPool windowList
+
+type windowList struct {
+	mu   sync.Mutex
+	free []*window // under mu
+}
+
+func (l *windowList) get() *window {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return new(window)
+	}
+	w := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return w
+}
+
+func (l *windowList) put(w *window) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.free) < 4*runtime.GOMAXPROCS(0) {
+		l.free = append(l.free, w)
+	}
 }
 
 // positions lists the window positions 0..DefaultWidth-1: a window
@@ -565,26 +745,23 @@ var positions = func() (p [batch.DefaultWidth]int) {
 	return p
 }()
 
-// release drops the window's references into its last sweep, so a
-// session kept between sweeps does not keep the caller's points alive.
-func (w *window) release() {
-	w.sw = nil
-	clear(w.pts[:])
-}
-
-// work evaluates the windows starting at each design index it receives,
-// skipping them once the sweep's context has ended.
-func (w *window) work(windows <-chan int) {
-	sw := w.sw
+// work evaluates sw's windows starting at each design index it receives,
+// skipping them once the sweep's context has ended. It then drops its
+// references into the sweep, so the pooled window keeps neither the
+// caller's points nor its configs.
+func (w *window) work(sw *sweep, windows <-chan int) {
+	w.sw = sw
 	for lo := range windows {
 		if sw.ctx.Err() != nil {
 			continue // cancelled: drain without evaluating
 		}
-		w.run(lo, min(lo+batch.DefaultWidth, len(sw.configs)))
+		w.run(lo, min(lo+batch.DefaultWidth, sw.src.len()))
 		// Let a readied stream writer onto a processor between windows,
 		// so streamed points reach clients while the sweep goes on.
 		runtime.Gosched()
 	}
+	w.sw, w.cfgs = nil, nil
+	clear(w.pts[:])
 }
 
 // lap adds the time since the previous lap to stage s. Without a
@@ -620,22 +797,23 @@ func (w *window) run(lo, hi int) {
 		}
 		w.done[k] = false
 	}
+	w.load(n)
 	w.hits, w.misses, w.shared = 0, 0, 0
 	w.miss, w.keys = w.miss[:0], w.keys[:0]
 	cache := sw.e.Cache
 	for k := 0; k < n; k++ {
-		if cache == nil {
-			w.miss = append(w.miss, k)
-			continue
+		if cache != nil {
+			key := store.Key{Hi: ir.ConfigHash(w.cfgs[k]), Lo: sw.wh} // == PointKey(cfg, workload)
+			if cache.GetInto(key, w.pts[k]) {
+				w.name(k, w.pts[k].Config.Name)
+				w.serve(k)
+				w.hits++
+				continue
+			}
+			w.keys = append(w.keys, key)
 		}
-		key := store.Key{Hi: ir.ConfigHash(sw.configs[lo+k]), Lo: sw.wh} // == PointKey(cfg, workload)
-		if cache.GetInto(key, w.pts[k]) {
-			w.serve(k)
-			w.hits++
-			continue
-		}
+		w.name(k, "")
 		w.miss = append(w.miss, k)
-		w.keys = append(w.keys, key)
 	}
 	w.lap(stageProbe)
 	switch {
@@ -690,11 +868,52 @@ func (w *window) run(lo, hi int) {
 	}
 }
 
+// load points w.cfgs at the current window's n configs. A grid window
+// seeks its cursor to the window's first design and steps it through the
+// window, keeping each design's name bytes for name.
+func (w *window) load(n int) {
+	src := w.sw.src
+	if src.grid == nil {
+		w.cfgs = src.configs[w.lo : w.lo+n]
+		return
+	}
+	w.cur.seek(src.grid, w.lo)
+	w.names = w.names[:0]
+	for k := 0; k < n; k++ {
+		if k > 0 {
+			w.cur.next(src.grid)
+		}
+		w.cur.fill(src.grid, &w.grid[k], "")
+		w.names = append(w.names, w.cur.name...)
+		w.nameEnd[k] = len(w.names)
+	}
+	w.cfgs = w.grid[:n]
+}
+
+// name gives a grid window's design k its Name: stored, the name of the
+// point the store served, when its bytes are the requested name, and a
+// new string otherwise. A window over the caller's configs has its
+// names already.
+func (w *window) name(k int, stored string) {
+	if w.sw.src.grid == nil {
+		return
+	}
+	start := 0
+	if k > 0 {
+		start = w.nameEnd[k-1]
+	}
+	if b := w.names[start:w.nameEnd[k]]; string(b) == stored {
+		w.cfgs[k].Name = stored
+	} else {
+		w.cfgs[k].Name = string(b)
+	}
+}
+
 // serve completes the stored point at window position k. It may have
 // been evaluated under a different grid's display name; the requested
 // one is restored.
 func (w *window) serve(k int) {
-	p, cfg := w.pts[k], &w.sw.configs[w.lo+k]
+	p, cfg := w.pts[k], &w.cfgs[k]
 	p.Config = *cfg
 	p.Result.Config = *cfg
 	w.done[k] = true
@@ -705,7 +924,7 @@ func (w *window) serve(k int) {
 func (w *window) evaluate(ctx context.Context, lead []int) {
 	sw := w.sw
 	out := &w.out
-	if out.Results == nil { // first evaluation of this worker
+	if out.Results == nil { // first evaluation of this window
 		out.Results, out.Done = make([]sim.Result, batch.DefaultWidth), make([]bool, batch.DefaultWidth)
 	}
 	out.Results, out.Done = out.Results[:len(lead)], out.Done[:len(lead)]
@@ -716,29 +935,29 @@ func (w *window) evaluate(ctx context.Context, lead []int) {
 			if ctx.Err() != nil {
 				continue
 			}
-			i := w.lo + w.miss[j]
-			r, err := simr.SimulateGraphContext(ctx, sw.configs[i], sw.g)
+			cfg := &w.cfgs[w.miss[j]]
+			r, err := simr.SimulateGraphContext(ctx, *cfg, sw.g)
 			if err != nil {
-				sw.fail(i, err)
+				sw.fail(w.lo+w.miss[j], cfg.Name, err)
 				w.misses++
 				continue
 			}
 			out.Results[k], out.Done[k] = r, true
 		}
 	} else {
-		w.cfgs = w.cfgs[:0]
+		w.in = w.in[:0]
 		for _, j := range lead {
-			w.cfgs = append(w.cfgs, sw.configs[w.lo+w.miss[j]])
+			w.in = append(w.in, w.cfgs[w.miss[j]])
 		}
-		// The per-op Times escape into the points (and the store), so
-		// their backing array is the window's own. The only sweep-level
-		// error is cancellation, which Sweep reports from ctx.
-		sw.ev.SweepInto(ctx, w.cfgs, sw.g, out, make([]perf.Time, len(lead)*len(sw.g.Nodes))) //nolint:errcheck
+		// Sums only: a sweep point carries per-design scalars, so the
+		// evaluator keeps no per-op Times. The only sweep-level error is
+		// cancellation, which Sweep reports from ctx.
+		sw.ev.SweepInto(ctx, w.in, sw.g, out, nil) //nolint:errcheck
 	}
 	w.lap(stageEvaluate)
 	for k, j := range lead {
 		if out.Errs != nil && out.Errs[k] != nil {
-			sw.fail(w.lo+w.miss[j], out.Errs[k])
+			sw.fail(w.lo+w.miss[j], w.cfgs[w.miss[j]].Name, out.Errs[k])
 			w.misses++
 		} else if out.Done[k] {
 			w.finish(ctx, j, &out.Results[k])
@@ -754,7 +973,7 @@ func (w *window) finish(ctx context.Context, j int, r *sim.Result) {
 	sw := w.sw
 	k := w.miss[j]
 	p := w.pts[k]
-	sw.e.finishPoint(p, sw.configs[w.lo+k], r)
+	sw.e.finishPoint(p, w.cfgs[k], r)
 	if sw.e.Cache != nil {
 		sw.e.Cache.Put(ctx, w.keys[j], *p)
 	}
@@ -763,8 +982,10 @@ func (w *window) finish(ctx context.Context, j int, r *sim.Result) {
 
 // finishPoint derives the area, TPP, compliance and cost fields of one
 // evaluated design, writing the point in place: a sweep finalises
-// hundreds of designs, and assembling each ~400-byte Point directly in its
-// slot keeps the loop free of by-value staging copies. Wafer-model
+// hundreds of designs, and assembling each ~460-byte Point directly in its
+// slot keeps the loop free of by-value staging copies. The point keeps
+// r's scalars and drops its per-operator profiles, if it has any (a
+// Sim.Backend sweep's do): no sweep point holds them. Wafer-model
 // failures (degenerate areas) leave both costs zero, as the paper's
 // tables do.
 func (e *Explorer) finishPoint(dst *Point, cfg arch.Config, r *sim.Result) {
@@ -772,6 +993,7 @@ func (e *Explorer) finishPoint(dst *Point, cfg arch.Config, r *sim.Result) {
 	tpp := cfg.TPP()
 	dst.Config = cfg
 	dst.Result = *r
+	dst.Result.PrefillOps, dst.Result.DecodeOps = nil, nil
 	dst.TPP = tpp
 	dst.AreaMM2 = a
 	dst.PD = area.PerformanceDensity(tpp, a, cfg.Process)
@@ -786,15 +1008,17 @@ func (e *Explorer) finishPoint(dst *Point, cfg arch.Config, r *sim.Result) {
 	}
 }
 
-// Run expands and evaluates a grid in one call.
+// Run evaluates a grid in one call.
 func (e *Explorer) Run(g Grid, w model.Workload) ([]Point, error) {
-	return e.Evaluate(g.Expand(), w)
+	return e.RunContext(context.Background(), g, w)
 }
 
-// RunContext expands and evaluates a grid under a context; see
-// EvaluateContext for cancellation and partial-result semantics.
+// RunContext evaluates a grid under a context, a window at a time
+// without expanding it (Session.SweepGrid); see EvaluateContext for
+// cancellation and partial-result semantics.
 func (e *Explorer) RunContext(ctx context.Context, g Grid, w model.Workload) ([]Point, error) {
-	return e.EvaluateContext(ctx, g.Expand(), w)
+	gw := g.walk()
+	return e.NewSession(w).collect(ctx, source{grid: &gw})
 }
 
 // Filter returns the points satisfying keep.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/ir"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/policy"
@@ -422,4 +423,69 @@ func TestParallelismConfigurable(t *testing.T) {
 	if err != nil || len(pts) != 16 {
 		t.Fatalf("parallelism=2 run failed: %v (%d points)", err, len(pts))
 	}
+}
+
+// TestSweepPointsCarryNoOpProfiles pins that sweep points are scalar:
+// points from Session.Sweep, Session.SweepGrid, EvaluateContext and Run,
+// cold and served from the store, on the batch evaluator and on an
+// explicit Sim.Backend, hold no per-operator profiles.
+func TestSweepPointsCarryNoOpProfiles(t *testing.T) {
+	w := model.PaperWorkload(model.Llama3_8B())
+	g := smallGrid(4800)
+	backend := NewExplorer()
+	backend.Sim.Backend = ir.Analytic{Engine: backend.Sim.Engine}
+	for name, ex := range map[string]*Explorer{"batch": NewExplorer(), "backend": backend} {
+		check := func(how string, p *Point) {
+			if p.Result.PrefillOps != nil || p.Result.DecodeOps != nil {
+				t.Errorf("%s %s: %s holds %d prefill and %d decode ops",
+					name, how, p.Config.Name, len(p.Result.PrefillOps), len(p.Result.DecodeOps))
+			}
+		}
+		for _, pass := range []string{"cold", "warm"} {
+			visit := func(how string) ProgressFunc {
+				return func(win Window) {
+					for _, p := range win.Points {
+						check(pass+" "+how, p)
+					}
+				}
+			}
+			sess := ex.NewSession(w)
+			if err := sess.Sweep(context.Background(), g.Expand(), nil, visit("Sweep")); err != nil {
+				t.Fatal(err)
+			}
+			if err := sess.SweepGrid(context.Background(), g, nil, visit("SweepGrid")); err != nil {
+				t.Fatal(err)
+			}
+			pts, err := ex.EvaluateContext(context.Background(), g.Expand(), w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			more, err := ex.Run(g, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range pts {
+				check(pass+" EvaluateContext", &pts[i])
+				check(pass+" Run", &more[i])
+			}
+		}
+	}
+}
+
+// TestPointStoreChargesWhatAPointOwns pins the store's accounting of
+// scalar points: after a Table 5 GPT-3 sweep each entry is charged its
+// key, the Point struct and its display name, at most 550 bytes.
+func TestPointStoreChargesWhatAPointOwns(t *testing.T) {
+	ex := NewExplorer()
+	if _, err := ex.Run(Table5(), model.PaperWorkload(model.GPT3_175B())); err != nil {
+		t.Fatal(err)
+	}
+	st := ex.Cache.Stats()
+	if st.Len != 2304 {
+		t.Fatalf("store holds %d points, want 2304", st.Len)
+	}
+	if per := st.Bytes / int64(st.Len); per > 550 {
+		t.Errorf("store charges %d bytes per point, want at most 550", per)
+	}
+	t.Logf("%d points, %d bytes (%d per point)", st.Len, st.Bytes, st.Bytes/int64(st.Len))
 }

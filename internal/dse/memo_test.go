@@ -12,8 +12,8 @@ import (
 // evaluation: a cold sweep on the default explorer and a second sweep
 // served entirely from its point store must both be bit-identical to the
 // uncached single-design reference (golden.ReferenceExplorer). Covers the
-// full sweep output — latencies, MFU, per-operator profiles, area, PD and
-// cost.
+// full sweep output — latencies, MFU, area, PD and cost; sweep points
+// carry no per-operator profiles.
 func TestSweepMemoBitEqual(t *testing.T) {
 	grid := dse.Table3(4800, []float64{600})
 	all := grid.Expand()

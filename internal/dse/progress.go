@@ -14,7 +14,9 @@ import (
 // The slices, and the points they reach, belong to the sweep, which may
 // reuse them for its next window once the visitor returns. A visitor must
 // not keep either slice or any of the pointers after the call, and must
-// not modify the points: it copies out what it needs.
+// not modify the points: it copies out what it needs. Window scratch is
+// pooled across sweeps, so a visitor that kept a window's slices would
+// see another job's points.
 type Window struct {
 	Lo     int
 	Points []*Point

@@ -7,6 +7,7 @@ import (
 	"repro/internal/dse"
 	"repro/internal/ir"
 	"repro/internal/perf"
+	"repro/internal/sim"
 )
 
 // This file is the exact-match half of the differential harness: where the
@@ -63,9 +64,11 @@ func diffTimesExact(diffs []string, label string, a, b perf.Time) []string {
 // DiffPointsExact compares two evaluated sweeps field by field under exact
 // float bit equality (math.Float64bits) and returns a human-readable
 // description of every difference, nil when the sweeps are bit-identical.
-// It covers the simulated profile (TTFT, TBT, MFU, every per-operator
-// Time) and the derived point fields (TPP, area, PD, compliance, cost) —
-// the contract the batch evaluator must meet against the scalar path.
+// It covers every per-design scalar of the simulated profile (TTFT, TBT,
+// both MFUs) and the derived point fields (TPP, area, PD, compliance,
+// cost) — the contract the batch evaluator must meet against the scalar
+// path. Sweep points carry no per-operator Times; DiffResultsExact holds
+// those to the same contract where they are computed.
 func DiffPointsExact(a, b []dse.Point) []string {
 	var diffs []string
 	if len(a) != len(b) {
@@ -84,10 +87,7 @@ func DiffPointsExact(a, b []dse.Point) []string {
 					label, field, x, math.Float64bits(x), y, math.Float64bits(y)))
 			}
 		}
-		add("TTFTSeconds", pa.Result.TTFTSeconds, pb.Result.TTFTSeconds)
-		add("TBTSeconds", pa.Result.TBTSeconds, pb.Result.TBTSeconds)
-		add("PrefillMFU", pa.Result.PrefillMFU, pb.Result.PrefillMFU)
-		add("DecodeMFU", pa.Result.DecodeMFU, pb.Result.DecodeMFU)
+		diffs = diffScalarsExact(diffs, label, pa.Result, pb.Result)
 		add("TPP", pa.TPP, pb.TPP)
 		add("AreaMM2", pa.AreaMM2, pb.AreaMM2)
 		add("PD", pa.PD, pb.PD)
@@ -99,18 +99,61 @@ func DiffPointsExact(a, b []dse.Point) []string {
 		if pa.Oct2023Class != pb.Oct2023Class {
 			diffs = append(diffs, fmt.Sprintf("%s.Oct2023Class: %v != %v", label, pa.Oct2023Class, pb.Oct2023Class))
 		}
-		if len(pa.Result.PrefillOps) != len(pb.Result.PrefillOps) {
-			diffs = append(diffs, fmt.Sprintf("%s prefill op count: %d != %d", label, len(pa.Result.PrefillOps), len(pb.Result.PrefillOps)))
-		} else {
-			for j := range pa.Result.PrefillOps {
-				diffs = diffTimesExact(diffs, fmt.Sprintf("%s prefill[%d]", label, j), pa.Result.PrefillOps[j], pb.Result.PrefillOps[j])
-			}
+	}
+	return diffs
+}
+
+// diffScalarsExact appends a description per per-design scalar of a and b
+// (TTFT, TBT and both MFUs) that differs bit-for-bit, prefixed with label.
+func diffScalarsExact(diffs []string, label string, a, b sim.Result) []string {
+	for _, f := range []struct {
+		name string
+		x, y float64
+	}{
+		{"TTFTSeconds", a.TTFTSeconds, b.TTFTSeconds},
+		{"TBTSeconds", a.TBTSeconds, b.TBTSeconds},
+		{"PrefillMFU", a.PrefillMFU, b.PrefillMFU},
+		{"DecodeMFU", a.DecodeMFU, b.DecodeMFU},
+	} {
+		if bitsDiffer(f.x, f.y) {
+			diffs = append(diffs, fmt.Sprintf("%s.%s: %v (%#x) != %v (%#x)",
+				label, f.name, f.x, math.Float64bits(f.x), f.y, math.Float64bits(f.y)))
 		}
-		if len(pa.Result.DecodeOps) != len(pb.Result.DecodeOps) {
-			diffs = append(diffs, fmt.Sprintf("%s decode op count: %d != %d", label, len(pa.Result.DecodeOps), len(pb.Result.DecodeOps)))
-		} else {
-			for j := range pa.Result.DecodeOps {
-				diffs = diffTimesExact(diffs, fmt.Sprintf("%s decode[%d]", label, j), pa.Result.DecodeOps[j], pb.Result.DecodeOps[j])
+	}
+	return diffs
+}
+
+// DiffResultsExact compares two lists of simulated profiles, as
+// sim.SimulateGraph and batch.Evaluator.Sweep return them, under exact
+// float bit equality: the per-design scalars and every per-operator Time.
+// It returns a description of every difference, nil when the profiles are
+// bit-identical.
+func DiffResultsExact(a, b []sim.Result) []string {
+	var diffs []string
+	if len(a) != len(b) {
+		return []string{fmt.Sprintf("result count: %d != %d", len(a), len(b))}
+	}
+	for i := range a {
+		ra, rb := a[i], b[i]
+		label := fmt.Sprintf("[%d %s]", i, ra.Config.Name)
+		if ra.Config != rb.Config {
+			diffs = append(diffs, fmt.Sprintf("%s.Config: %+v != %+v", label, ra.Config, rb.Config))
+			continue
+		}
+		diffs = diffScalarsExact(diffs, label, ra, rb)
+		for _, ph := range []struct {
+			name   string
+			oa, ob []perf.Time
+		}{
+			{"prefill", ra.PrefillOps, rb.PrefillOps},
+			{"decode", ra.DecodeOps, rb.DecodeOps},
+		} {
+			if len(ph.oa) != len(ph.ob) {
+				diffs = append(diffs, fmt.Sprintf("%s %s op count: %d != %d", label, ph.name, len(ph.oa), len(ph.ob)))
+				continue
+			}
+			for j := range ph.oa {
+				diffs = diffTimesExact(diffs, fmt.Sprintf("%s %s[%d]", label, ph.name, j), ph.oa[j], ph.ob[j])
 			}
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/num"
 	"repro/internal/perf"
 	"repro/internal/policy"
+	"repro/internal/sim"
 )
 
 // This file is the model-invariant layer: metamorphic and consistency
@@ -57,9 +58,9 @@ func Check(points []dse.Point) []Violation {
 	return out
 }
 
-// CheckBounds verifies per-design ranges: positive latencies, MFU in
-// (0, 1], per-operator times no smaller than their bound components, and
-// phase latencies that are exactly the sum of their operators.
+// CheckBounds verifies per-design ranges: positive latencies and MFU in
+// (0, 1]. Sweep points carry no per-operator profiles; CheckProfiles
+// holds the profiles to their invariants where they are computed.
 func CheckBounds(points []dse.Point) []Violation {
 	var out []Violation
 	add := func(p dse.Point, detail string, args ...any) {
@@ -76,6 +77,20 @@ func CheckBounds(points []dse.Point) []Violation {
 		if !(r.DecodeMFU > 0 && r.DecodeMFU <= 1) {
 			add(p, "decode MFU %g outside (0,1]", r.DecodeMFU)
 		}
+	}
+	return out
+}
+
+// CheckProfiles verifies per-operator profiles, as sim.Simulate and
+// batch.Evaluator.Sweep return them: every phase has operators, each
+// operator's time is no smaller than its bound components, and each phase
+// latency is exactly the sum of its operators.
+func CheckProfiles(results []sim.Result) []Violation {
+	var out []Violation
+	for _, r := range results {
+		add := func(detail string, args ...any) {
+			out = append(out, Violation{"profile", r.Config.Name, fmt.Sprintf(detail, args...)})
+		}
 		phases := []struct {
 			name  string
 			ops   []perf.Time
@@ -85,15 +100,19 @@ func CheckBounds(points []dse.Point) []Violation {
 			{"decode", r.DecodeOps, r.TBTSeconds},
 		}
 		for _, ph := range phases {
+			if len(ph.ops) == 0 {
+				add("%s profile has no operators", ph.name)
+				continue
+			}
 			var sum float64
 			for _, t := range ph.ops {
 				if t.Seconds+1e-15 < math.Max(t.ComputeSeconds, t.DRAMSeconds) {
-					add(p, "%s op %s: total %g below its bound components", ph.name, t.Name, t.Seconds)
+					add("%s op %s: total %g below its bound components", ph.name, t.Name, t.Seconds)
 				}
 				sum += t.Seconds
 			}
 			if num.RelErr(sum, ph.total) > 1e-12 {
-				add(p, "%s latency %g is not the sum of its operators %g", ph.name, ph.total, sum)
+				add("%s latency %g is not the sum of its operators %g", ph.name, ph.total, sum)
 			}
 		}
 	}

@@ -1,11 +1,17 @@
 package golden
 
 import (
+	"context"
+	"math"
 	"reflect"
 	"testing"
 
+	"repro/internal/batch"
 	"repro/internal/dse"
+	"repro/internal/ir"
 	"repro/internal/model"
+	"repro/internal/perf"
+	"repro/internal/sim"
 )
 
 // The invariant suite runs the metamorphic/consistency layer over the
@@ -68,7 +74,6 @@ func TestInvariantCheckerDetectsViolations(t *testing.T) {
 		ps[1].Oct2023Class = (ps[1].Oct2023Class + 1) % 3
 	})
 	corrupt("mfu out of range", CheckBounds, func(ps []dse.Point) { ps[7].Result.PrefillMFU = 1.2 })
-	corrupt("latency sum broken", CheckBounds, func(ps []dse.Point) { ps[2].Result.TTFTSeconds *= 2 })
 	// Monotonicity: slow down one design's larger-HBM sibling so more
 	// bandwidth appears to hurt (the checker only reads TTFT/TBT, so the
 	// op profiles can stay untouched).
@@ -90,6 +95,45 @@ func TestInvariantCheckerDetectsViolations(t *testing.T) {
 	// implementation against the non-domination definition, so it cannot be
 	// tripped by corrupting points (it recomputes the front from the same
 	// data); its failure modes are covered by the dse-level Pareto tests.
+}
+
+// TestProfileCheckerDetectsViolations is the per-operator checker's
+// self-test, on profiles batch.Evaluator.Sweep computed for a few Table 3
+// designs: each corruption must be reported, and the clean profiles pass.
+func TestProfileCheckerDetectsViolations(t *testing.T) {
+	w := model.PaperWorkload(model.Llama3_8B())
+	g, err := ir.Lower(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := dse.Table3(4800, []float64{600}).Expand()[:8]
+	out, err := (&batch.Evaluator{Engine: sim.New().Engine}).Sweep(context.Background(), cfgs, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if viols := CheckProfiles(out.Results); len(viols) != 0 {
+		t.Fatalf("clean profiles flagged: %s", viols[0])
+	}
+	corrupt := func(name string, mutate func(*sim.Result)) {
+		cp := make([]sim.Result, len(out.Results))
+		copy(cp, out.Results)
+		r := &cp[2]
+		r.PrefillOps = append([]perf.Time(nil), r.PrefillOps...)
+		r.DecodeOps = append([]perf.Time(nil), r.DecodeOps...)
+		mutate(r)
+		if len(CheckProfiles(cp)) == 0 {
+			t.Errorf("%s: corruption not detected", name)
+		}
+	}
+	corrupt("latency sum broken", func(r *sim.Result) { r.TTFTSeconds *= 2 })
+	corrupt("op below its bound", func(r *sim.Result) {
+		// The phase total follows the op, so only the bound is broken.
+		op := &r.DecodeOps[0]
+		cut := op.Seconds - 0.5*math.Max(op.ComputeSeconds, op.DRAMSeconds)
+		op.Seconds -= cut
+		r.TBTSeconds -= cut
+	})
+	corrupt("profile missing", func(r *sim.Result) { r.PrefillOps = nil })
 }
 
 // TestCacheConsistency is the cache half of the differential layer:

@@ -601,9 +601,10 @@ func (s *Server) parseDSE(req DSERequest) (*jobSpec, error) {
 		jsp.SetInt("designs", designs)
 		start := time.Now()
 		var tally dse.CacheTally
-		configs := grid.Expand()
-		fold := newDSEFold(len(configs), top, keep, metric)
-		if err := s.explorer.NewSession(wl).Sweep(dse.WithCacheTally(ctx, &tally), configs, nil, fold.visit); err != nil {
+		// The sweep walks the grid a window at a time; the job never
+		// holds its configs.
+		fold := newDSEFold(designs, top, keep, metric)
+		if err := s.explorer.NewSession(wl).SweepGrid(dse.WithCacheTally(ctx, &tally), grid, nil, fold.visit); err != nil {
 			return nil, err
 		}
 		ranked := fold.ranked()

@@ -269,6 +269,9 @@ type streamWriter struct {
 	enc *json.Encoder
 	rec *obs.Recorder
 	sse bool
+	// frame holds the frame being encoded: the encoder takes a pointer
+	// to it, so a write boxes nothing into an interface.
+	frame StreamFrame
 }
 
 func newStreamWriter(w http.ResponseWriter, r *http.Request, rec *obs.Recorder) *streamWriter {
@@ -288,17 +291,18 @@ func newStreamWriter(w http.ResponseWriter, r *http.Request, rec *obs.Recorder) 
 
 func (sw *streamWriter) write(f StreamFrame) error {
 	start := time.Now()
+	sw.frame = f
 	var err error
 	if sw.sse {
 		_, err = io.WriteString(sw.w, "data: ")
 		if err == nil {
-			err = sw.enc.Encode(f) // Encode terminates the line
+			err = sw.enc.Encode(&sw.frame) // Encode terminates the line
 		}
 		if err == nil {
 			_, err = io.WriteString(sw.w, "\n") // blank line ends the event
 		}
 	} else {
-		err = sw.enc.Encode(f) // one JSON object per line: NDJSON
+		err = sw.enc.Encode(&sw.frame) // one JSON object per line: NDJSON
 	}
 	if sw.rec != nil {
 		sw.rec.Observe("stream.frame", time.Since(start))
