@@ -355,9 +355,10 @@ type Explorer struct {
 	// Parallelism bounds a sweep's window workers; 0 means GOMAXPROCS.
 	Parallelism int
 	// Cache memoises evaluated points by PointKey in the content-addressed
-	// store (a sharded LRU over store.Key plus single-flight dedup of
-	// concurrent identical evaluations) so overlapping grids (and repeated
-	// service requests) skip re-simulation. The key covers the config and
+	// store (a sharded LRU over store.Key) so overlapping grids (and
+	// repeated service requests) skip re-simulation. Concurrent sweeps
+	// that miss the same design each evaluate it, bit-identically, and
+	// the later Put refreshes the entry. The key covers the config and
 	// workload only: explorers whose Sim engine or Wafer model differ from
 	// the defaults must not share a cache (set it to nil, or give each
 	// explorer its own). Nil disables caching.
@@ -390,7 +391,7 @@ func PointKey(cfg arch.Config, w model.Workload) store.Key {
 }
 
 // NewPointStore returns the result store the explorer and the serving
-// layer share: the store's sharded memory LRU bounded to entries points
+// layer share: the store's sharded LRU bounded to entries points
 // and byte-accounted with pointSize.
 func NewPointStore(entries int) *store.Tiered[Point] {
 	return store.NewTiered(entries, pointSize)
@@ -398,7 +399,7 @@ func NewPointStore(entries int) *store.Tiered[Point] {
 
 var pointStaticSize = int(reflect.TypeOf(Point{}).Size())
 
-// pointSize is what one point owns, for the memory tier's accounting: the
+// pointSize is what one point owns, for the point store's accounting: the
 // struct and its display name. Result.Config.Name shares the name's
 // bytes, the workload's model name is a shared constant, and a sweep
 // point holds no per-operator profiles.
@@ -489,14 +490,13 @@ func (s *Session) collect(ctx context.Context, src source) ([]Point, error) {
 // Sweep evaluates configs on the session's workload a window at a time.
 // The configs split into fixed windows of batch.DefaultWidth designs, and
 // Parallelism workers each take one window at a time from the caller.
-// A worker probes the point store, claims the misses in its single-flight
-// layer in one critical section, evaluates the claimed misses (one
+// A worker probes the point store, evaluates the window's misses (one
 // sums-only batch.Evaluator pass, or one Sim.SimulateGraphContext call
-// per design when Sim.Backend is set), finishes, stores and releases
-// them, and waits for misses another sweep is computing. It then hands
-// the finished Window to visit and to the context's ProgressFunc, in that
-// order (a nil one is skipped). Windows finish in any order and every
-// worker calls the visitors, so they must be safe for concurrent use.
+// per design when Sim.Backend is set), and finishes and stores them. It
+// then hands the finished Window to visit and to the context's
+// ProgressFunc, in that order (a nil one is skipped). Windows finish in
+// any order and every worker calls the visitors, so they must be safe
+// for concurrent use.
 //
 // at places the points: design i's point is written to *at(i), which the
 // caller owns, one place per design. With a nil at, each worker writes
@@ -506,14 +506,13 @@ func (s *Session) collect(ctx context.Context, src source) ([]Point, error) {
 // ends.
 //
 // Each window records one dse.window span with int attributes configs,
-// hits (memory), misses (simulated here) and shared (computed by a
-// concurrent sweep), and the whole microseconds it spent in each stage:
-// probe_us (store probes), claim_us (single-flight claims, releases and
-// waits), evaluate_us, finish_us (finishing and storing what it
-// evaluated) and emit_us (the visitors). Each stage's time also goes to
-// the dse.window.<stage> histogram once per window; claim, evaluate and
-// finish only from windows that missed. Without a recorder in ctx a
-// window reads no clock.
+// hits (served by the store) and misses (simulated here), and the whole
+// microseconds it spent in each stage: probe_us (store probes),
+// evaluate_us, finish_us (finishing and storing what it evaluated) and
+// emit_us (the visitors). Each stage's time also goes to the
+// dse.window.<stage> histogram once per window; evaluate and finish only
+// from windows that missed. Without a recorder in ctx a window reads no
+// clock.
 //
 // Sweep returns nil once every design is evaluated. Otherwise it returns
 // the designs' own failures, joined in input order, then an error
@@ -653,7 +652,6 @@ func (sw *sweep) fail(i int, name string, err error) {
 // The timed stages of a window, in the order a window runs them.
 const (
 	stageProbe = iota
-	stageClaim
 	stageEvaluate
 	stageFinish
 	stageEmit
@@ -661,8 +659,8 @@ const (
 )
 
 var (
-	stageAttrs = [numStages]string{"probe_us", "claim_us", "evaluate_us", "finish_us", "emit_us"}
-	stageNames = [numStages]string{"dse.window.probe", "dse.window.claim", "dse.window.evaluate", "dse.window.finish", "dse.window.emit"}
+	stageAttrs = [numStages]string{"probe_us", "evaluate_us", "finish_us", "emit_us"}
+	stageNames = [numStages]string{"dse.window.probe", "dse.window.evaluate", "dse.window.finish", "dse.window.emit"}
 )
 
 // window is one worker's scratch, reused across the windows it takes.
@@ -686,16 +684,15 @@ type window struct {
 	cur     gridCursor
 	names   []byte
 	nameEnd [batch.DefaultWidth]int
-	// miss holds the window positions that missed memory and keys their
-	// point keys.
+	// miss holds the window positions the store did not serve and keys
+	// their point keys (none without a store).
 	miss []int
 	keys []store.Key
-	buf  store.WindowBuf
 	// in and out are the batch evaluator's input and output.
 	in  []arch.Config
 	out batch.Outcome
 	// The current window's span tallies.
-	hits, misses, shared int
+	hits, misses int
 	// With a recorder, mark is when the last stage ended and dur holds
 	// each stage's time in the current window.
 	mark time.Time
@@ -735,15 +732,6 @@ func (l *windowList) put(w *window) {
 		l.free = append(l.free, w)
 	}
 }
-
-// positions lists the window positions 0..DefaultWidth-1: a window
-// without a store evaluates positions[:len(miss)] of its misses.
-var positions = func() (p [batch.DefaultWidth]int) {
-	for i := range p {
-		p[i] = i
-	}
-	return p
-}()
 
 // work evaluates sw's windows starting at each design index it receives,
 // skipping them once the sweep's context has ended. It then drops its
@@ -798,7 +786,7 @@ func (w *window) run(lo, hi int) {
 		w.done[k] = false
 	}
 	w.load(n)
-	w.hits, w.misses, w.shared = 0, 0, 0
+	w.hits, w.misses = 0, 0
 	w.miss, w.keys = w.miss[:0], w.keys[:0]
 	cache := sw.e.Cache
 	for k := 0; k < n; k++ {
@@ -816,35 +804,14 @@ func (w *window) run(lo, hi int) {
 		w.miss = append(w.miss, k)
 	}
 	w.lap(stageProbe)
-	switch {
-	case len(w.miss) == 0:
-	case cache == nil:
-		w.evaluate(ctx, positions[:len(w.miss)])
-	default:
-		// Misses complete under the single-flight layer, so concurrent
-		// identical sweeps share one evaluation per design. The claim
-		// stage is all ComputeWindow spends outside compute: claims,
-		// re-probes, releases and waits.
-		cache.ComputeWindow(ctx, w.keys, &w.buf, func(lead []int) { //nolint:errcheck // a cancelled sweep reports ctx.Err() itself
-			w.lap(stageClaim)
-			w.evaluate(ctx, lead)
-		}, func(j int, p Point, shared bool) {
-			*w.pts[w.miss[j]] = p
-			w.serve(w.miss[j])
-			if shared {
-				w.shared++
-			} else {
-				w.hits++
-			}
-		})
-		w.lap(stageClaim)
+	if len(w.miss) > 0 {
+		w.evaluate(ctx)
 	}
 	sp.SetInt("configs", n)
 	sp.SetInt("hits", w.hits)
 	sp.SetInt("misses", w.misses)
-	sp.SetInt("shared", w.shared)
 	if sw.tally != nil && cache != nil {
-		sw.tally.Hits.Add(uint64(w.hits + w.shared))
+		sw.tally.Hits.Add(uint64(w.hits))
 		sw.tally.Misses.Add(uint64(w.misses))
 	}
 	if sw.visit != nil || sw.progress != nil {
@@ -919,35 +886,35 @@ func (w *window) serve(k int) {
 	w.done[k] = true
 }
 
-// evaluate simulates the missed designs at positions lead of w.miss,
-// then finishes and stores each one that succeeds.
-func (w *window) evaluate(ctx context.Context, lead []int) {
+// evaluate simulates the window's missed designs, then finishes and
+// stores each one that succeeds.
+func (w *window) evaluate(ctx context.Context) {
 	sw := w.sw
 	out := &w.out
 	if out.Results == nil { // first evaluation of this window
 		out.Results, out.Done = make([]sim.Result, batch.DefaultWidth), make([]bool, batch.DefaultWidth)
 	}
-	out.Results, out.Done = out.Results[:len(lead)], out.Done[:len(lead)]
+	out.Results, out.Done = out.Results[:len(w.miss)], out.Done[:len(w.miss)]
 	if simr := sw.e.Sim; simr.Backend != nil || simr.Engine == nil {
 		out.Errs = nil
-		for k, j := range lead {
-			out.Done[k] = false
+		for j, k := range w.miss {
+			out.Done[j] = false
 			if ctx.Err() != nil {
 				continue
 			}
-			cfg := &w.cfgs[w.miss[j]]
+			cfg := &w.cfgs[k]
 			r, err := simr.SimulateGraphContext(ctx, *cfg, sw.g)
 			if err != nil {
-				sw.fail(w.lo+w.miss[j], cfg.Name, err)
+				sw.fail(w.lo+k, cfg.Name, err)
 				w.misses++
 				continue
 			}
-			out.Results[k], out.Done[k] = r, true
+			out.Results[j], out.Done[j] = r, true
 		}
 	} else {
 		w.in = w.in[:0]
-		for _, j := range lead {
-			w.in = append(w.in, w.cfgs[w.miss[j]])
+		for _, k := range w.miss {
+			w.in = append(w.in, w.cfgs[k])
 		}
 		// Sums only: a sweep point carries per-design scalars, so the
 		// evaluator keeps no per-op Times. The only sweep-level error is
@@ -955,12 +922,12 @@ func (w *window) evaluate(ctx context.Context, lead []int) {
 		sw.ev.SweepInto(ctx, w.in, sw.g, out, nil) //nolint:errcheck
 	}
 	w.lap(stageEvaluate)
-	for k, j := range lead {
-		if out.Errs != nil && out.Errs[k] != nil {
-			sw.fail(w.lo+w.miss[j], w.cfgs[w.miss[j]].Name, out.Errs[k])
+	for j, k := range w.miss {
+		if out.Errs != nil && out.Errs[j] != nil {
+			sw.fail(w.lo+k, w.cfgs[k].Name, out.Errs[j])
 			w.misses++
-		} else if out.Done[k] {
-			w.finish(ctx, j, &out.Results[k])
+		} else if out.Done[j] {
+			w.finish(ctx, j, &out.Results[j])
 			w.misses++
 		}
 	}

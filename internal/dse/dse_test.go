@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/ir"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/sim"
 )
@@ -326,62 +326,58 @@ func TestCacheSkipsReSimulation(t *testing.T) {
 	}
 }
 
-// TestConcurrentIdenticalSweepsSingleFlight runs the same grid from many
-// goroutines over one shared explorer and proves — by summing the
-// dse.window spans' misses attribute — that each unique design was
-// simulated exactly once; every other lookup was served by the memory
-// tier or by sharing a racing sweep's in-flight computation.
-func TestConcurrentIdenticalSweepsSingleFlight(t *testing.T) {
+// TestConcurrentIdenticalSweepsMatchSerial releases 8 cold Table 3
+// sweeps onto one explorer at once. The store does not deduplicate their
+// misses, so each sweep evaluates what it misses; every sweep must still
+// return the points of one serial sweep on an explorer without a store,
+// and the store must end as one cold sweep leaves it: a design written
+// by several sweeps is refreshed, never charged twice. Every probe counts
+// once, as a hit or a miss.
+func TestConcurrentIdenticalSweepsMatchSerial(t *testing.T) {
 	const sweeps = 8
-	rec := obs.NewRecorder(0)
-	ctx := obs.WithRecorder(context.Background(), rec)
-	ex := NewExplorer()
 	w := model.PaperWorkload(model.Llama3_8B())
-	g := smallGrid(4800)
-	unique := g.Size()
+	g := Table3(4800, []float64{600})
+	ref := NewExplorer()
+	ref.Cache = nil
+	want, err := ref.Run(g, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	once := NewExplorer()
+	if _, err := once.Run(g, w); err != nil {
+		t.Fatal(err)
+	}
+	cold := once.Cache.Stats()
 
+	ex := NewExplorer()
+	start := make(chan struct{})
 	var wg sync.WaitGroup
+	got := make([][]Point, sweeps)
 	errs := make([]error, sweeps)
 	for i := 0; i < sweeps; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = ex.RunContext(ctx, g, w)
+			<-start
+			got[i], errs[i] = ex.Run(g, w)
 		}(i)
 	}
+	close(start)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
 		}
-	}
-
-	tally := make(map[string]int)
-	for _, sp := range rec.Spans() {
-		if sp.Name != "dse.window" {
-			continue
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("sweep %d: points differ from the serial sweep without a store", i)
 		}
-		for _, a := range sp.Attrs {
-			if n, ok := a.Value.(int); ok {
-				tally[a.Key] += n
-			}
-		}
-	}
-	if tally["configs"] != sweeps*unique {
-		t.Fatalf("windows cover %d designs, want %d (%v)", tally["configs"], sweeps*unique, tally)
-	}
-	if tally["misses"] != unique {
-		t.Errorf("%d simulations for %d unique designs (%v)", tally["misses"], unique, tally)
-	}
-	if got := tally["hits"] + tally["shared"]; got != sweeps*unique-unique {
-		t.Errorf("%d designs served by memory or a racing sweep, want %d (%v)", got, sweeps*unique-unique, tally)
 	}
 	st := ex.Cache.Stats()
-	if st.Misses != uint64(unique) {
-		t.Errorf("store counted %d misses, want %d", st.Misses, unique)
+	if st.Len != cold.Len || st.Bytes != cold.Bytes {
+		t.Errorf("store holds %d entries in %d bytes, want one cold sweep's %d in %d", st.Len, st.Bytes, cold.Len, cold.Bytes)
 	}
-	if st.Hits != uint64(sweeps*unique-unique) {
-		t.Errorf("store counted %d hits, want %d", st.Hits, sweeps*unique-unique)
+	if got := st.Hits + st.Misses; got != uint64(sweeps*len(want)) {
+		t.Errorf("store counted %d lookups (%d hits, %d misses), want %d", got, st.Hits, st.Misses, sweeps*len(want))
 	}
 }
 

@@ -178,7 +178,7 @@ func TestWindowStagesTimedOncePerWindow(t *testing.T) {
 		}
 		want := []string{"dse.window.probe", "dse.window.emit"}
 		if run == "cold" {
-			want = append(want, "dse.window.claim", "dse.window.evaluate", "dse.window.finish")
+			want = append(want, "dse.window.evaluate", "dse.window.finish")
 		}
 		for _, stage := range want {
 			if stages[stage] != uint64(windows) {
@@ -191,7 +191,7 @@ func TestWindowStagesTimedOncePerWindow(t *testing.T) {
 				continue
 			}
 			spans++
-			for _, attr := range []string{"probe_us", "claim_us", "evaluate_us", "finish_us", "emit_us"} {
+			for _, attr := range []string{"probe_us", "evaluate_us", "finish_us", "emit_us"} {
 				if v, ok := attrValue(sr, attr); !ok || v.(int) < 0 {
 					t.Errorf("%s: dse.window span has %s = %v", run, attr, v)
 				}

@@ -55,9 +55,10 @@ func progressFrom(ctx context.Context) ProgressFunc {
 }
 
 // CacheTally counts one job's own point-store outcomes over every sweep
-// run under a context carrying it (WithCacheTally): Hits are designs
-// served from memory or by a concurrent sweep's computation, Misses are
-// designs evaluated here. Deltas of the store's global Stats would also
+// run under a context carrying it (WithCacheTally): Hits are designs the
+// store served, Misses are designs evaluated here (including ones a
+// concurrent sweep was evaluating at the same moment). Deltas of the
+// store's global Stats would also
 // count every concurrent job's lookups. Sweeps add once per window, from
 // any worker; an Explorer without a store counts nothing.
 type CacheTally struct {

@@ -14,7 +14,7 @@ import (
 //   - a sync.WaitGroup Done or Wait — some owner joins it;
 //   - a channel send, receive, or close — it rendezvouses with a peer
 //     that can unblock or drain it (the server queue's done-channel
-//     pattern, the store flight followers);
+//     pattern);
 //   - a select or receive on ctx.Done() — context cancellation bounds it;
 //   - a range over a channel — closing the channel retires it (the dse
 //     worker pool).

@@ -8,14 +8,14 @@ import (
 )
 
 // analyzerLockGuard enforces the concurrency contract on cache structs
-// (store.Flight, the store's memory shards and anything shaped like
-// them, generic or not): a struct that pairs a sync mutex with
-// struct-keyed map fields promises that every read of those maps happens
-// under the mutex (read or write lock) and every write under the write
-// lock. The check is linear over each function body: mutex
-// Lock/RLock/Unlock/RUnlock calls and guarded-field accesses are ordered
-// by source position and the lock state is replayed across them — exactly
-// the shape the flight layer's claim and release use. A deferred call
+// (the point store's shards and anything shaped like them, generic or
+// not): a struct that pairs a sync mutex with struct-keyed map fields
+// promises that every read of those maps happens under the mutex (read or
+// write lock) and every write under the write lock. The check is linear
+// over each function body: mutex Lock/RLock/Unlock/RUnlock calls and
+// guarded-field accesses are ordered by source position and the lock
+// state is replayed across them — the shape of a lock, a map access and
+// a deferred or explicit unlock that the store's Get and Put use. A deferred call
 // counts at the end of the function body it is deferred in. It also flags
 // function signatures that copy a mutex-bearing struct by value (receiver
 // or parameter), which would fork the lock from the state it guards.

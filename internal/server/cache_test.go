@@ -19,7 +19,7 @@ import (
 
 // TestCacheConcurrentStress hammers the shared point store from many
 // goroutines mixing hits, misses and evictions; run with -race it proves
-// the store's sharded memory tier is data-race free.
+// the store's sharded LRU is data-race free.
 func TestCacheConcurrentStress(t *testing.T) {
 	cache := dse.NewPointStore(256)
 	ctx := context.Background()
@@ -158,5 +158,44 @@ func TestConcurrentJobsCountTheirOwnCacheOutcomes(t *testing.T) {
 			t.Errorf("%s job: %d designs, cache_misses %d, cache_hits %d; want 512, 512, 0",
 				models[i], res.Designs, res.CacheMisses, res.CacheHits)
 		}
+	}
+}
+
+// TestMetricsStoreMatchesCache pins the /metrics store surface: "cache"
+// and "store.mem" read one snapshot of the one point store, so they
+// report the same outcomes, each probe counts once (a cold Table 3 job
+// adds 512 misses, not one per probe and re-probe), and "store" has no
+// other key.
+func TestMetricsStoreMatchesCache(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, run := range []string{"cold", "warm"} {
+		resp, body := postJSON(t, ts.URL+"/v1/dse", table3Body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s enqueue: status %d: %s", run, resp.StatusCode, body)
+		}
+		var enq EnqueueResponse
+		if err := json.Unmarshal(body, &enq); err != nil {
+			t.Fatal(err)
+		}
+		if st := pollJob(t, ts.URL, enq.JobID); st.State != "succeeded" {
+			t.Fatalf("%s job: %s (%s)", run, st.State, st.Error)
+		}
+	}
+	var raw struct {
+		Store map[string]json.RawMessage `json:"store"`
+	}
+	var m MetricsSnapshot
+	getJSON(t, ts.URL+"/metrics", &raw)
+	getJSON(t, ts.URL+"/metrics", &m)
+	if _, flight := raw.Store["flight"]; flight || len(raw.Store) != 1 || raw.Store["mem"] == nil {
+		t.Errorf("/metrics store has %d keys (flight among them: %v), want mem alone", len(raw.Store), flight)
+	}
+	mem := m.Store["mem"]
+	if mem.Hits != m.Cache.Hits || mem.Misses != m.Cache.Misses ||
+		mem.Len != m.Cache.Entries || mem.Evictions != m.Cache.Evictions {
+		t.Errorf("store.mem %+v disagrees with cache %+v", mem, m.Cache)
+	}
+	if m.Cache.Misses != 512 || m.Cache.Hits != 512 {
+		t.Errorf("cache counted %d misses and %d hits over a cold and a warm Table 3 job, want 512 and 512", m.Cache.Misses, m.Cache.Hits)
 	}
 }

@@ -50,8 +50,9 @@ type QueueSnapshot struct {
 }
 
 // MetricsSnapshot is the full /metrics document. Cache summarises the
-// shared result store's top-level outcomes (kept for compatibility);
-// Store breaks the store out per tier: "mem" and "flight".
+// shared point store's outcomes; Store reports the same snapshot in the
+// store's own shape, with its byte figure, under "mem" (the store's one
+// tier). Both read one Stats call, so their counts always agree.
 type MetricsSnapshot struct {
 	UptimeSeconds float64                     `json:"uptime_seconds"`
 	Requests      map[string]EndpointSnapshot `json:"requests"`
@@ -61,8 +62,8 @@ type MetricsSnapshot struct {
 }
 
 // metricsSnapshot folds the route counters and their stage latencies
-// together with cache, per-tier store and queue state into one
-// exportable document. Routes that have served no request are omitted.
+// together with store and queue state into one exportable document.
+// Routes that have served no request are omitted.
 func (s *Server) metricsSnapshot() MetricsSnapshot {
 	stages := make(map[string]obs.StageStats)
 	for _, st := range s.obs.StageStats() { // nil-safe: no stages without tracing
@@ -85,9 +86,10 @@ func (s *Server) metricsSnapshot() MetricsSnapshot {
 		}
 	}
 	var cache store.Stats
-	var tiers map[string]store.Stats
+	var storeStats map[string]store.Stats
 	if s.explorer.Cache != nil {
-		cache, tiers = s.explorer.Cache.Stats(), s.explorer.Cache.TierStats()
+		cache = s.explorer.Cache.Stats()
+		storeStats = map[string]store.Stats{"mem": cache}
 	}
 	return MetricsSnapshot{
 		UptimeSeconds: time.Since(s.start).Seconds(),
@@ -100,7 +102,7 @@ func (s *Server) metricsSnapshot() MetricsSnapshot {
 			Capacity:  cache.Capacity,
 			Evictions: cache.Evictions,
 		},
-		Store: tiers,
+		Store: storeStats,
 		Queue: s.queue.Snapshot(),
 	}
 }

@@ -5,9 +5,9 @@
 // Synchronous endpoints answer directly; heavy DSE sweeps go through an
 // async job API backed by a bounded worker-pool queue with per-job
 // context cancellation and deadlines. Every simulation, synchronous or
-// queued, flows through one shared dse.Explorer whose result store
-// (package store: sharded memory LRU plus single-flight dedup) makes
-// repeated, overlapping and concurrent identical sweeps cheap. The
+// queued, flows through one shared dse.Explorer whose point store
+// (package store: a sharded LRU) makes repeated and overlapping sweeps
+// cheap; concurrent identical sweeps each evaluate what they miss. The
 // observability surface — /healthz, /metrics with per-route request
 // counts and latency quantiles, cache hit ratio and queue depth, plus
 // structured request logging — rides on the standard library alone.
@@ -89,9 +89,6 @@ type Config struct {
 	// JobTimeout is the per-job deadline; 0 means 10 minutes, negative
 	// disables the deadline.
 	JobTimeout time.Duration
-	// MaxGridSize rejects sweeps larger than this many designs; 0 means
-	// 65536.
-	MaxGridSize int
 	// TraceCapacity bounds the span ring buffer behind /debug/obs; 0
 	// means obs.DefaultCapacity, negative disables tracing entirely
 	// (requests then ride the obs nil fast path).
@@ -131,9 +128,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.JobTimeout == 0 {
 		cfg.JobTimeout = 10 * time.Minute
-	}
-	if cfg.MaxGridSize <= 0 {
-		cfg.MaxGridSize = 65536
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
@@ -508,6 +502,10 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 // caller.
 const statusClientClosedRequest = 499
 
+// maxGridSize is the most designs one job may sweep, counted before
+// core-count solving (Grid.Size), and the largest search budget.
+const maxGridSize = 65536
+
 // jobSpec is a validated job submission, ready to enqueue: parsed by
 // parseJob from a POST body, or from a journalled spec on restart
 // replay.
@@ -552,9 +550,9 @@ func (s *Server) parseDSE(req DSERequest) (*jobSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	if grid.Size() > s.cfg.MaxGridSize {
+	if grid.Size() > maxGridSize {
 		return nil, fmt.Errorf("grid of %d designs exceeds the %d-design limit",
-			grid.Size(), s.cfg.MaxGridSize)
+			grid.Size(), maxGridSize)
 	}
 	// What the sweep will evaluate: expansion drops the combinations
 	// whose one-core device already reaches the TPP budget.
@@ -653,9 +651,9 @@ func (s *Server) parseSearch(req SearchRequest) (*jobSpec, error) {
 	if req.Budget <= 0 {
 		return nil, fmt.Errorf("budget must be positive")
 	}
-	if req.Budget > s.cfg.MaxGridSize {
+	if req.Budget > maxGridSize {
 		return nil, fmt.Errorf("budget of %d evaluations exceeds the %d-design limit",
-			req.Budget, s.cfg.MaxGridSize)
+			req.Budget, maxGridSize)
 	}
 	engine := req.Engine
 	if engine == "" {
@@ -705,8 +703,9 @@ func (s *Server) parseSearch(req SearchRequest) (*jobSpec, error) {
 // or a journalled job's original ID on replay — and journals its spec
 // once the job has an ID. The hub rides on the Job from the submit on,
 // so it sees every frame and, through the terminal hook, the job's end.
-// Every job runs its own work; concurrent identical designs are still
-// simulated once, through the point store's single-flight layer.
+// Every job runs its own work: jobs share evaluated designs only through
+// the point store, so concurrent identical jobs each evaluate what they
+// miss.
 func (s *Server) enqueue(js *jobSpec, sc obs.SpanContext, id string) (*Job, error) {
 	enqueuedAt := time.Now()
 	job, err := s.queue.submit(id, js.hub, func(ctx context.Context) (any, error) {

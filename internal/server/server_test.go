@@ -403,18 +403,22 @@ func TestCancelFinishedJobConflicts(t *testing.T) {
 	}
 }
 
+// badDSEBodies are /v1/dse bodies that must get a 400, by what is wrong
+// with each.
+var badDSEBodies = []struct{ name, body string }{
+	{"no grid", `{}`},
+	{"two grids", `{"table3":{"tpp":4800},"table5":true}`},
+	{"bad rule", `{"table3":{"tpp":4800},"rule":"oct2077"}`},
+	{"bad objective", `{"table3":{"tpp":4800},"objective":"vibes"}`},
+	{"bad tpp", `{"table3":{"tpp":-5}}`},
+	{"bad workload", `{"table3":{"tpp":4800},"workload":{"model":"gpt5"}}`},
+}
+
 func TestDSERejectsBadRequests(t *testing.T) {
 	_, ts := newTestServer(t)
-	for name, body := range map[string]string{
-		"no grid":       `{}`,
-		"two grids":     `{"table3":{"tpp":4800},"table5":true}`,
-		"bad rule":      `{"table3":{"tpp":4800},"rule":"oct2077"}`,
-		"bad objective": `{"table3":{"tpp":4800},"objective":"vibes"}`,
-		"bad tpp":       `{"table3":{"tpp":-5}}`,
-		"bad workload":  `{"table3":{"tpp":4800},"workload":{"model":"gpt5"}}`,
-	} {
-		if resp, data := postJSON(t, ts.URL+"/v1/dse", body); resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400 (%s)", name, resp.StatusCode, data)
+	for _, c := range badDSEBodies {
+		if resp, data := postJSON(t, ts.URL+"/v1/dse", c.body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", c.name, resp.StatusCode, data)
 		}
 	}
 }
@@ -472,13 +476,10 @@ func TestDSERejectsOverflowingGrid(t *testing.T) {
 	}
 }
 
-// TestDSERejectsInvalidGridValues pins that an explicit grid holding a
-// value arch.Config.Validate rejects gets a 400 naming the field and the
-// value. Accepted, such a grid's job would fail as a whole, losing its
-// valid designs' results, and a large all-invalid grid would fail with
-// one joined error per design in its status body.
-func TestDSERejectsInvalidGridValues(t *testing.T) {
-	_, ts := newTestServer(t)
+// invalidGridValueCases are /v1/dse bodies whose explicit grid or Table
+// 3 bandwidth list holds a value arch.Config.Validate rejects, each with
+// the text its 400 must contain.
+func invalidGridValueCases() []struct{ body, want string } {
 	// grid returns a one-design grid with field set to value.
 	grid := func(field, value string) string {
 		var b strings.Builder
@@ -496,7 +497,7 @@ func TestDSERejectsInvalidGridValues(t *testing.T) {
 		return b.String()
 	}
 	negL1 := "[" + strings.Repeat("-1,", 4095) + "-1]"
-	for _, c := range []struct{ body, want string }{
+	return []struct{ body, want string }{
 		{grid("l1_kb", "[-1,192]"), "grid.l1_kb value -1"},
 		{grid("l1_kb", negL1), "grid.l1_kb value -1"},
 		{grid("l2_mb", "[0]"), "grid.l2_mb value 0"},
@@ -506,7 +507,19 @@ func TestDSERejectsInvalidGridValues(t *testing.T) {
 		{grid("lanes_per_core", "[4,-4]"), "grid.lanes_per_core value -4"},
 		{grid("hbm_capacity_gb", "-80"), "grid.hbm_capacity_gb value -80"},
 		{grid("clock_ghz", "-1.41"), "grid.clock_ghz value -1.41"},
-	} {
+		{`{"table3":{"tpp":4800,"device_bw_gbs":[-1]}}`, "table3.device_bw_gbs value -1"},
+	}
+}
+
+// TestDSERejectsInvalidGridValues pins that a grid holding a value
+// arch.Config.Validate rejects, in an explicit grid or in a Table 3
+// bandwidth list, gets a 400 naming the field and the value. Accepted,
+// such a grid's job would fail as a whole, losing its valid designs'
+// results, and a large all-invalid grid would fail with one joined error
+// per design in its status body.
+func TestDSERejectsInvalidGridValues(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, c := range invalidGridValueCases() {
 		resp, data := postJSON(t, ts.URL+"/v1/dse", c.body)
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), c.want) {
 			t.Errorf("%.120s: status %d (%s), want 400 naming %q", c.body, resp.StatusCode, data, c.want)

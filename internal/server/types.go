@@ -342,6 +342,9 @@ func (r DSERequest) grid() (dse.Grid, error) {
 		if len(bw) == 0 {
 			bw = []float64{600}
 		}
+		if err := checkDeviceBW("table3.device_bw_gbs", bw); err != nil {
+			return dse.Grid{}, err
+		}
 		return dse.Table3(r.Table3.TPP, bw), nil
 	case r.Table5:
 		return dse.Table5(), nil
@@ -401,16 +404,25 @@ func (g *GridRequest) validate() error {
 			return fmt.Errorf("grid.hbm_bandwidth_gbs value %g must be positive", v)
 		}
 	}
-	for _, v := range g.DeviceBWGBs {
-		if v < 0 {
-			return fmt.Errorf("grid.device_bw_gbs value %g must be non-negative", v)
-		}
+	if err := checkDeviceBW("grid.device_bw_gbs", g.DeviceBWGBs); err != nil {
+		return err
 	}
 	if g.HBMCapacityGB < 0 {
 		return fmt.Errorf("grid.hbm_capacity_gb value %d must be positive", g.HBMCapacityGB)
 	}
 	if g.ClockGHz < 0 {
 		return fmt.Errorf("grid.clock_ghz value %g must be positive", g.ClockGHz)
+	}
+	return nil
+}
+
+// checkDeviceBW refuses the first negative device bandwidth in bw,
+// naming the request field it came from.
+func checkDeviceBW(field string, bw []float64) error {
+	for _, v := range bw {
+		if v < 0 {
+			return fmt.Errorf("%s value %g must be non-negative", field, v)
+		}
 	}
 	return nil
 }

@@ -1,12 +1,48 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 )
+
+// pairCodec encodes a two-field struct — enough structure to catch
+// header/payload framing bugs without depending on higher layers.
+type pair struct {
+	A uint64
+	B string
+}
+
+type pairCodec struct{ version string }
+
+func (c pairCodec) Version() string {
+	if c.version != "" {
+		return c.version
+	}
+	return "pair-v1"
+}
+
+func (pairCodec) Encode(dst []byte, v pair) ([]byte, error) {
+	dst = binary.LittleEndian.AppendUint64(dst, v.A)
+	dst = binary.AppendUvarint(dst, uint64(len(v.B)))
+	return append(dst, v.B...), nil
+}
+
+func (pairCodec) Decode(data []byte) (pair, error) {
+	if len(data) < 8 {
+		return pair{}, errors.New("short")
+	}
+	v := pair{A: binary.LittleEndian.Uint64(data)}
+	n, used := binary.Uvarint(data[8:])
+	if used <= 0 || uint64(len(data)-8-used) != n {
+		return pair{}, errors.New("bad string length")
+	}
+	v.B = string(data[8+used:])
+	return v, nil
+}
 
 func TestFilesRoundTrip(t *testing.T) {
 	dir := t.TempDir()

@@ -1,21 +1,18 @@
 // Package store is the repo's content-addressed result store: the one
-// memo layer the evaluation pipeline uses, holding the dse point cache
-// behind a single-flight layer. Results are addressed by 128-bit content
-// keys built from the IR hashes of their inputs (ir.ConfigHash /
-// ir.WorkloadHash), so a result is location-independent: any caller that
-// can derive the key can reuse the result.
+// memo layer the evaluation pipeline uses, holding the dse point cache.
+// Results are addressed by 128-bit content keys built from the IR hashes
+// of their inputs (ir.ConfigHash / ir.WorkloadHash), so a result is
+// location-independent: any caller that can derive the key can reuse the
+// result.
 //
-// The store composes two tiers behind one type (Tiered):
+// The point store is one type, Tiered: a sharded LRU over map[Key],
+// bounded in entries and byte-accounted, per process. It does not
+// deduplicate concurrent computations: on the analytic model a design
+// costs microseconds, so two sweeps that miss the same key each evaluate
+// it, and the second Put refreshes the entry the first wrote.
 //
-//   - memory: a sharded LRU over map[Key], bounded in entries and
-//     byte-accounted. Hot, per-process.
-//   - Flight: single-flight deduplication of identical in-flight
-//     computations, claimed a window of keys at a time — N concurrent
-//     identical sweeps share one evaluation per design.
-//
-// Evaluated points are never persisted: on the analytic model a design
-// costs microseconds to evaluate, so recomputing beats decoding. The one
-// durable mechanism is Files, a named-entry map in a checksummed,
+// Evaluated points are never persisted: recomputing beats decoding. The
+// one durable mechanism is Files, a named-entry map in a checksummed,
 // versioned container format that the server's job journal is built on.
 package store
 
@@ -29,23 +26,20 @@ type Key struct {
 	Hi, Lo uint64
 }
 
-// Stats is one tier's effectiveness snapshot — the shape every tier
-// (memory and flight) reports, so /metrics can expose the whole cache
-// stack uniformly.
+// Stats is the point store's effectiveness snapshot, taken with every
+// shard lock held so its fields describe one instant.
 type Stats struct {
-	// Hits and Misses count lookup outcomes since construction. For the
-	// flight tier, Hits counts followers served by a shared computation
-	// and Misses counts keys led.
+	// Hits and Misses count lookup outcomes since construction: each Get
+	// or GetInto counts once.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
 	// Evictions counts entries displaced by a size bound.
 	Evictions uint64 `json:"evictions"`
-	// Len is the current entry count, Capacity the configured bound
-	// (0 = unbounded).
+	// Len is the current entry count, Capacity the configured bound.
 	Len      int `json:"entries"`
 	Capacity int `json:"capacity"`
-	// Bytes approximates the tier's resident size: for the memory tier,
-	// each entry's 16-byte key plus its value's estimated size.
+	// Bytes approximates the store's resident size: each entry's 16-byte
+	// key plus its value's estimated size.
 	Bytes int64 `json:"bytes"`
 }
 

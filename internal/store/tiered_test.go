@@ -14,8 +14,6 @@ func intSize(int) int { return 8 }
 // Small literal keys (Key{Hi: 1}, Key{Hi: 2}, ...) all share shard 0.
 func spreadKey(n int) Key { return Key{Hi: uint64(n) * 0x9e3779b97f4a7c15} }
 
-func memStats[V any](ts *Tiered[V]) Stats { return ts.TierStats()["mem"] }
-
 func TestGetPutAndEviction(t *testing.T) {
 	ctx := context.Background()
 	// Two entries per shard; a, b and c share shard 0, so its eviction
@@ -38,7 +36,7 @@ func TestGetPutAndEviction(t *testing.T) {
 	if _, ok := ts.Get(ctx, c); !ok {
 		t.Error("c should be present")
 	}
-	if got := memStats(ts).Len; got != 2 {
+	if got := ts.Stats().Len; got != 2 {
 		t.Errorf("Len = %d, want 2", got)
 	}
 }
@@ -52,7 +50,7 @@ func TestPutRefreshesExisting(t *testing.T) {
 	if v, _ := ts.Get(ctx, k); v != "v2" {
 		t.Errorf("refresh failed: %q", v)
 	}
-	if n := memStats(ts).Len; n != 1 {
+	if n := ts.Stats().Len; n != 1 {
 		t.Errorf("Len = %d, want 1", n)
 	}
 }
@@ -63,7 +61,7 @@ func TestStatsCounters(t *testing.T) {
 	ts.Put(ctx, Key{Hi: 1}, 1)
 	ts.Get(ctx, Key{Hi: 1})
 	ts.Get(ctx, Key{Hi: 2})
-	s := memStats(ts)
+	s := ts.Stats()
 	if s.Hits != 1 || s.Misses != 1 {
 		t.Errorf("stats = %+v, want 1 hit 1 miss", s)
 	}
@@ -84,7 +82,7 @@ func TestCapacityRaisedToShardCount(t *testing.T) {
 	for i := 0; i < shards; i++ {
 		ts.Put(ctx, spreadKey(i), i)
 	}
-	if s := memStats(ts); s.Capacity != shards {
+	if s := ts.Stats(); s.Capacity != shards {
 		t.Errorf("capacity = %d, want %d (one per shard)", s.Capacity, shards)
 	}
 }
@@ -92,7 +90,7 @@ func TestCapacityRaisedToShardCount(t *testing.T) {
 // TestHitRatioEmptyCache is the NaN regression: a ratio over zero
 // lookups must answer 0, not 0/0.
 func TestHitRatioEmptyCache(t *testing.T) {
-	s := memStats(NewTiered(16, intSize))
+	s := NewTiered(16, intSize).Stats()
 	if s.Hits != 0 || s.Misses != 0 {
 		t.Fatalf("fresh cache stats = %+v", s)
 	}
@@ -102,7 +100,7 @@ func TestHitRatioEmptyCache(t *testing.T) {
 }
 
 // TestStatsConsistentSnapshot is the torn-aggregation regression: the
-// memory tier's stats must hold every shard lock while it aggregates, so
+// store's Stats must hold every shard lock while it aggregates, so
 // each snapshot's counters describe one instant. With free-running
 // counters a snapshot taken mid-burst could count a lookup in Misses
 // that a later-read Hits had not yet seen, breaking
@@ -133,7 +131,7 @@ func TestStatsConsistentSnapshot(t *testing.T) {
 	}
 	var prev Stats
 	for i := 0; i < 200; i++ {
-		s := memStats(ts)
+		s := ts.Stats()
 		// Every snapshot obeys the books: lookups counted never exceed
 		// lookups started, and counters never run backwards.
 		if total, max := s.Hits+s.Misses, started.Load(); total > max {
@@ -150,7 +148,7 @@ func TestStatsConsistentSnapshot(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	// Quiescent: the final snapshot must balance exactly.
-	if s := memStats(ts); s.Hits+s.Misses != started.Load() {
+	if s := ts.Stats(); s.Hits+s.Misses != started.Load() {
 		t.Errorf("final snapshot %d lookups, want %d", s.Hits+s.Misses, started.Load())
 	}
 }
@@ -175,7 +173,7 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	s := memStats(ts)
+	s := ts.Stats()
 	if s.Len > 128 {
 		t.Errorf("cache exceeded capacity: %d", s.Len)
 	}
@@ -194,15 +192,15 @@ func TestBytesAccounting(t *testing.T) {
 	ts := NewTiered(2*shards, func(v string) int { return len(v) })
 	ts.Put(ctx, Key{Hi: 1}, "xxxx") // 16 + 4
 	ts.Put(ctx, Key{Hi: 2}, "yy")   // 16 + 2
-	if got := memStats(ts).Bytes; got != 38 {
+	if got := ts.Stats().Bytes; got != 38 {
 		t.Fatalf("bytes after two inserts = %d, want 38", got)
 	}
 	ts.Put(ctx, Key{Hi: 1}, "x") // update: 20 -> 17
-	if got := memStats(ts).Bytes; got != 35 {
+	if got := ts.Stats().Bytes; got != 35 {
 		t.Fatalf("bytes after shrinking update = %d, want 35", got)
 	}
 	ts.Put(ctx, Key{Hi: 3}, "zzzz") // evicts the LRU entry Hi:2 (18), adds 20
-	s := memStats(ts)
+	s := ts.Stats()
 	if s.Evictions != 1 || s.Bytes != 37 {
 		t.Fatalf("after eviction: %+v, want 1 eviction and 37 bytes", s)
 	}
@@ -211,8 +209,58 @@ func TestBytesAccounting(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		ts.Put(ctx, Key{Hi: uint64(10 + i)}, "vvvv")
 	}
-	s = memStats(ts)
+	s = ts.Stats()
 	if s.Len != 2 || s.Bytes != 2*(16+4) {
 		t.Fatalf("after churn: %+v, want 2 resident entries at 20 bytes each", s)
+	}
+}
+
+// TestTieredStressConcurrent hammers a store from many goroutines, each
+// probing windows of keys with Get and putting what it missed, over a
+// key space larger than the store; run with -race it is the store's
+// concurrency contract. Every lookup counts once, every hit returns the
+// value its key was written with, and repeated Puts of one key never
+// charge it twice.
+func TestTieredStressConcurrent(t *testing.T) {
+	ts := NewTiered(shards, intSize) // one entry per shard: forces evictions
+	ctx := context.Background()
+	const goroutines, windows, width = 8, 200, 4
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			keys := make([]Key, width)
+			for i := 0; i < windows; i++ {
+				for j := range keys {
+					keys[j] = spreadKey((g*7 + i + j*13) % 64)
+				}
+				keys[3] = keys[0] // a repeat within one window
+				var miss []Key
+				for _, k := range keys {
+					if v, ok := ts.Get(ctx, k); ok {
+						if want := int(k.Hi>>32) + 1000; v != want {
+							t.Errorf("key %x = %d, want %d", k.Hi, v, want)
+						}
+						continue
+					}
+					miss = append(miss, k)
+				}
+				for _, k := range miss {
+					ts.Put(ctx, k, int(k.Hi>>32)+1000)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	s := ts.Stats()
+	if got := s.Hits + s.Misses; got != goroutines*windows*width {
+		t.Errorf("%d lookups counted, want %d", got, goroutines*windows*width)
+	}
+	if s.Len > s.Capacity {
+		t.Errorf("Len %d exceeds capacity %d", s.Len, s.Capacity)
+	}
+	if want := int64(s.Len) * (keyBytes + 8); s.Bytes != want {
+		t.Errorf("Bytes = %d for %d entries, want %d", s.Bytes, s.Len, want)
 	}
 }
