@@ -419,31 +419,31 @@ func BenchmarkObsDisabledOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkStreamOverhead prices the streaming tentpole's progress
-// plumbing (BENCH_obs.json): the cold 512-design Table 3 sweep with a
-// progress callback attached must stay within ~5% of the same sweep
-// without one. The plumbing is one context lookup per sweep plus one
-// indirect call per finished window of 32 points (dse.WithProgress), so
-// the callback's cost is amortised over a window of simulations.
+// BenchmarkStreamOverhead prices a stream-hub-like sweep visitor
+// (BENCH_obs.json): the cold 512-design Table 3 grid sweep with the
+// visitor must stay within ~5% of the same sweep without one. A sweep
+// calls its visitor once per finished window of dse.WindowSize points,
+// so the visitor's cost is amortised over a window of simulations.
 func BenchmarkStreamOverhead(b *testing.B) {
 	w := model.PaperWorkload(model.GPT3_175B())
 	g := dse.Table3(4800, []float64{600})
-	b.Run("sweep/plain", func(b *testing.B) {
+	sweep := func(b *testing.B, visit dse.Visitor) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := dse.NewExplorer().RunContext(context.Background(), g, w); err != nil {
+			if err := dse.NewExplorer().NewSession(w).SweepGrid(context.Background(), g, nil, visit); err != nil {
 				b.Fatal(err)
 			}
 		}
-	})
+	}
+	b.Run("sweep/plain", func(b *testing.B) { sweep(b, nil) })
 	b.Run("sweep/progress", func(b *testing.B) {
-		// The consumer mimics a stream hub's bookkeeping: it reads the
+		// The visitor mimics a stream hub's bookkeeping: it reads the
 		// window's points in place, then takes a mutex once per window
 		// for a counter and a running aggregate, contended by the sweep
 		// workers.
 		var mu sync.Mutex
 		points, area := 0, 0.0
-		ctx := dse.WithProgress(context.Background(), func(win dse.Window) {
+		sweep(b, func(win dse.Window) {
 			n, a := 0, 0.0
 			for k, p := range win.Points {
 				if win.Done[k] {
@@ -456,15 +456,8 @@ func BenchmarkStreamOverhead(b *testing.B) {
 			area += a
 			mu.Unlock()
 		})
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := dse.NewExplorer().RunContext(ctx, g, w); err != nil {
-				b.Fatal(err)
-			}
-		}
 		if points == 0 || area == 0 {
-			b.Fatal("progress callback never fired")
+			b.Fatal("visitor never fired")
 		}
 		b.ReportMetric(float64(points)/float64(b.N), "points/op")
 	})

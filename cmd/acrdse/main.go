@@ -28,7 +28,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/plot"
-	"repro/internal/policy"
 	"repro/internal/search"
 )
 
@@ -112,10 +111,9 @@ func run(o options) error {
 	if o.eval != "scalar" && o.eval != "batch" {
 		return fmt.Errorf("unknown evaluator %q (scalar, batch)", o.eval)
 	}
-	switch o.rule {
-	case "none", "oct2022", "oct2023":
-	default:
-		return fmt.Errorf("unknown rule %q (none, oct2022, oct2023)", o.rule)
+	keep, err := dse.Rule(o.rule)
+	if err != nil {
+		return err
 	}
 	m, err := pickModel(o.model)
 	if err != nil {
@@ -139,19 +137,10 @@ func run(o options) error {
 		return runAdaptive(ctx, o, w, rec)
 	}
 
-	tpp, rule, objective, top, traceOut := o.tpp, o.rule, o.objective, o.top, o.traceOut
-	var metric func(dse.Point) float64
-	switch objective {
-	case "ttft":
-		metric = dse.MetricTTFT
-	case "tbt":
-		metric = dse.MetricTBT
-	case "ttftcost":
-		metric = dse.MetricTTFTCost
-	case "tbtcost":
-		metric = dse.MetricTBTCost
-	default:
-		return fmt.Errorf("unknown objective %q", objective)
+	tpp, rule, top, traceOut := o.tpp, o.rule, o.top, o.traceOut
+	metric, err := dse.Objective(o.objective)
+	if err != nil {
+		return err
 	}
 
 	devBW := []float64{600}
@@ -167,21 +156,7 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	admissible := dse.Filter(points, func(p dse.Point) bool {
-		if !p.FitsReticle {
-			return false
-		}
-		switch rule {
-		case "none":
-			return true
-		case "oct2022":
-			return !policy.Oct2022(policy.Metrics{TPP: p.TPP, DeviceBWGBs: p.Config.DeviceBWGBs}).Restricted()
-		case "oct2023":
-			return p.Oct2023Class == policy.NotApplicable
-		default:
-			return false
-		}
-	})
+	admissible := dse.Filter(points, keep)
 	fmt.Printf("%s, TPP < %.0f, %s: %d designs, %d admissible (manufacturable + compliant)\n\n",
 		m.Name, tpp, rule, len(points), len(admissible))
 	if len(admissible) == 0 {

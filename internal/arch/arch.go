@@ -247,16 +247,31 @@ func A100() Config {
 	}
 }
 
+// ErrOutOfRange wraps MaxCoresForTPP's refusal of arguments whose answer
+// an int cannot hold: a per-core MAC count (lanes × dimX × dimY) or a
+// core count above math.MaxInt.
+var ErrOutOfRange = errors.New("arch: out of range")
+
 // MaxCoresForTPP returns the largest core count such that a device with the
 // given per-core configuration stays strictly below the TPP limit, i.e. the
 // CD term of Eq. 1 solved for a TPP target. It returns an error if even a
-// single core exceeds the limit.
+// single core exceeds the limit, and one wrapping ErrOutOfRange if the
+// per-core MAC count or the core count does not fit in an int.
 func MaxCoresForTPP(tppLimit float64, lanesPerCore, dimX, dimY int, clockGHz float64) (int, error) {
 	if tppLimit <= 0 || lanesPerCore <= 0 || dimX <= 0 || dimY <= 0 || clockGHz <= 0 {
 		return 0, fmt.Errorf("%w: non-positive argument to MaxCoresForTPP", ErrInvalidConfig)
 	}
+	if dimX > math.MaxInt/dimY || lanesPerCore > math.MaxInt/(dimX*dimY) {
+		return 0, fmt.Errorf("%w: %d lanes × %dx%d MACs per core exceed an int", ErrOutOfRange, lanesPerCore, dimX, dimY)
+	}
 	perCore := float64(lanesPerCore*dimX*dimY) * 2 * clockGHz * 1e9 / 1e12 * OperandBits
-	cores := int(math.Floor(tppLimit / perCore))
+	// float64(math.MaxInt) is 2^63, the first value an int cannot hold;
+	// the comparison also refuses a NaN or infinite quotient.
+	q := math.Floor(tppLimit / perCore)
+	if !(q < float64(math.MaxInt)) {
+		return 0, fmt.Errorf("%w: TPP %g allows more than %d cores of %g TPP", ErrOutOfRange, tppLimit, math.MaxInt, perCore)
+	}
+	cores := int(q)
 	for cores > 0 && float64(cores)*perCore >= tppLimit {
 		cores--
 	}

@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -91,6 +92,34 @@ func TestMaxCoresForTPPErrors(t *testing.T) {
 	}
 	if _, err := MaxCoresForTPP(100, 8, 32, 32, 1.41); err == nil {
 		t.Error("expected error when one core exceeds the TPP limit")
+	}
+}
+
+// TestMaxCoresForTPPRange pins the int range of the solved core count:
+// a huge TPP budget that still leaves the count in range solves, and one
+// past it, like a per-core MAC count that overflows an int, is refused
+// with ErrOutOfRange instead of wrapping into a false "one core already
+// reaches TPP" error.
+func TestMaxCoresForTPPRange(t *testing.T) {
+	cores, err := MaxCoresForTPP(1e18, 1, 16, 16, A100ClockGHz)
+	if err != nil || cores < 8e16 {
+		t.Errorf("MaxCoresForTPP(1e18) = %d, %v; want about 8.7e16 cores", cores, err)
+	}
+	for _, c := range []struct {
+		tpp        float64
+		lanes, dim int
+	}{
+		{1e30, 1, 16},
+		{1e300, 1, 16},
+		{math.Inf(1), 1, 16},
+		{4800, 1, 4000000000},
+		{4800, math.MaxInt / 2, 16},
+	} {
+		cores, err := MaxCoresForTPP(c.tpp, c.lanes, c.dim, c.dim, A100ClockGHz)
+		if !errors.Is(err, ErrOutOfRange) {
+			t.Errorf("MaxCoresForTPP(%g, %d lanes, %dx%d) = %d, %v; want ErrOutOfRange",
+				c.tpp, c.lanes, c.dim, c.dim, cores, err)
+		}
 	}
 }
 

@@ -48,21 +48,10 @@ func allocGrid(tb testing.TB) []arch.Config {
 	return cfgs
 }
 
-// sweepPrealloc runs one full sweep through sweepInto on caller-owned
-// memory: the steady-state hot path with every per-sweep allocation
-// hoisted out.
-func sweepPrealloc(ev *Evaluator, s *scratch, ctx context.Context, cfgs []arch.Config, g ir.Graph, out *Outcome, backing []perf.Time) error {
-	for i := range out.Done {
-		out.Done[i] = false
-	}
-	out.Errs = nil
-	return ev.sweepInto(ctx, s, cfgs, g, out, backing)
-}
-
-// TestBatchSteadyStateZeroAllocs pins the tentpole's steady-state claim:
-// once the scratch arena is warm and the result slices are caller-owned,
-// a full sweep performs exactly zero heap allocations, with per-op
-// profiles and sums only (a nil backing) alike.
+// TestBatchSteadyStateZeroAllocs pins the steady-state claim: once a
+// reused Outcome's scratch arena is warm and the result slices are
+// caller-owned, a full sweep performs exactly zero heap allocations, with
+// per-op profiles and sums only (a nil backing) alike.
 func TestBatchSteadyStateZeroAllocs(t *testing.T) {
 	cfgs := allocGrid(t)
 	g, err := ir.Lower(model.PaperWorkload(model.GPT3_175B()))
@@ -77,7 +66,6 @@ func TestBatchSteadyStateZeroAllocs(t *testing.T) {
 		{"sums-only", nil},
 	} {
 		ev := &Evaluator{Engine: sim.New().Engine}
-		s := &scratch{}
 		out := Outcome{
 			Results: make([]sim.Result, len(cfgs)),
 			Done:    make([]bool, len(cfgs)),
@@ -85,7 +73,7 @@ func TestBatchSteadyStateZeroAllocs(t *testing.T) {
 		ctx := context.Background()
 
 		// Warm the arena, then check the warmed sweep is loud about errors.
-		if err := sweepPrealloc(ev, s, ctx, cfgs, g, &out, c.backing); err != nil {
+		if err := ev.SweepInto(ctx, cfgs, g, &out, c.backing); err != nil {
 			t.Fatal(err)
 		}
 		for d := range cfgs {
@@ -95,7 +83,7 @@ func TestBatchSteadyStateZeroAllocs(t *testing.T) {
 		}
 
 		allocs := testing.AllocsPerRun(10, func() {
-			if err := sweepPrealloc(ev, s, ctx, cfgs, g, &out, c.backing); err != nil {
+			if err := ev.SweepInto(ctx, cfgs, g, &out, c.backing); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -106,7 +94,8 @@ func TestBatchSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkSweepIntoPrealloc measures the pure evaluation loop with all
-// result memory caller-owned — the sweep cost with allocation excluded.
+// result memory caller-owned and a reused Outcome — the sweep cost with
+// allocation excluded.
 func BenchmarkSweepIntoPrealloc(b *testing.B) {
 	cfgs := allocGrid(b)
 	g, err := ir.Lower(model.PaperWorkload(model.GPT3_175B()))
@@ -114,20 +103,19 @@ func BenchmarkSweepIntoPrealloc(b *testing.B) {
 		b.Fatal(err)
 	}
 	ev := &Evaluator{Engine: sim.New().Engine}
-	s := &scratch{}
 	out := Outcome{
 		Results: make([]sim.Result, len(cfgs)),
 		Done:    make([]bool, len(cfgs)),
 	}
 	backing := make([]perf.Time, len(cfgs)*len(g.Nodes))
 	ctx := context.Background()
-	if err := sweepPrealloc(ev, s, ctx, cfgs, g, &out, backing); err != nil {
+	if err := ev.SweepInto(ctx, cfgs, g, &out, backing); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sweepPrealloc(ev, s, ctx, cfgs, g, &out, backing); err != nil {
+		if err := ev.SweepInto(ctx, cfgs, g, &out, backing); err != nil {
 			b.Fatal(err)
 		}
 	}

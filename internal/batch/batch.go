@@ -3,8 +3,8 @@
 // design in the sweep is evaluated per IR node — one pass per operator
 // over contiguous slices — instead of one design at a time through the
 // scalar simulator. It is the evaluator behind every dse.Explorer sweep
-// on the analytic engine: the explorer feeds it fixed windows of
-// DefaultWidth designs from parallel workers.
+// on the analytic engine: the explorer feeds it fixed windows of designs
+// from parallel workers, one SweepInto call per window.
 //
 // A sweep evaluates sums only or per-operator profiles. Sweep returns
 // every design's per-operator Times; SweepInto with a nil backing
@@ -17,9 +17,9 @@
 // # Why it is fast
 //
 // A sweep's designs share almost all of their expensive sub-problems. Each
-// Sweep or SweepInto call — one 32-design window, when dse.Explorer is the
-// caller — discovers the distinct groups of each resource term's input
-// axes among its own designs:
+// Sweep or SweepInto call — one window, when dse.Explorer is the caller —
+// discovers the distinct groups of each resource term's input axes among
+// its own designs:
 //
 //   - compute groups: core/lane/array geometry, vector width, L1, clock —
 //     the axes perf.MatmulComputeTime and the vector compute term read
@@ -29,16 +29,17 @@
 //   - interconnect groups: the device bandwidth the collective reads.
 //
 // Each term (L1 tile search, utilisation model, ring all-reduce) is
-// computed once per group per node into a flat scratch arena; the
-// per-design loop then assembles final perf.Times from table lookups — no
-// divides, no searches, no map probes. The L2 blocking search, the most
-// expensive term, is shared wider: the Evaluator keeps one result per
-// distinct (capacity, M, K, N, bytes-per-element) tuple, so the windows
-// that share an evaluator, every window of every sweep of one dse
+// computed once per group per node into a flat scratch arena; one loop
+// over the designs then assembles final perf.Times from table lookups —
+// no divides, no searches, no map probes. The L2 blocking search, the
+// most expensive term, is shared wider: the Evaluator keeps one result
+// per distinct (capacity, M, K, N, bytes-per-element) tuple, so the
+// windows that share an evaluator, every window of every sweep of one dse
 // session, search each tuple once between them (Table 3 needs 768
 // searches window by window, but has at most 40 distinct tuples). The
-// scratch arena is pooled and reused across sweeps, so the steady-state
-// hot loop performs zero allocations (pinned by
+// scratch arena lives in the caller's Outcome, so a caller that reuses
+// its Outcome (a dse window does) reuses a grown arena, and the
+// steady-state sweep performs zero allocations (pinned by
 // TestBatchSteadyStateZeroAllocs).
 //
 // # Why it is exactly equal to the scalar path
@@ -65,18 +66,9 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultWidth is the chunk size of the per-design assembly loop: designs
-// are evaluated in chunks of this many, with a cancellation check between
-// chunks, so a cancelled sweep returns the completed chunks as partial
-// results without per-design overhead. It is also the window size
-// dse.Explorer splits its sweeps into: small enough that a sweep's first
-// designs stream within a window's evaluation time, large enough that
-// group discovery still shares terms across a window's designs.
-const DefaultWidth = 32
-
 // Evaluator evaluates sweeps struct-of-arrays against one analytic engine.
-// It is safe for concurrent use: each sweep draws its scratch arena from
-// a shared pool and only reads the engine's fields. An Evaluator keeps
+// It is safe for concurrent use: each sweep works in its own Outcome's
+// scratch arena and only reads the engine's fields. An Evaluator keeps
 // the L2 blocking search's results for its own lifetime, so it is meant
 // to span one session (every window of its sweeps, on every worker: one
 // grid sweep, or every generation of one search run) and then be
@@ -85,8 +77,6 @@ type Evaluator struct {
 	// Engine holds the analytic model constants. Must be non-nil; only
 	// its fields are read.
 	Engine *perf.Engine
-	// Width is the assembly chunk size; 0 or negative means DefaultWidth.
-	Width int
 
 	// l2 holds one perf.BlockedDRAMTraffic result per distinct argument
 	// tuple this evaluator has met, filled under l2mu on first use. The
@@ -104,25 +94,26 @@ type l2Args struct {
 	bpeBits uint64 // Float64bits of the weight bytes per element
 }
 
-// scratchPool recycles scratch arenas across all evaluators. Nothing in a
-// scratch escapes a sweep (per-op Times are copied into the caller's
-// backing array, or overwritten in the scratch row of a sums-only
-// sweep), so even short-lived evaluators — one per dse session — inherit
-// grown, warm arenas instead of re-allocating them.
-var scratchPool sync.Pool // *scratch
-
 // Outcome is the result of one batch sweep, indexed like the input configs.
 type Outcome struct {
 	// Results holds the simulated profile of every completed design.
 	Results []sim.Result
 	// Done reports which designs completed: false entries were either
-	// skipped after cancellation or failed individually (see Errs).
+	// skipped by a sweep cancelled before it started or failed
+	// individually (see Errs).
 	Done []bool
 	// Errs, when non-nil, holds the per-design failure (config validation
 	// or an unknown operator) at the failed design's index. Errors are the
 	// raw causes, unwrapped — callers wanting dse-style presentation wrap
 	// them per design.
 	Errs []error
+
+	// s is the scratch arena the sweeps into this Outcome work in, made
+	// by the first one. Nothing in it escapes a sweep (per-op Times are
+	// copied into the caller's backing array, or overwritten in the
+	// scratch row of a sums-only sweep), so a reused Outcome reuses its
+	// grown arena.
+	s *scratch
 }
 
 // setErr records a per-design failure, allocating Errs on first use so
@@ -239,18 +230,13 @@ type scratch struct {
 	peak     []float64 // TensorTOPS()·1e12
 	l2Cap    []float64 // L2FillFraction·L2Bytes()
 
-	// Flat term arena plus per-node readiness (terms fill lazily when the
-	// first chunk reaches a node, so a sweep cancelled early never pays
-	// for the tail's searches). times holds finished per-group Times; nHG
-	// and nMem are the HBM and L2×HBM group counts its rows stride by.
+	// Flat term arena. times holds finished per-group Times; nHG and nMem
+	// are the HBM and L2×HBM group counts its rows stride by.
 	terms     []float64
 	feedLim   []bool
 	times     []perf.Time
 	nHG, nMem int
-	nodeReady []bool
 
-	// Per-design accumulators: phase seconds and FLOPs.
-	ttft, tbt, pfl, dfl []float64
 	// row is the one op row a sums-only sweep writes every design into.
 	row []perf.Time
 }
@@ -288,18 +274,17 @@ func growT(s []perf.Time, n int) []perf.Time {
 // Sweep evaluates every configuration against the lowered graph. On full
 // success every Done entry is true and the error is nil. Designs that fail
 // individually (validation, unknown operator) are reported in Outcome.Errs
-// and do not stop the sweep. On context cancellation the completed chunks
-// are returned as partial results (Done marks them) alongside an error
-// wrapping ctx.Err() — the same partial-result semantics as
-// dse.Session.EvaluateContext, which evaluates its windows through
-// SweepInto.
+// and do not stop the sweep. A context already ended evaluates nothing
+// and returns an error wrapping ctx.Err(); a sweep that starts runs to
+// the end, since a caller cancels between sweeps (dse checks between its
+// windows).
 func (e *Evaluator) Sweep(ctx context.Context, cfgs []arch.Config, g ir.Graph) (Outcome, error) {
 	out := Outcome{
 		Results: make([]sim.Result, len(cfgs)),
 		Done:    make([]bool, len(cfgs)),
 	}
 	// The per-op Times escape into the results, so their backing array
-	// is per-sweep, not pooled.
+	// is per-sweep.
 	err := e.SweepInto(ctx, cfgs, g, &out, make([]perf.Time, len(cfgs)*len(g.Nodes)))
 	return out, err
 }
@@ -309,9 +294,10 @@ func (e *Evaluator) Sweep(ctx context.Context, cfgs []arch.Config, g ir.Graph) (
 // Times, which the results' PrefillOps and DecodeOps slice into. With a
 // nil backing it evaluates sums only: the results' TTFT, TBT and MFUs are
 // bit-identical to Sweep's, and their PrefillOps and DecodeOps are nil.
-// It resets out.Done and out.Errs first, so a caller can reuse one
-// Outcome across sweeps; with a warm pooled scratch arena it allocates
-// nothing but the per-design error list of a sweep that has failures.
+// It resets out.Done and out.Errs first and works in out's scratch arena,
+// so a caller can reuse one Outcome across sweeps; with the arena grown
+// it allocates nothing but the per-design error list of a sweep that has
+// failures. Concurrent sweeps need an Outcome each.
 func (e *Evaluator) SweepInto(ctx context.Context, cfgs []arch.Config, g ir.Graph, out *Outcome, backing []perf.Time) error {
 	for i := range out.Done {
 		out.Done[i] = false
@@ -320,75 +306,26 @@ func (e *Evaluator) SweepInto(ctx context.Context, cfgs []arch.Config, g ir.Grap
 	if e.Engine == nil {
 		return fmt.Errorf("batch: evaluator has no engine; set Engine")
 	}
-	s, _ := scratchPool.Get().(*scratch)
-	if s == nil {
-		s = &scratch{}
-	}
-	err := e.sweepInto(ctx, s, cfgs, g, out, backing)
-	scratchPool.Put(s)
-	return err
-}
-
-// sweepInto is the allocation-free core: it prepares the scratch arena
-// (nodes, groups, term offsets) and runs the chunked assembly loop,
-// writing results into out and backing, or sums only when backing is
-// nil. It allocates only to grow the arena (first sweeps) or to report
-// per-design errors.
-func (e *Evaluator) sweepInto(ctx context.Context, s *scratch, cfgs []arch.Config, g ir.Graph, out *Outcome, backing []perf.Time) error {
-	s.prepare(e.Engine, cfgs, g, out)
-	width := e.Width
-	if width <= 0 {
-		width = DefaultWidth
-	}
-	nNodes := len(s.nodes)
-	// A design's op row starts at d·stride: its own row of the caller's
-	// backing, or the one scratch row every design of a sums-only sweep
-	// overwrites.
-	stride, perOp := nNodes, backing != nil
-	if !perOp {
-		s.row = growT(s.row, nNodes)
-		backing, stride = s.row, 0
-	}
-	for lo := 0; lo < len(cfgs); lo += width {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("batch: sweep aborted: %w", err)
-		}
-		hi := lo + width
-		if hi > len(cfgs) {
-			hi = len(cfgs)
-		}
-		e.chunk(s, cfgs, backing, stride, lo, hi, out)
-		for d := lo; d < hi; d++ {
-			if !s.ok[d] {
-				continue
-			}
-			r := &out.Results[d]
-			r.Config = cfgs[d]
-			r.Workload = g.Workload
-			r.TTFTSeconds = s.ttft[d]
-			r.TBTSeconds = s.tbt[d]
-			if perOp {
-				base := d * stride
-				r.PrefillOps = backing[base : base+s.nPrefill : base+s.nPrefill]
-				r.DecodeOps = backing[base+s.nPrefill : base+nNodes : base+nNodes]
-			} else {
-				r.PrefillOps, r.DecodeOps = nil, nil
-			}
-			r.PrefillMFU = 0
-			r.DecodeMFU = 0
-			peak := s.peak[s.cg[d]]
-			if r.TTFTSeconds > 0 {
-				r.PrefillMFU = s.pfl[d] / (r.TTFTSeconds * peak)
-			}
-			if r.TBTSeconds > 0 {
-				r.DecodeMFU = s.dfl[d] / (r.TBTSeconds * peak)
-			}
-			out.Done[d] = true
-		}
-	}
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("batch: sweep aborted: %w", err)
 	}
+	if out.s == nil {
+		out.s = new(scratch)
+	}
+	s := out.s
+	s.prepare(e.Engine, cfgs, g, out)
+	for j := range s.nodes {
+		e.prepNode(s, cfgs, j)
+	}
+	// A design's op row starts at d·stride: its own row of the caller's
+	// backing, or the one scratch row every design of a sums-only sweep
+	// overwrites.
+	stride, perOp := len(s.nodes), backing != nil
+	if !perOp {
+		s.row = growT(s.row, len(s.nodes))
+		backing, stride = s.row, 0
+	}
+	e.assemble(s, cfgs, g, backing, stride, perOp, out)
 	return nil
 }
 
@@ -418,13 +355,6 @@ func (s *scratch) prepare(eng *perf.Engine, cfgs []arch.Config, g ir.Graph, out 
 	s.mem = growI(s.mem, n)
 	s.ig = growI(s.ig, n)
 	s.vg = growI(s.vg, n)
-	s.ttft = growF(s.ttft, n)
-	s.tbt = growF(s.tbt, n)
-	s.pfl = growF(s.pfl, n)
-	s.dfl = growF(s.dfl, n)
-	for d := 0; d < n; d++ {
-		s.ttft[d], s.tbt[d], s.pfl[d], s.dfl[d] = 0, 0, 0, 0
-	}
 
 	s.compKeys = s.compKeys[:0]
 	s.compRep = s.compRep[:0]
@@ -572,10 +502,6 @@ func (s *scratch) prepare(eng *perf.Engine, cfgs []arch.Config, g ir.Graph, out 
 	s.terms = growF(s.terms, need)
 	s.feedLim = growB(s.feedLim, needFL)
 	s.times = growT(s.times, needT)
-	s.nodeReady = growB(s.nodeReady, len(s.nodes))
-	for j := range s.nodeReady {
-		s.nodeReady[j] = false
-	}
 }
 
 // addNode classifies one IR node. Unknown operator types become
@@ -723,7 +649,6 @@ func (e *Evaluator) prepNode(s *scratch, cfgs []arch.Config, j int) {
 	case kindTrivialComm:
 		s.times[nd.tmOff] = perf.Time{Name: nd.ar.Name}
 	}
-	s.nodeReady[j] = true
 }
 
 // blockedTraffic returns perf.BlockedDRAMTraffic(capBytes, m.M, m.K, m.N,
@@ -748,30 +673,23 @@ func (e *Evaluator) blockedTraffic(capBytes float64, m perf.Matmul, bpe float64)
 	return per
 }
 
-// chunk runs the assembly loop for designs [lo, hi): fill any term tables
-// this is the first chunk to reach, then walk each design's nodes in phase
-// order (the scalar summation order), storing its Times and phase sums.
-// Design d's op row is backing[d·stride:][:len(nodes)]; a sums-only sweep
-// passes stride 0 and one scratch row, so both passes run this one loop.
-// The design-outer loop writes each design's op row sequentially — the
-// node-outer variant strided through the design-major backing one row
-// apart per store and its cache misses dominated the whole sweep — and
-// keeps the four phase accumulators in registers across the node walk.
+// assemble runs the assembly loop over every design: it walks each
+// design's nodes in phase order (the scalar summation order), storing its
+// Times, and writes its result. Design d's op row is
+// backing[d·stride:][:len(nodes)]; a sums-only sweep passes stride 0 and
+// one scratch row, so both passes run this one loop. The design-outer
+// loop writes each design's op row sequentially — the node-outer variant
+// strided through the design-major backing one row apart per store and
+// its cache misses dominated the whole sweep — and keeps the four phase
+// accumulators in registers across the node walk.
 //
 //acr:hotpath
-func (e *Evaluator) chunk(s *scratch, cfgs []arch.Config, backing []perf.Time, stride, lo, hi int, out *Outcome) {
+func (e *Evaluator) assemble(s *scratch, cfgs []arch.Config, g ir.Graph, backing []perf.Time, stride int, perOp bool, out *Outcome) {
 	eng := e.Engine
-	nNodes := len(s.nodes)
-	for j := range s.nodes {
-		if !s.nodeReady[j] {
-			//lint:ignore allochot one-time table fill on the first chunk to reach the node; the steady state the zero-alloc contract covers has every nodeReady true
-			e.prepNode(s, cfgs, j)
-		}
-	}
 	nodes, times, terms, feedLim := s.nodes, s.times, s.terms, s.feedLim
-	nHG, nMem, nPrefill := s.nHG, s.nMem, s.nPrefill
+	nNodes, nHG, nMem, nPrefill := len(nodes), s.nHG, s.nMem, s.nPrefill
 design:
-	for d := lo; d < hi; d++ {
+	for d := range cfgs {
 		if !s.ok[d] {
 			continue
 		}
@@ -800,7 +718,6 @@ design:
 				// First unknown node in phase order wins, as in the scalar
 				// simulator; the design's remaining nodes are skipped, and
 				// its partial sums are never stored.
-				s.ok[d] = false
 				//lint:ignore allochot setErr's error arena is allocated once, on the first failing design; the all-designs-valid steady state never reaches it
 				out.setErr(d, len(cfgs), nd.err)
 				continue design
@@ -814,6 +731,25 @@ design:
 				dfl += t.FLOPs
 			}
 		}
-		s.ttft[d], s.tbt[d], s.pfl[d], s.dfl[d] = ttft, tbt, pfl, dfl
+		r := &out.Results[d]
+		r.Config = cfgs[d]
+		r.Workload = g.Workload
+		r.TTFTSeconds, r.TBTSeconds = ttft, tbt
+		if perOp {
+			base := d * stride
+			r.PrefillOps = backing[base : base+nPrefill : base+nPrefill]
+			r.DecodeOps = backing[base+nPrefill : base+nNodes : base+nNodes]
+		} else {
+			r.PrefillOps, r.DecodeOps = nil, nil
+		}
+		r.PrefillMFU, r.DecodeMFU = 0, 0
+		peak := s.peak[cg]
+		if ttft > 0 {
+			r.PrefillMFU = pfl / (ttft * peak)
+		}
+		if tbt > 0 {
+			r.DecodeMFU = dfl / (tbt * peak)
+		}
+		out.Done[d] = true
 	}
 }

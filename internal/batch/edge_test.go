@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 
@@ -18,10 +17,9 @@ import (
 )
 
 // The edge-case suite: sweep shapes the golden grids never exercise —
-// empty and single-design sweeps, chunk widths that don't divide the
-// design count, mid-sweep cancellation, per-design failures, ablation
-// flags and quantized weights — all held to the same standard as the
-// happy path: bit-for-bit agreement with the scalar simulator.
+// empty and single-design sweeps, cancellation, per-design failures,
+// ablation flags and quantized weights — all held to the same standard
+// as the happy path: bit-for-bit agreement with the scalar simulator.
 
 // edgeGrid builds a small sweep with every group axis varied, so even a
 // handful of designs exercises the full group-discovery machinery.
@@ -156,73 +154,6 @@ func TestSweepSingleDesign(t *testing.T) {
 		t.Fatal("single design not evaluated")
 	}
 	requireResultEqual(t, 0, out.Results[0], want[0])
-}
-
-// TestSweepChunkWidths pins that the chunk width is performance-only: a
-// width of one, widths that don't divide the design count, and widths
-// larger than the whole sweep all produce bit-identical outcomes.
-func TestSweepChunkWidths(t *testing.T) {
-	s := sim.New()
-	g := lowerGPT3(t)
-	cfgs := edgeGrid(t)
-	want := scalarResults(t, s, cfgs, g)
-	for _, width := range []int{1, 3, 7, len(cfgs) - 1, len(cfgs), len(cfgs) + 13, 4096} {
-		out, err := (&batch.Evaluator{Engine: s.Engine, Width: width}).Sweep(context.Background(), cfgs, g)
-		if err != nil {
-			t.Fatalf("width %d: %v", width, err)
-		}
-		for d := range cfgs {
-			if !out.Done[d] {
-				t.Fatalf("width %d: design %d not evaluated", width, d)
-			}
-			requireResultEqual(t, d, out.Results[d], want[d])
-		}
-	}
-}
-
-// cancelAfterCtx is a context whose Err flips to Canceled after a fixed
-// number of polls — it deterministically cancels a sweep between two
-// specific chunks, which a real timer-based cancel cannot.
-type cancelAfterCtx struct {
-	context.Context
-	remaining int
-}
-
-func (c *cancelAfterCtx) Err() error {
-	if c.remaining <= 0 {
-		return context.Canceled
-	}
-	c.remaining--
-	return nil
-}
-
-// TestSweepMidCancellation cancels between chunks with Width 1 and checks
-// the partial-result contract: completed designs form a prefix, each one
-// bit-equal to the scalar reference, and the error wraps context.Canceled.
-func TestSweepMidCancellation(t *testing.T) {
-	s := sim.New()
-	g := lowerGPT3(t)
-	cfgs := edgeGrid(t)
-	want := scalarResults(t, s, cfgs, g)
-	const completed = 5 // polls happen before each chunk; width 1 → one design per poll
-	ctx := &cancelAfterCtx{Context: context.Background(), remaining: completed}
-	out, err := (&batch.Evaluator{Engine: s.Engine, Width: 1}).Sweep(ctx, cfgs, g)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled sweep error = %v, want context.Canceled", err)
-	}
-	if !strings.Contains(err.Error(), "batch: sweep aborted") {
-		t.Fatalf("cancelled sweep error = %q, want it to mention the aborted sweep", err)
-	}
-	for d := range cfgs {
-		if d < completed {
-			if !out.Done[d] {
-				t.Fatalf("design %d completed before the cancel but Done is false", d)
-			}
-			requireResultEqual(t, d, out.Results[d], want[d])
-		} else if out.Done[d] {
-			t.Fatalf("design %d marked done after the cancel", d)
-		}
-	}
 }
 
 // TestSweepAlreadyCancelled pins that a dead context stops the sweep
@@ -372,10 +303,10 @@ func TestSweepQuantizedWeightsBitEqual(t *testing.T) {
 	}
 }
 
-// TestConcurrentSweeps hammers one shared evaluator from many goroutines
-// (the pooled-scratch concurrency contract; run under -race in CI's
-// race-stress job) and checks every concurrent outcome against the scalar
-// reference.
+// TestConcurrentSweeps hammers one shared evaluator from many goroutines,
+// each sweeping into an Outcome of its own (the concurrency contract;
+// run under -race in CI's race-stress job), and checks every concurrent
+// outcome against the scalar reference.
 func TestConcurrentSweeps(t *testing.T) {
 	s := sim.New()
 	g := lowerGPT3(t)

@@ -90,11 +90,11 @@ func FuzzBatchScalarEquality(f *testing.F) {
 		bex := dse.NewExplorer()
 		bex.Cache = nil
 		bex.Parallelism = 1
-		ps, errS := scalar.Evaluate(cfgs, w)
+		ps, errS := scalar.EvaluateContext(context.Background(), cfgs, w)
 		if errS != nil {
 			t.Fatalf("scalar sweep failed on validated configs: %v", errS)
 		}
-		pb, errB := bex.Evaluate(cfgs, w)
+		pb, errB := bex.EvaluateContext(context.Background(), cfgs, w)
 		if errB != nil {
 			t.Fatalf("batch sweep failed where scalar succeeded: %v", errB)
 		}

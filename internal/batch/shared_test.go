@@ -15,7 +15,7 @@ import (
 
 // table5Grid hand-rolls the paper's 2304-design Table 5 sweep (the dse
 // package owns the real grid; importing it here would cycle): 72 windows
-// of DefaultWidth designs, each meeting only some of the four L2 sizes.
+// of 32 designs, each meeting only some of the four L2 sizes.
 func table5Grid(tb testing.TB) []arch.Config {
 	var cfgs []arch.Config
 	for _, dim := range []int{4, 8, 16} {
@@ -52,8 +52,12 @@ func table5Grid(tb testing.TB) []arch.Config {
 	return cfgs
 }
 
+// window is the size of the windows TestWindowsShareBlockedTraffic takes,
+// dse's window size.
+const window = 32
+
 // TestWindowsShareBlockedTraffic drives the evaluator the way a dse sweep
-// does — eight workers taking DefaultWidth-design windows of one grid
+// does — eight workers taking 32-design windows of one grid
 // through one Evaluator, here with per-op backing where a sweep passes
 // none, so the op times can be compared too — and pins that sharing the
 // L2 blocking results across windows changes nothing: every op time,
@@ -86,7 +90,7 @@ func TestWindowsShareBlockedTraffic(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for lo := range windows {
-				hi := min(lo+DefaultWidth, len(cfgs))
+				hi := min(lo+window, len(cfgs))
 				out := Outcome{Results: got.Results[lo:hi], Done: got.Done[lo:hi]}
 				if err := ev.SweepInto(ctx, cfgs[lo:hi], g, &out, make([]perf.Time, (hi-lo)*len(g.Nodes))); err != nil && errs[w] == nil {
 					errs[w] = err
@@ -94,7 +98,7 @@ func TestWindowsShareBlockedTraffic(t *testing.T) {
 			}
 		}(w)
 	}
-	for lo := 0; lo < len(cfgs); lo += DefaultWidth {
+	for lo := 0; lo < len(cfgs); lo += window {
 		windows <- lo
 	}
 	close(windows)
@@ -156,5 +160,5 @@ func TestWindowsShareBlockedTraffic(t *testing.T) {
 		}
 	}
 	t.Logf("%d designs in %d windows shared %d L2 blocking results",
-		len(cfgs), (len(cfgs)+DefaultWidth-1)/DefaultWidth, len(ev.l2))
+		len(cfgs), (len(cfgs)+window-1)/window, len(ev.l2))
 }

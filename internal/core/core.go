@@ -138,6 +138,9 @@ const (
 	RuleOct2023
 )
 
+// ruleNames are the rules' dse.Rule names.
+var ruleNames = [...]string{RuleNone: "none", RuleOct2022: "oct2022", RuleOct2023: "oct2023"}
+
 // String names the rule.
 func (r Rule) String() string {
 	switch r {
@@ -165,19 +168,14 @@ const (
 	MinTBTCost
 )
 
+// objectiveNames are the objectives' dse.Objective names.
+var objectiveNames = [...]string{MinTTFT: "ttft", MinTBT: "tbt", MinTTFTCost: "ttftcost", MinTBTCost: "tbtcost"}
+
 func (o Objective) metric() (func(dse.Point) float64, error) {
-	switch o {
-	case MinTTFT:
-		return dse.MetricTTFT, nil
-	case MinTBT:
-		return dse.MetricTBT, nil
-	case MinTTFTCost:
-		return dse.MetricTTFTCost, nil
-	case MinTBTCost:
-		return dse.MetricTBTCost, nil
-	default:
+	if o < 0 || int(o) >= len(objectiveNames) {
 		return nil, fmt.Errorf("core: unknown objective %d", int(o))
 	}
+	return dse.Objective(objectiveNames[o])
 }
 
 // Optimum is the result of a constrained design search.
@@ -212,6 +210,13 @@ func OptimizeCompliantContext(ctx context.Context, ex *dse.Explorer, r Rule, tpp
 	if err != nil {
 		return Optimum{}, err
 	}
+	if r < 0 || int(r) >= len(ruleNames) {
+		return Optimum{}, fmt.Errorf("core: unknown rule %d", int(r))
+	}
+	keep, err := dse.Rule(ruleNames[r])
+	if err != nil {
+		return Optimum{}, err
+	}
 	devBW := []float64{600}
 	if r == RuleOct2023 {
 		devBW = []float64{500, 700, 900}
@@ -223,21 +228,7 @@ func OptimizeCompliantContext(ctx context.Context, ex *dse.Explorer, r Rule, tpp
 	if err != nil {
 		return Optimum{}, err
 	}
-	admissible := dse.Filter(points, func(p dse.Point) bool {
-		if !p.FitsReticle {
-			return false
-		}
-		switch r {
-		case RuleOct2022:
-			return !policy.Oct2022(policy.Metrics{
-				TPP: p.TPP, DeviceBWGBs: p.Config.DeviceBWGBs,
-			}).Restricted()
-		case RuleOct2023:
-			return p.Oct2023Class == policy.NotApplicable
-		default:
-			return true
-		}
-	})
+	admissible := dse.Filter(points, keep)
 	best, err := dse.BestWithTieBreak(admissible, metric, dse.MetricArea, 0.005)
 	if err != nil {
 		return Optimum{}, fmt.Errorf("core: no admissible design under %v at TPP %.0f: %w",

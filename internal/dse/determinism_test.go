@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -50,7 +51,7 @@ func TestEvaluateContextDeterministicAcrossWorkers(t *testing.T) {
 		e := NewExplorer()
 		e.Cache = nil // force every worker count to recompute from scratch
 		e.Parallelism = workers
-		points, err := e.Evaluate(cfgs, w)
+		points, err := e.EvaluateContext(context.Background(), cfgs, w)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -66,7 +67,7 @@ func TestEvaluateContextDeterministicAcrossWorkers(t *testing.T) {
 	// Repeated runs of the same explorer must also agree bit for bit.
 	e := NewExplorer()
 	e.Cache = nil
-	again, err := e.Evaluate(cfgs, w)
+	again, err := e.EvaluateContext(context.Background(), cfgs, w)
 	if err != nil {
 		t.Fatal(err)
 	}

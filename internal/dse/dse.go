@@ -17,7 +17,9 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/arch"
@@ -407,13 +409,6 @@ func pointSize(p Point) int {
 	return pointStaticSize + len(p.Config.Name)
 }
 
-// Evaluate simulates every configuration for the workload and returns the
-// evaluated points in the same order. It is EvaluateContext without
-// cancellation, kept for existing callers.
-func (e *Explorer) Evaluate(configs []arch.Config, w model.Workload) ([]Point, error) {
-	return e.EvaluateContext(context.Background(), configs, w)
-}
-
 // EvaluateContext simulates every configuration for the workload. On full
 // success the points come back in input order with a nil error. When the
 // context is cancelled, in-flight work stops promptly, remaining configs
@@ -424,12 +419,12 @@ func (e *Explorer) Evaluate(configs []arch.Config, w model.Workload) ([]Point, e
 // no longer discards an entire sweep.
 //
 // It is a Session with one sweep, collected into the returned slice: see
-// Session.Sweep for the windows, their spans and their progress delivery.
-// The points carry per-design scalars only: their Result's PrefillOps and
-// DecodeOps are nil, as they are in every sweep point (per-operator
-// profiles are a one-design query: sim.Simulate).
+// Session.Sweep for the windows and their spans. The points carry
+// per-design scalars only: their Result's PrefillOps and DecodeOps are
+// nil, as they are in every sweep point (per-operator profiles are a
+// one-design query: sim.Simulate).
 func (e *Explorer) EvaluateContext(ctx context.Context, configs []arch.Config, w model.Workload) ([]Point, error) {
-	return e.NewSession(w).EvaluateContext(ctx, configs)
+	return e.NewSession(w).collect(ctx, source{configs: configs})
 }
 
 // Session evaluates one job's sweeps of one workload. Its first sweep
@@ -437,10 +432,10 @@ func (e *Explorer) EvaluateContext(ctx context.Context, configs []arch.Config, w
 // every sweep shares the graph and one batch.Evaluator, so the L2
 // blocking searches of earlier sweeps serve later ones. The window
 // workers' scratch is not the session's: each sweep takes it from a
-// package pool and returns it when the sweep ends. A search run opens a
-// session and evaluates each generation through it. A session serves one
-// sweep at a time and lives for one job: kept longer, its L2 table would
-// grow into a process-wide memo.
+// package free list and returns it when the sweep ends. A search run
+// opens a session and evaluates each generation through it. A session
+// serves one sweep at a time and lives for one job: kept longer, its L2
+// table would grow into a process-wide memo.
 type Session struct {
 	e *Explorer
 	w model.Workload
@@ -451,6 +446,8 @@ type Session struct {
 	g       ir.Graph
 	wh      uint64 // ir.WorkloadHash of w
 	ev      batch.Evaluator
+	// hits and misses count the session's store outcomes; see CacheCounts.
+	hits, misses atomic.Uint64
 }
 
 // NewSession opens a session evaluating configurations for w on e.
@@ -458,12 +455,13 @@ func (e *Explorer) NewSession(w model.Workload) *Session {
 	return &Session{e: e, w: w, ev: batch.Evaluator{Engine: e.Sim.Engine}}
 }
 
-// EvaluateContext sweeps configs on the session's workload, with
-// Explorer.EvaluateContext's ordering, cancellation and partial-result
-// semantics. It is Sweep writing each point straight into the slice it
-// returns.
-func (s *Session) EvaluateContext(ctx context.Context, configs []arch.Config) ([]Point, error) {
-	return s.collect(ctx, source{configs: configs})
+// CacheCounts returns the session's own point-store outcomes over all
+// its sweeps: hits are designs the store served, misses designs its
+// sweeps evaluated. Concurrent sessions sharing the store do not move
+// them, though they move the store's Stats. An Explorer without a store
+// counts neither.
+func (s *Session) CacheCounts() (hits, misses uint64) {
+	return s.hits.Load(), s.misses.Load()
 }
 
 // collect sweeps src into the slice it returns, keeping the evaluated
@@ -488,28 +486,27 @@ func (s *Session) collect(ctx context.Context, src source) ([]Point, error) {
 }
 
 // Sweep evaluates configs on the session's workload a window at a time.
-// The configs split into fixed windows of batch.DefaultWidth designs, and
+// The configs split into fixed windows of WindowSize designs, and
 // Parallelism workers each take one window at a time from the caller.
 // A worker probes the point store, evaluates the window's misses (one
 // sums-only batch.Evaluator pass, or one Sim.SimulateGraphContext call
 // per design when Sim.Backend is set), and finishes and stores them. It
-// then hands the finished Window to visit and to the context's
-// ProgressFunc, in that order (a nil one is skipped). Windows finish in
-// any order and every worker calls the visitors, so they must be safe
+// then hands the finished Window to visit, unless visit is nil. Windows
+// finish in any order and every worker calls visit, so it must be safe
 // for concurrent use.
 //
 // at places the points: design i's point is written to *at(i), which the
 // caller owns, one place per design. With a nil at, each worker writes
 // into a window buffer of its own and reuses it for its next window, so
 // a caller that only folds the points keeps none of them. The workers'
-// buffers come from a package pool and go back to it when the sweep
+// buffers come from a package free list and go back to it when the sweep
 // ends.
 //
 // Each window records one dse.window span with int attributes configs,
 // hits (served by the store) and misses (simulated here), and the whole
 // microseconds it spent in each stage: probe_us (store probes),
 // evaluate_us, finish_us (finishing and storing what it evaluated) and
-// emit_us (the visitors). Each stage's time also goes to the
+// emit_us (the visitor). Each stage's time also goes to the
 // dse.window.<stage> histogram once per window; evaluate and finish only
 // from windows that missed. Without a recorder in ctx a window reads no
 // clock.
@@ -518,7 +515,7 @@ func (s *Session) collect(ctx context.Context, src source) ([]Point, error) {
 // the designs' own failures, joined in input order, then an error
 // wrapping ctx.Err() when ctx ended first; every window evaluated before
 // then was visited.
-func (s *Session) Sweep(ctx context.Context, configs []arch.Config, at func(i int) *Point, visit ProgressFunc) error {
+func (s *Session) Sweep(ctx context.Context, configs []arch.Config, at func(i int) *Point, visit Visitor) error {
 	return s.sweep(ctx, source{configs: configs}, at, visit)
 }
 
@@ -528,7 +525,7 @@ func (s *Session) Sweep(ctx context.Context, configs []arch.Config, at func(i in
 // per worker. A design's name is allocated when it is evaluated; a store
 // hit keeps the stored point's name when its bytes are the requested
 // name, and allocates only when they differ.
-func (s *Session) SweepGrid(ctx context.Context, g Grid, at func(i int) *Point, visit ProgressFunc) error {
+func (s *Session) SweepGrid(ctx context.Context, g Grid, at func(i int) *Point, visit Visitor) error {
 	gw := g.walk()
 	return s.sweep(ctx, source{grid: &gw}, at, visit)
 }
@@ -548,7 +545,7 @@ func (src source) len() int {
 }
 
 // sweep is the one sweep core behind Sweep and SweepGrid.
-func (s *Session) sweep(ctx context.Context, src source, at func(i int) *Point, visit ProgressFunc) error {
+func (s *Session) sweep(ctx context.Context, src source, at func(i int) *Point, visit Visitor) error {
 	ctx, sp := obs.Start(ctx, "dse.sweep")
 	defer sp.End()
 	n := src.len()
@@ -567,20 +564,18 @@ func (s *Session) sweep(ctx context.Context, src source, at func(i int) *Point, 
 		return fmt.Errorf("dse: %w", s.err)
 	}
 	sw := &sweep{
-		Session:  s,
-		ctx:      ctx,
-		src:      src,
-		at:       at,
-		visit:    visit,
-		progress: progressFrom(ctx),
-		tally:    tallyFrom(ctx),
-		rec:      obs.RecorderFrom(ctx),
+		Session: s,
+		ctx:     ctx,
+		src:     src,
+		at:      at,
+		visit:   visit,
+		rec:     obs.RecorderFrom(ctx),
 	}
 	workers := s.e.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, (n+batch.DefaultWidth-1)/batch.DefaultWidth)
+	workers = min(workers, (n+WindowSize-1)/WindowSize)
 	// The caller hands out window starts one at a time: a worker that
 	// finds none ready parks, which gives the scheduler the idle
 	// moments it polls the network in, so streamed frames and new
@@ -597,7 +592,7 @@ func (s *Session) sweep(ctx context.Context, src source, at func(i int) *Point, 
 		}()
 	}
 feed:
-	for lo := 0; lo < n; lo += batch.DefaultWidth {
+	for lo := 0; lo < n; lo += WindowSize {
 		select {
 		case windows <- lo:
 		case <-ctx.Done():
@@ -625,12 +620,11 @@ feed:
 // sweep is one sweep call's shared state.
 type sweep struct {
 	*Session
-	ctx             context.Context
-	src             source
-	at              func(int) *Point
-	visit, progress ProgressFunc
-	tally           *CacheTally
-	rec             *obs.Recorder
+	ctx   context.Context
+	src   source
+	at    func(int) *Point
+	visit Visitor
+	rec   *obs.Recorder
 
 	mu   sync.Mutex
 	errs []designErr // under mu
@@ -665,30 +659,32 @@ var (
 
 // window is one worker's scratch, reused across the windows it takes.
 // It comes from windowPool for one sweep and goes back when the sweep
-// ends, so jobs share grown buffers instead of allocating their own.
+// ends, so jobs share grown buffers, the batch evaluator's arena in out
+// among them, instead of allocating their own.
 type window struct {
 	sw *sweep
 	// lo is the index of the current window's first design. pts[k] is
 	// where design lo+k's point goes and done[k] whether it was
 	// evaluated; own backs pts when the sweep places no points itself.
 	lo   int
-	pts  [batch.DefaultWidth]*Point
-	done [batch.DefaultWidth]bool
+	pts  [WindowSize]*Point
+	done [WindowSize]bool
 	own  []Point
 	// cfgs are the current window's configs: a view of the sweep's
 	// configs, or a grid window's own, held in grid. A grid window
 	// keeps design k's name bytes in names, ending at nameEnd[k], until
 	// the probe gives its config a Name.
 	cfgs    []arch.Config
-	grid    [batch.DefaultWidth]arch.Config
+	grid    [WindowSize]arch.Config
 	cur     gridCursor
 	names   []byte
-	nameEnd [batch.DefaultWidth]int
+	nameEnd [WindowSize]int
 	// miss holds the window positions the store did not serve and keys
 	// their point keys (none without a store).
 	miss []int
 	keys []store.Key
-	// in and out are the batch evaluator's input and output.
+	// in and out are the batch evaluator's input and output; out keeps
+	// the evaluator's scratch arena from window to window.
 	in  []arch.Config
 	out batch.Outcome
 	// The current window's span tallies.
@@ -743,7 +739,7 @@ func (w *window) work(sw *sweep, windows <-chan int) {
 		if sw.ctx.Err() != nil {
 			continue // cancelled: drain without evaluating
 		}
-		w.run(lo, min(lo+batch.DefaultWidth, sw.src.len()))
+		w.run(lo, min(lo+WindowSize, sw.src.len()))
 		// Let a readied stream writer onto a processor between windows,
 		// so streamed points reach clients while the sweep goes on.
 		runtime.Gosched()
@@ -764,7 +760,7 @@ func (w *window) lap(s int) {
 }
 
 // run evaluates the designs [lo, hi) and hands them to the sweep's
-// visitors.
+// visitor.
 func (w *window) run(lo, hi int) {
 	sw := w.sw
 	ctx, sp := obs.Start(sw.ctx, "dse.window")
@@ -775,7 +771,7 @@ func (w *window) run(lo, hi int) {
 	n := hi - lo
 	w.lo = lo
 	if sw.at == nil && w.own == nil {
-		w.own = make([]Point, batch.DefaultWidth)
+		w.own = make([]Point, WindowSize)
 	}
 	for k := 0; k < n; k++ {
 		if sw.at != nil {
@@ -810,18 +806,12 @@ func (w *window) run(lo, hi int) {
 	sp.SetInt("configs", n)
 	sp.SetInt("hits", w.hits)
 	sp.SetInt("misses", w.misses)
-	if sw.tally != nil && cache != nil {
-		sw.tally.Hits.Add(uint64(w.hits))
-		sw.tally.Misses.Add(uint64(w.misses))
+	if cache != nil {
+		sw.hits.Add(uint64(w.hits))
+		sw.misses.Add(uint64(w.misses))
 	}
-	if sw.visit != nil || sw.progress != nil {
-		win := Window{Lo: lo, Points: w.pts[:n], Done: w.done[:n]}
-		if sw.visit != nil {
-			sw.visit(win)
-		}
-		if sw.progress != nil {
-			sw.progress(win)
-		}
+	if sw.visit != nil {
+		sw.visit(Window{Lo: lo, Points: w.pts[:n], Done: w.done[:n]})
 	}
 	w.lap(stageEmit)
 	if sw.rec != nil {
@@ -892,7 +882,7 @@ func (w *window) evaluate(ctx context.Context) {
 	sw := w.sw
 	out := &w.out
 	if out.Results == nil { // first evaluation of this window
-		out.Results, out.Done = make([]sim.Result, batch.DefaultWidth), make([]bool, batch.DefaultWidth)
+		out.Results, out.Done = make([]sim.Result, WindowSize), make([]bool, WindowSize)
 	}
 	out.Results, out.Done = out.Results[:len(w.miss)], out.Done[:len(w.miss)]
 	if simr := sw.e.Sim; simr.Backend != nil || simr.Engine == nil {
@@ -1063,3 +1053,60 @@ var (
 	MetricTTFTCost = func(p Point) float64 { return p.TTFTCostProduct() }
 	MetricTBTCost  = func(p Point) float64 { return p.TBTCostProduct() }
 )
+
+// named is one entry of a lookup table by name.
+type named[F any] struct {
+	name string
+	f    F
+}
+
+// rules are the compliance regimes a design can be admitted under, by
+// name. Every rule requires a die that fits the reticle; oct2022 also
+// requires escaping the October 2022 rule (TPP < 4800 or device
+// bandwidth < 600 GB/s), and oct2023 a design the October 2023 rule does
+// not regulate at all, not even as NAC-eligible (Point.Compliant, the
+// strict criterion of §4.3).
+var rules = []named[func(Point) bool]{
+	{"none", func(p Point) bool { return p.FitsReticle }},
+	{"oct2022", func(p Point) bool {
+		return p.FitsReticle && !policy.Oct2022(policy.Metrics{
+			TPP: p.TPP, DeviceBWGBs: p.Config.DeviceBWGBs,
+		}).Restricted()
+	}},
+	{"oct2023", Point.Compliant},
+}
+
+// objectives are the metrics a ranking can minimise, by name: the
+// prefill and decode latencies and their die-cost products.
+var objectives = []named[func(Point) float64]{
+	{"ttft", MetricTTFT},
+	{"tbt", MetricTBT},
+	{"ttftcost", MetricTTFTCost},
+	{"tbtcost", MetricTBTCost},
+}
+
+// Rule returns the admission predicate of the named rule (none, oct2022,
+// oct2023). An unknown name is an error that lists the valid ones.
+func Rule(name string) (func(Point) bool, error) { return lookup("rule", name, rules) }
+
+// Objective returns the metric of the named objective (ttft, tbt,
+// ttftcost, tbtcost). An unknown name is an error that lists the valid
+// ones.
+func Objective(name string) (func(Point) float64, error) {
+	return lookup("objective", name, objectives)
+}
+
+// lookup returns the entry of table called name.
+func lookup[F any](kind, name string, table []named[F]) (F, error) {
+	for _, e := range table {
+		if e.name == name {
+			return e.f, nil
+		}
+	}
+	names := make([]string, len(table))
+	for i, e := range table {
+		names[i] = e.name
+	}
+	var zero F
+	return zero, fmt.Errorf("unknown %s %q (%s)", kind, name, strings.Join(names, ", "))
+}

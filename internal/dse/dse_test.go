@@ -239,12 +239,12 @@ func TestEvaluatePropagatesErrors(t *testing.T) {
 	e := NewExplorer()
 	bad := arch.A100()
 	bad.L2MB = 0
-	if _, err := e.Evaluate([]arch.Config{bad}, model.PaperWorkload(model.Llama3_8B())); err == nil {
+	if _, err := e.EvaluateContext(context.Background(), []arch.Config{bad}, model.PaperWorkload(model.Llama3_8B())); err == nil {
 		t.Error("invalid config should surface an error")
 	}
 	w := model.PaperWorkload(model.Llama3_8B())
 	w.TensorParallel = 3
-	if _, err := e.Evaluate([]arch.Config{arch.A100()}, w); err == nil {
+	if _, err := e.EvaluateContext(context.Background(), []arch.Config{arch.A100()}, w); err == nil {
 		t.Error("invalid workload should surface an error")
 	}
 }
@@ -257,7 +257,7 @@ func TestEvaluateReturnsPartialResultsOnBadConfig(t *testing.T) {
 	bad.L2MB = 0
 	bad.Name = "broken-design"
 	configs := []arch.Config{arch.A100(), bad, arch.A100().WithCores(64)}
-	pts, err := e.Evaluate(configs, model.PaperWorkload(model.Llama3_8B()))
+	pts, err := e.EvaluateContext(context.Background(), configs, model.PaperWorkload(model.Llama3_8B()))
 	if err == nil {
 		t.Fatal("expected an error for the invalid config")
 	}
@@ -438,7 +438,7 @@ func TestSweepPointsCarryNoOpProfiles(t *testing.T) {
 			}
 		}
 		for _, pass := range []string{"cold", "warm"} {
-			visit := func(how string) ProgressFunc {
+			visit := func(how string) Visitor {
 				return func(win Window) {
 					for _, p := range win.Points {
 						check(pass+" "+how, p)
@@ -484,4 +484,76 @@ func TestPointStoreChargesWhatAPointOwns(t *testing.T) {
 		t.Errorf("store charges %d bytes per point, want at most 550", per)
 	}
 	t.Logf("%d points, %d bytes (%d per point)", st.Len, st.Bytes, st.Bytes/int64(st.Len))
+}
+
+// TestRulesAndObjectivesByName pins the one table of rules and
+// objectives that the server, core and acrdse look up: every name's
+// predicate or metric against its definition, on Table 3 points at TPP
+// 9600 and three device bandwidths and at TPP 1200 (so each rule admits
+// some designs and refuses others), and the error for unknown names,
+// which lists the valid ones.
+func TestRulesAndObjectivesByName(t *testing.T) {
+	w := model.PaperWorkload(model.GPT3_175B())
+	var points []Point
+	for _, g := range []Grid{Table3(9600, []float64{500, 600, 900}), Table3(1200, []float64{600})} {
+		pts, err := NewExplorer().Run(g, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points = append(points, pts...)
+	}
+	for _, c := range []struct {
+		name string
+		want func(Point) bool
+	}{
+		{"none", func(p Point) bool { return p.FitsReticle }},
+		{"oct2022", func(p Point) bool { return p.FitsReticle && !(p.TPP >= 4800 && p.Config.DeviceBWGBs >= 600) }},
+		{"oct2023", func(p Point) bool { return p.FitsReticle && p.Oct2023Class == policy.NotApplicable }},
+	} {
+		keep, err := Rule(c.name)
+		if err != nil {
+			t.Fatalf("rule %s: %v", c.name, err)
+		}
+		admitted := 0
+		for _, p := range points {
+			if got := keep(p); got != c.want(p) {
+				t.Fatalf("rule %s admits %s: %v, want %v", c.name, p.Config.Name, got, !got)
+			}
+			if keep(p) {
+				admitted++
+			}
+		}
+		if admitted == 0 || admitted == len(points) {
+			t.Errorf("rule %s admits %d of %d designs; the check needs both kinds", c.name, admitted, len(points))
+		}
+	}
+	for _, c := range []struct {
+		name string
+		want func(Point) float64
+	}{
+		{"ttft", func(p Point) float64 { return p.Result.TTFTSeconds }},
+		{"tbt", func(p Point) float64 { return p.Result.TBTSeconds }},
+		{"ttftcost", func(p Point) float64 { return p.Result.TTFTSeconds * 1e3 * p.DieCostUSD }},
+		{"tbtcost", func(p Point) float64 { return p.Result.TBTSeconds * 1e3 * p.DieCostUSD }},
+	} {
+		metric, err := Objective(c.name)
+		if err != nil {
+			t.Fatalf("objective %s: %v", c.name, err)
+		}
+		for _, p := range points {
+			if got, want := metric(p), c.want(p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("objective %s of %s = %v, want %v", c.name, p.Config.Name, got, want)
+			}
+		}
+	}
+	for _, name := range []string{"", "bogus", "NONE", "oct2024"} {
+		if _, err := Rule(name); err == nil || err.Error() != `unknown rule "`+name+`" (none, oct2022, oct2023)` {
+			t.Errorf("Rule(%q) error = %v", name, err)
+		}
+	}
+	for _, name := range []string{"", "TTFT", "area", "vibes"} {
+		if _, err := Objective(name); err == nil || err.Error() != `unknown objective "`+name+`" (ttft, tbt, ttftcost, tbtcost)` {
+			t.Errorf("Objective(%q) error = %v", name, err)
+		}
+	}
 }

@@ -59,8 +59,8 @@ func expandNested(g Grid) []arch.Config {
 func sweepGridConfigs(t *testing.T, ex *Explorer, g Grid, w model.Workload) ([]arch.Config, int) {
 	t.Helper()
 	got := make([]arch.Config, g.Designs())
-	var tally CacheTally
-	err := ex.NewSession(w).SweepGrid(WithCacheTally(context.Background(), &tally), g, nil, func(win Window) {
+	sess := ex.NewSession(w)
+	err := sess.SweepGrid(context.Background(), g, nil, func(win Window) {
 		for k, p := range win.Points {
 			if !win.Done[k] {
 				t.Errorf("design %d not evaluated", win.Lo+k)
@@ -72,7 +72,8 @@ func sweepGridConfigs(t *testing.T, ex *Explorer, g Grid, w model.Workload) ([]a
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got, int(tally.Hits.Load())
+	hits, _ := sess.CacheCounts()
+	return got, int(hits)
 }
 
 // diffConfigs reports the first design where got and want differ.

@@ -1,6 +1,7 @@
 package dse_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/dse"
@@ -25,18 +26,18 @@ func TestSweepMemoBitEqual(t *testing.T) {
 	w := model.PaperWorkload(model.GPT3_175B())
 
 	warm := dse.NewExplorer()
-	first, err := warm.Evaluate(configs, w)
+	first, err := warm.EvaluateContext(context.Background(), configs, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := warm.Evaluate(configs, w) // every point a store hit
+	second, err := warm.EvaluateContext(context.Background(), configs, w) // every point a store hit
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := warm.Cache.Stats(); s.Hits != uint64(len(configs)) {
 		t.Fatalf("second sweep hit the store %d times, want %d", s.Hits, len(configs))
 	}
-	reference, err := golden.ReferenceExplorer().Evaluate(configs, w)
+	reference, err := golden.ReferenceExplorer().EvaluateContext(context.Background(), configs, w)
 	if err != nil {
 		t.Fatal(err)
 	}

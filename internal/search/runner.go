@@ -22,6 +22,11 @@ type Runner struct {
 	// Explorer is the evaluation backend; nil means a fresh
 	// dse.NewExplorer (with its default point store).
 	Explorer *dse.Explorer
+	// Visit, when set, is each generation's sweep visitor: it receives
+	// the finished windows of the generation's newly evaluated designs
+	// (Window.Lo indexes those, not the proposals; archive revisits are
+	// not swept), under the dse.Window contract, as they finish.
+	Visit dse.Visitor
 }
 
 // Outcome summarises one search run.
@@ -40,6 +45,10 @@ type Outcome struct {
 	Front []Result
 	// Objectives names the minimised axes, in Front[...].Objs order.
 	Objectives []string
+	// CacheHits and CacheMisses count the run's own point-store outcomes
+	// (dse.Session.CacheCounts): evaluations the store served and ones
+	// the run simulated.
+	CacheHits, CacheMisses uint64
 }
 
 // FrontObjs returns the front's objective vectors (for hypervolume and
@@ -57,8 +66,8 @@ func (o Outcome) FrontObjs() [][2]float64 {
 // only — engines are seeded at construction. On context cancellation
 // the outcome built so far is returned alongside an error wrapping
 // ctx.Err(), mirroring dse.EvaluateContext's partial-result semantics.
-func (r *Runner) Run(ctx context.Context, prob Problem, eng Explorer, budget int, seed uint64) (Outcome, error) {
-	out := Outcome{
+func (r *Runner) Run(ctx context.Context, prob Problem, eng Explorer, budget int, seed uint64) (out Outcome, err error) {
+	out = Outcome{
 		Engine: eng.Name(),
 		Space:  prob.Space.Name,
 		Seed:   seed,
@@ -86,6 +95,7 @@ func (r *Runner) Run(ctx context.Context, prob Problem, eng Explorer, budget int
 	defer func() {
 		sp.SetInt("evaluations", out.Evaluations)
 		sp.SetInt("generations", out.Generations)
+		out.CacheHits, out.CacheMisses = sess.CacheCounts()
 	}()
 
 	// stall counts consecutive generations that evaluated nothing new;
@@ -158,7 +168,7 @@ func (r *Runner) Run(ctx context.Context, prob Problem, eng Explorer, budget int
 			// result; objectives, feasibility and the archive follow in
 			// proposal order once the whole generation is in.
 			ectx, esp := obs.Start(gctx, "search.evaluate")
-			err := sess.Sweep(ectx, newCfgs, func(k int) *dse.Point { return &results[newIdx[k]].Point }, nil)
+			err := sess.Sweep(ectx, newCfgs, func(k int) *dse.Point { return &results[newIdx[k]].Point }, r.Visit)
 			esp.SetInt("designs", len(newCfgs))
 			esp.End()
 			if err != nil {

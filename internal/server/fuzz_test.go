@@ -54,3 +54,39 @@ func FuzzParseDSE(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseSearch pushes arbitrary bodies through the decode and validate
+// half of POST /v1/search: decodeJSON, then parseJob. Neither may panic,
+// and a request parseJob accepts must hold a budget in [1, maxGridSize],
+// announced as the job's designs, and a problem whose space has axes.
+func FuzzParseSearch(f *testing.F) {
+	for _, c := range badSearchBodies {
+		f.Add(c.body)
+	}
+	f.Add(`{"engine":"nsga2","budget":64,"seed":42,"tpp":4800,"workload":{"model":"llama3"}}`)
+	f.Add(`{"engine":"anneal","space":"jan2025","budget":16}`)
+	s := New(Config{Workers: 1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	f.Cleanup(func() { s.Close() })
+	f.Fuzz(func(t *testing.T, body string) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/search", strings.NewReader(body))
+		var req *SearchRequest
+		js, err := s.parseJob(jobKindSearch, func(v any) error {
+			req = v.(*SearchRequest)
+			return decodeJSON(httptest.NewRecorder(), r, v)
+		})
+		if err != nil {
+			return
+		}
+		if req.Budget < 1 || req.Budget > maxGridSize || js.designs != req.Budget {
+			t.Fatalf("accepted %q with budget %d announcing %d designs, want a budget in [1, %d]",
+				body, req.Budget, js.designs, maxGridSize)
+		}
+		prob, err := req.problem()
+		if err != nil {
+			t.Fatalf("accepted %q, but its problem fails: %v", body, err)
+		}
+		if len(prob.Space.Axes) == 0 {
+			t.Fatalf("accepted %q, but its space %q has no axes", body, prob.Space.Name)
+		}
+	})
+}

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/batch"
 	"repro/internal/dse"
 )
 
@@ -30,17 +29,17 @@ type candidate struct {
 // design, and the summaries of the admitted designs whose metric is at or
 // below the running top-th smallest, ties included. The limit only
 // falls, so every design the final ranking puts in the top was at or
-// below it when it arrived and is still a candidate. Its visit method is
-// the sweep's visitor, safe for concurrent use.
+// below it when it arrived and is still a candidate. It reads each
+// design from its stream point (streamHub.summarise), whose Admissible
+// flag and X coordinate are the job's rule and objective metric. Its
+// visit method is safe for concurrent use.
 type dseFold struct {
-	keep   func(dse.Point) bool
-	metric func(dse.Point) float64
-	top    int
-	// keys holds one key per grid design at its index; i is -1 for a
-	// design not admitted. Workers write disjoint windows of it.
-	keys []rankKey
+	top int
 
 	mu sync.Mutex
+	// keys holds one key per grid design at its index; i is -1 for a
+	// design not admitted.
+	keys []rankKey
 	// designs counts the evaluated designs.
 	designs int
 	// cands are the candidates in arrival order; limit is the top-th
@@ -53,10 +52,8 @@ type dseFold struct {
 	vals    []float64
 }
 
-func newDSEFold(designs, top int, keep func(dse.Point) bool, metric func(dse.Point) float64) *dseFold {
+func newDSEFold(designs, top int) *dseFold {
 	f := &dseFold{
-		keep:    keep,
-		metric:  metric,
 		top:     top,
 		keys:    make([]rankKey, designs),
 		limit:   math.Inf(1),
@@ -68,38 +65,35 @@ func newDSEFold(designs, top int, keep func(dse.Point) bool, metric func(dse.Poi
 	return f
 }
 
-// visit folds one finished window: it keys the window's admitted designs
-// outside the lock, then adds the ones within the limit as candidates.
-func (f *dseFold) visit(w dse.Window) {
-	var buf [batch.DefaultWidth]int
-	admitted := buf[:0]
-	evaluated := 0
-	for k, p := range w.Points {
-		if !w.Done[k] {
-			continue
-		}
-		evaluated++
-		if f.keep(*p) {
-			f.keys[w.Lo+k] = rankKey{f.metric(*p), w.Lo + k}
-			admitted = append(admitted, k)
-		}
-	}
+// visit folds one finished window, given the stream points of its
+// evaluated designs in order: it keys the window's admitted designs and
+// adds the ones within the limit as candidates.
+func (f *dseFold) visit(w dse.Window, sps []StreamPoint) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.designs += evaluated
-	for _, k := range admitted {
-		key := f.keys[w.Lo+k]
+	f.designs += len(sps)
+	j := 0
+	for k, done := range w.Done {
+		if !done {
+			continue
+		}
+		sp := &sps[j]
+		j++
+		if !sp.Admissible {
+			continue
+		}
+		key := rankKey{sp.X, w.Lo + k}
+		f.keys[key.i] = key
 		if key.v > f.limit { // false for NaN, which always stays
 			continue
 		}
-		p := w.Points[k]
 		f.cands = append(f.cands, candidate{key: key, s: DesignSummary{
-			Config:     p.Config.Name,
-			TTFTMS:     p.TTFT() * 1e3,
-			TBTMS:      p.TBT() * 1e3,
-			AreaMM2:    p.AreaMM2,
-			PD:         p.PD,
-			DieCostUSD: p.DieCostUSD,
+			Config:     sp.Config,
+			TTFTMS:     sp.TTFTMS,
+			TBTMS:      sp.TBTMS,
+			AreaMM2:    sp.AreaMM2,
+			PD:         sp.PD,
+			DieCostUSD: sp.DieCostUSD,
 		}})
 	}
 	if len(f.cands) > f.pruneAt {

@@ -38,11 +38,12 @@ func rankAdmissible(points []dse.Point, keep func(dse.Point) bool, metric func(d
 }
 
 // foldReversed feeds points to a dseFold keeping the top designs, in
-// windows of 32, last window first, as concurrent sweep workers can
-// finish them.
+// windows of 32 summarised as a DSE job's stream hub summarises them,
+// last window first, as concurrent sweep workers can finish them.
 func foldReversed(points []dse.Point, top int, keep func(dse.Point) bool, metric func(dse.Point) float64) *dseFold {
 	const width = 32
-	f := newDSEFold(len(points), top, keep, metric)
+	f := newDSEFold(len(points), top)
+	hub := newStreamHub(metric, dse.MetricArea, keep)
 	ptrs := make([]*dse.Point, len(points))
 	done := make([]bool, len(points))
 	for i := range points {
@@ -50,7 +51,8 @@ func foldReversed(points []dse.Point, top int, keep func(dse.Point) bool, metric
 	}
 	for lo := (len(points) - 1) / width * width; lo >= 0; lo -= width {
 		hi := min(lo+width, len(points))
-		f.visit(dse.Window{Lo: lo, Points: ptrs[lo:hi], Done: done[lo:hi]})
+		w := dse.Window{Lo: lo, Points: ptrs[lo:hi], Done: done[lo:hi]}
+		f.visit(w, hub.summarise(nil, w))
 	}
 	return f
 }
@@ -94,12 +96,11 @@ func TestRankAdmissibleMatchesPointSort(t *testing.T) {
 		}
 		for _, objective := range []string{"ttft", "tbt", "ttftcost", "tbtcost"} {
 			for _, rule := range []string{"none", "oct2022", "oct2023"} {
-				req := DSERequest{Objective: objective, Rule: rule}
-				metric, err := req.metric()
+				metric, err := dse.Objective(objective)
 				if err != nil {
 					t.Fatal(err)
 				}
-				keep, err := req.admissible()
+				keep, err := dse.Rule(rule)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -159,14 +160,14 @@ func TestDSEJobMatchesCollectedRanking(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						out, err := js.run(dse.WithProgress(context.Background(), js.hub.window))
+						out, err := js.run(context.Background())
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
 						got := out.(DSEResult)
 
-						metric, _ := req.metric()
-						keep, _ := req.admissible()
+						metric, _ := dse.Objective(objective)
+						keep, _ := dse.Rule(rule)
 						ranked := rankAdmissible(points, keep, metric)
 						want := summaries(points, ranked, top)
 						if got.Designs != len(points) || got.Admissible != len(ranked) {

@@ -167,23 +167,29 @@ func TestSearchDerivedSeedIsStable(t *testing.T) {
 	}
 }
 
+// badSearchBodies are /v1/search bodies that must get a 400, by what is
+// wrong with each, and the text the error must contain, where one is
+// pinned.
+var badSearchBodies = []struct{ name, body, want string }{
+	{"no budget", `{"engine":"nsga2"}`, ""},
+	{"bad engine", `{"engine":"gradient","budget":16}`, "nsga2"},
+	{"bad space", `{"engine":"nsga2","budget":16,"space":"table9"}`, ""},
+	{"bad workload", `{"engine":"nsga2","budget":16,"workload":{"model":"gpt5"}}`, ""},
+	{"bad tpp", `{"engine":"nsga2","budget":16,"tpp":-5}`, ""},
+	{"huge budget", `{"engine":"nsga2","budget":90000000}`, ""},
+	{"unknown field", `{"engine":"nsga2","budget":16,"bogus":1}`, ""},
+	{"tpp beyond int cores", `{"space":"table3","tpp":1e30,"budget":8}`, "tpp value 1e+30"},
+}
+
 func TestSearchRejectsBadRequests(t *testing.T) {
 	_, ts := newTestServer(t)
-	for name, body := range map[string]string{
-		"no budget":     `{"engine":"nsga2"}`,
-		"bad engine":    `{"engine":"gradient","budget":16}`,
-		"bad space":     `{"engine":"nsga2","budget":16,"space":"table9"}`,
-		"bad workload":  `{"engine":"nsga2","budget":16,"workload":{"model":"gpt5"}}`,
-		"bad tpp":       `{"engine":"nsga2","budget":16,"tpp":-5}`,
-		"huge budget":   `{"engine":"nsga2","budget":90000000}`,
-		"unknown field": `{"engine":"nsga2","budget":16,"bogus":1}`,
-	} {
-		resp, data := postJSON(t, ts.URL+"/v1/search", body)
+	for _, c := range badSearchBodies {
+		resp, data := postJSON(t, ts.URL+"/v1/search", c.body)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400 (%s)", name, resp.StatusCode, data)
+			t.Errorf("%s: status %d, want 400 (%s)", c.name, resp.StatusCode, data)
 		}
-		if name == "bad engine" && !strings.Contains(string(data), "nsga2") {
-			t.Errorf("bad-engine error should list valid engines, got %s", data)
+		if !strings.Contains(string(data), c.want) {
+			t.Errorf("%s: error %s, want it to name %q", c.name, data, c.want)
 		}
 	}
 }

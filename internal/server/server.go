@@ -38,6 +38,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -517,8 +518,7 @@ type jobSpec struct {
 	// evaluation budget.
 	designs int
 	hub     *streamHub
-	// run does the job's work; its context streams evaluated designs to
-	// hub.
+	// run does the job's work, streaming its evaluated designs to hub.
 	run JobFunc
 }
 
@@ -554,14 +554,18 @@ func (s *Server) parseDSE(req DSERequest) (*jobSpec, error) {
 		return nil, fmt.Errorf("grid of %d designs exceeds the %d-design limit",
 			grid.Size(), maxGridSize)
 	}
+	if err := checkCores(grid, req.coreFields); err != nil {
+		return nil, err
+	}
 	// What the sweep will evaluate: expansion drops the combinations
 	// whose one-core device already reaches the TPP budget.
 	designs := grid.Designs()
-	metric, err := req.metric()
+	rule, objective := cmp.Or(req.Rule, "none"), cmp.Or(req.Objective, "ttft")
+	metric, err := dse.Objective(objective)
 	if err != nil {
 		return nil, err
 	}
-	keep, err := req.admissible()
+	keep, err := dse.Rule(rule)
 	if err != nil {
 		return nil, err
 	}
@@ -573,15 +577,9 @@ func (s *Server) parseDSE(req DSERequest) (*jobSpec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: %w", err)
 	}
-	top, rule, objective := req.Top, req.Rule, req.Objective
+	top := req.Top
 	if top <= 0 {
 		top = 5
-	}
-	if rule == "" {
-		rule = "none"
-	}
-	if objective == "" {
-		objective = "ttft"
 	}
 	switch req.Eval {
 	case "", "scalar", "batch": // accepted for compatibility; every sweep batches
@@ -592,17 +590,25 @@ func (s *Server) parseDSE(req DSERequest) (*jobSpec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("marshal spec: %w", err)
 	}
+	hub := newStreamHub(metric, dse.MetricArea, keep)
 	run := func(ctx context.Context) (any, error) {
 		ctx, jsp := obs.Start(ctx, "dse.job")
 		defer jsp.End()
 		jsp.SetStr("grid", grid.Name)
 		jsp.SetInt("designs", designs)
 		start := time.Now()
-		var tally dse.CacheTally
 		// The sweep walks the grid a window at a time; the job never
-		// holds its configs.
-		fold := newDSEFold(designs, top, keep, metric)
-		if err := s.explorer.NewSession(wl).SweepGrid(dse.WithCacheTally(ctx, &tally), grid, nil, fold.visit); err != nil {
+		// holds its configs. Its visitor summarises each evaluated design
+		// once, for the ranking and the stream alike.
+		fold := newDSEFold(designs, top)
+		sess := s.explorer.NewSession(wl)
+		err := sess.SweepGrid(ctx, grid, nil, func(w dse.Window) {
+			var buf [dse.WindowSize]StreamPoint
+			sps := hub.summarise(buf[:0], w)
+			fold.visit(w, sps)
+			hub.publish(sps)
+		})
+		if err != nil {
 			return nil, err
 		}
 		ranked := fold.ranked()
@@ -611,17 +617,16 @@ func (s *Server) parseDSE(req DSERequest) (*jobSpec, error) {
 			return nil, err
 		}
 		res := DSEResult{
-			Grid:        grid.Name,
-			Workload:    wl.Model.Name,
-			Rule:        rule,
-			Objective:   objective,
-			Designs:     fold.designs,
-			Admissible:  len(ranked),
-			Top:         best,
-			CacheHits:   tally.Hits.Load(),
-			CacheMisses: tally.Misses.Load(),
-			DurationMS:  float64(time.Since(start)) / float64(time.Millisecond),
+			Grid:       grid.Name,
+			Workload:   wl.Model.Name,
+			Rule:       rule,
+			Objective:  objective,
+			Designs:    fold.designs,
+			Admissible: len(ranked),
+			Top:        best,
+			DurationMS: float64(time.Since(start)) / float64(time.Millisecond),
 		}
+		res.CacheHits, res.CacheMisses = sess.CacheCounts()
 		if s.explorer.Cache != nil {
 			jsp.SetInt("cache_hits", int(res.CacheHits))
 			jsp.SetInt("cache_misses", int(res.CacheMisses))
@@ -632,7 +637,7 @@ func (s *Server) parseDSE(req DSERequest) (*jobSpec, error) {
 		kind:    jobKindDSE,
 		spec:    spec,
 		designs: designs,
-		hub:     newStreamHub(metric, dse.MetricArea, keep),
+		hub:     hub,
 		run:     run,
 	}, nil
 }
@@ -679,22 +684,20 @@ func (s *Server) parseSearch(req SearchRequest) (*jobSpec, error) {
 		ok, _ := feasible(p)
 		return ok
 	}
+	hub := newStreamHub(prob.Objectives[0].F, prob.Objectives[1].F, keep)
 	run := func(ctx context.Context) (any, error) {
 		start := time.Now()
-		var tally dse.CacheTally
-		out, err := (&search.Runner{Explorer: s.explorer}).Run(dse.WithCacheTally(ctx, &tally), prob, eng, req.Budget, seed)
+		out, err := (&search.Runner{Explorer: s.explorer, Visit: hub.window}).Run(ctx, prob, eng, req.Budget, seed)
 		if err != nil {
 			return nil, err
 		}
-		res := searchResult(out, time.Since(start))
-		res.CacheHits, res.CacheMisses = tally.Hits.Load(), tally.Misses.Load()
-		return res, nil
+		return searchResult(out, time.Since(start)), nil
 	}
 	return &jobSpec{
 		kind:    jobKindSearch,
 		spec:    spec,
 		designs: req.Budget,
-		hub:     newStreamHub(prob.Objectives[0].F, prob.Objectives[1].F, keep),
+		hub:     hub,
 		run:     run,
 	}, nil
 }
@@ -712,7 +715,7 @@ func (s *Server) enqueue(js *jobSpec, sc obs.SpanContext, id string) (*Job, erro
 		ctx = sc.Attach(ctx)
 		_, wait := obs.StartAt(ctx, "queue.wait", enqueuedAt)
 		wait.End() // enqueue → dequeue: ends the moment the worker picks us up
-		return js.run(dse.WithProgress(ctx, js.hub.window))
+		return js.run(ctx)
 	})
 	if err != nil {
 		return nil, err

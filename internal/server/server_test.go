@@ -404,21 +404,30 @@ func TestCancelFinishedJobConflicts(t *testing.T) {
 }
 
 // badDSEBodies are /v1/dse bodies that must get a 400, by what is wrong
-// with each.
-var badDSEBodies = []struct{ name, body string }{
-	{"no grid", `{}`},
-	{"two grids", `{"table3":{"tpp":4800},"table5":true}`},
-	{"bad rule", `{"table3":{"tpp":4800},"rule":"oct2077"}`},
-	{"bad objective", `{"table3":{"tpp":4800},"objective":"vibes"}`},
-	{"bad tpp", `{"table3":{"tpp":-5}}`},
-	{"bad workload", `{"table3":{"tpp":4800},"workload":{"model":"gpt5"}}`},
+// with each, and the text the error must contain, where one is pinned.
+var badDSEBodies = []struct{ name, body, want string }{
+	{"no grid", `{}`, ""},
+	{"two grids", `{"table3":{"tpp":4800},"table5":true}`, ""},
+	{"bad rule", `{"table3":{"tpp":4800},"rule":"oct2077"}`, ""},
+	{"bad objective", `{"table3":{"tpp":4800},"objective":"vibes"}`, ""},
+	{"bad tpp", `{"table3":{"tpp":-5}}`, ""},
+	{"bad workload", `{"table3":{"tpp":4800},"workload":{"model":"gpt5"}}`, ""},
+	// More cores than an int holds fit under the budget, or one core's
+	// MACs overflow an int: refused, not accepted with 0 designs.
+	{"tpp beyond int cores", `{"table3":{"tpp":1e30}}`, "table3.tpp value 1e+30"},
+	{"dims beyond int MACs", `{"grid":{"tpp_target":4800,"systolic_dims":[4000000000],"lanes_per_core":[1],` +
+		`"l1_kb":[192],"l2_mb":[40],"hbm_bandwidth_gbs":[2000],"device_bw_gbs":[600]}}`,
+		"systolic_dims value 4000000000"},
 }
 
 func TestDSERejectsBadRequests(t *testing.T) {
 	_, ts := newTestServer(t)
 	for _, c := range badDSEBodies {
-		if resp, data := postJSON(t, ts.URL+"/v1/dse", c.body); resp.StatusCode != http.StatusBadRequest {
+		resp, data := postJSON(t, ts.URL+"/v1/dse", c.body)
+		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", c.name, resp.StatusCode, data)
+		} else if !strings.Contains(string(data), c.want) {
+			t.Errorf("%s: error %s, want it to name %q", c.name, data, c.want)
 		}
 	}
 }

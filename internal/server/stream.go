@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/dse"
 	"repro/internal/obs"
 )
@@ -17,9 +16,8 @@ import (
 // GET /v1/jobs/{id}/stream: one NDJSON (or SSE) frame per evaluated
 // design, a running Pareto front refreshed as it improves, and a
 // terminal summary frame carrying the job's final status. The frames
-// ride the dse.WithProgress callback, which the explorer's window
-// workers call once per finished window, outside the batch evaluator's
-// hot loop.
+// come from the job's sweep visitor, which the explorer's window workers
+// call once per finished window, outside the batch evaluator's hot loop.
 
 // StreamPoint is one design on the wire: the summary fields plus the
 // point's coordinates on the running front's axes (for DSE jobs X is
@@ -88,20 +86,22 @@ func newStreamHub(xf, yf func(dse.Point) float64, keep func(dse.Point) bool) *st
 	return &streamHub{xf: xf, yf: yf, keep: keep}
 }
 
-// window is the dse.ProgressFunc bridge, safe for concurrent use and
-// called by every sweep worker as its windows finish. It builds the
-// window's stream points outside the lock, reading each point in place,
-// then takes the lock once for the whole window: a point frame per
-// evaluated design, in input order, and a front frame after every
-// frontEvery-th point frame.
+// window is the visitor of a job that only streams (a search job's):
+// it summarises the window, then publishes it.
 func (h *streamHub) window(w dse.Window) {
-	var buf [batch.DefaultWidth]StreamPoint
-	sps := buf[:0]
+	var buf [dse.WindowSize]StreamPoint
+	h.publish(h.summarise(buf[:0], w))
+}
+
+// summarise appends the stream point of each evaluated design of w to
+// dst, in input order, reading each point in place. It takes no lock, so
+// every sweep worker summarises its own windows at once.
+func (h *streamHub) summarise(dst []StreamPoint, w dse.Window) []StreamPoint {
 	for k, p := range w.Points {
 		if !w.Done[k] {
 			continue
 		}
-		sps = append(sps, StreamPoint{
+		dst = append(dst, StreamPoint{
 			Config:     p.Config.Name,
 			TTFTMS:     p.TTFT() * 1e3,
 			TBTMS:      p.TBT() * 1e3,
@@ -113,6 +113,13 @@ func (h *streamHub) window(w dse.Window) {
 			Y:          h.yf(*p),
 		})
 	}
+	return dst
+}
+
+// publish delivers one window's stream points under one lock: a point
+// frame per point, in order, and a front frame after every
+// frontEvery-th point frame. It is safe for concurrent use.
+func (h *streamHub) publish(sps []StreamPoint) {
 	if len(sps) == 0 {
 		return
 	}

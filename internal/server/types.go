@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -8,7 +9,6 @@ import (
 	"repro/internal/compliance"
 	"repro/internal/dse"
 	"repro/internal/model"
-	"repro/internal/policy"
 	"repro/internal/search"
 )
 
@@ -416,6 +416,38 @@ func (g *GridRequest) validate() error {
 	return nil
 }
 
+// coreFields names the request fields and values a grid's core count
+// for one (systolic dim, lanes) pair is solved from: the Table 3 TPP
+// budget, whose dims and lanes are fixed, or an explicit grid's budget,
+// dim and lanes.
+func (r DSERequest) coreFields(dim, lanes int) string {
+	switch {
+	case r.Table3 != nil:
+		return fmt.Sprintf("table3.tpp value %g", r.Table3.TPP)
+	case r.Grid != nil:
+		return fmt.Sprintf("grid.tpp_target value %g with systolic_dims value %d and lanes_per_core value %d",
+			r.Grid.TPPTarget, dim, lanes)
+	default:
+		return "table5"
+	}
+}
+
+// checkCores refuses a grid for which arch.MaxCoresForTPP cannot hold
+// some (systolic dim, lanes) pair's core count in an int (its
+// ErrOutOfRange), naming the request fields field gives for the pair.
+// A pair whose one core already reaches the budget is not an error: the
+// grid's expansion skips it.
+func checkCores(g dse.Grid, field func(dim, lanes int) string) error {
+	for _, dim := range g.SystolicDims {
+		for _, lanes := range g.LanesPerCore {
+			if _, err := arch.MaxCoresForTPP(g.TPPTarget, lanes, dim, dim, g.ClockGHz); errors.Is(err, arch.ErrOutOfRange) {
+				return fmt.Errorf("%s: %w", field(dim, lanes), err)
+			}
+		}
+	}
+	return nil
+}
+
 // checkDeviceBW refuses the first negative device bandwidth in bw,
 // naming the request field it came from.
 func checkDeviceBW(field string, bw []float64) error {
@@ -425,38 +457,6 @@ func checkDeviceBW(field string, bw []float64) error {
 		}
 	}
 	return nil
-}
-
-func (r DSERequest) metric() (func(dse.Point) float64, error) {
-	switch r.Objective {
-	case "", "ttft":
-		return dse.MetricTTFT, nil
-	case "tbt":
-		return dse.MetricTBT, nil
-	case "ttftcost":
-		return dse.MetricTTFTCost, nil
-	case "tbtcost":
-		return dse.MetricTBTCost, nil
-	default:
-		return nil, fmt.Errorf("unknown objective %q (ttft, tbt, ttftcost, tbtcost)", r.Objective)
-	}
-}
-
-func (r DSERequest) admissible() (func(dse.Point) bool, error) {
-	switch r.Rule {
-	case "", "none":
-		return func(p dse.Point) bool { return p.FitsReticle }, nil
-	case "oct2022":
-		return func(p dse.Point) bool {
-			return p.FitsReticle && !policy.Oct2022(policy.Metrics{
-				TPP: p.TPP, DeviceBWGBs: p.Config.DeviceBWGBs,
-			}).Restricted()
-		}, nil
-	case "oct2023":
-		return func(p dse.Point) bool { return p.Compliant() }, nil
-	default:
-		return nil, fmt.Errorf("unknown rule %q (none, oct2022, oct2023)", r.Rule)
-	}
 }
 
 // SearchRequest enqueues an asynchronous adaptive design-space search:
@@ -499,8 +499,12 @@ func (r SearchRequest) problem() (search.Problem, error) {
 		if tpp < 0 {
 			return search.Problem{}, fmt.Errorf("tpp must be positive")
 		}
+		grid := dse.Table3(tpp, []float64{600})
+		if err := checkCores(grid, func(int, int) string { return fmt.Sprintf("tpp value %g", tpp) }); err != nil {
+			return search.Problem{}, err
+		}
 		return search.Problem{
-			Space:      search.FromGrid(dse.Table3(tpp, []float64{600})),
+			Space:      search.FromGrid(grid),
 			Workload:   wl,
 			Objectives: search.ObjectivesLatencyArea(),
 		}, nil
@@ -534,7 +538,7 @@ type SearchResult struct {
 	Objectives  []string       `json:"objectives"`
 	Front       []SearchDesign `json:"front"`
 	// CacheHits and CacheMisses count the run's own point-store outcomes
-	// (dse.CacheTally), whatever other jobs run at the same time.
+	// (dse.Session.CacheCounts), whatever other jobs run at the same time.
 	CacheHits   uint64  `json:"cache_hits"`
 	CacheMisses uint64  `json:"cache_misses"`
 	DurationMS  float64 `json:"duration_ms"`
@@ -550,6 +554,8 @@ func searchResult(out search.Outcome, elapsed time.Duration) SearchResult {
 		Proposals:   out.Proposals,
 		Generations: out.Generations,
 		Objectives:  out.Objectives,
+		CacheHits:   out.CacheHits,
+		CacheMisses: out.CacheMisses,
 		DurationMS:  float64(elapsed) / float64(time.Millisecond),
 	}
 	for _, r := range out.Front {
@@ -586,8 +592,8 @@ type DSEResult struct {
 	Admissible int             `json:"admissible"`
 	Top        []DesignSummary `json:"top,omitempty"`
 	// CacheHits and CacheMisses count the sweep's own point-store
-	// outcomes (dse.CacheTally), whatever other jobs run at the same
-	// time: the evidence that a repeated grid skipped re-simulation.
+	// outcomes (dse.Session.CacheCounts), whatever other jobs run at the
+	// same time: the evidence that a repeated grid skipped re-simulation.
 	CacheHits   uint64  `json:"cache_hits"`
 	CacheMisses uint64  `json:"cache_misses"`
 	DurationMS  float64 `json:"duration_ms"`

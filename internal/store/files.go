@@ -149,17 +149,6 @@ func (f *Files[V]) Get(name string) (V, bool) {
 	return v, true
 }
 
-// Delete removes name's entry; deleting an absent entry is not an error.
-func (f *Files[V]) Delete(name string) error {
-	if !validName(name) {
-		return fmt.Errorf("store: invalid entry name %q", name)
-	}
-	if err := os.Remove(f.path(name)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: deleting entry %q: %w", name, err)
-	}
-	return nil
-}
-
 // List returns the store's entry names in sorted order, so callers that
 // replay the entries do so deterministically.
 func (f *Files[V]) List() ([]string, error) {
@@ -178,9 +167,6 @@ func (f *Files[V]) List() ([]string, error) {
 	sort.Strings(names)
 	return names, nil
 }
-
-// Dir returns the store's root directory.
-func (f *Files[V]) Dir() string { return f.dir }
 
 // ---- container format ----
 //

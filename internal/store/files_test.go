@@ -73,6 +73,9 @@ func TestFilesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFilesListSortsAndDeleteIsIdempotent pins that List returns the
+// entry names sorted, whatever order they were put in. (Files has no
+// Delete: the job journal never removes an entry.)
 func TestFilesListSortsAndDeleteIsIdempotent(t *testing.T) {
 	f, err := NewFiles[pair](t.TempDir(), pairCodec{})
 	if err != nil {
@@ -89,15 +92,6 @@ func TestFilesListSortsAndDeleteIsIdempotent(t *testing.T) {
 	}
 	if !reflect.DeepEqual(names, []string{"alpha", "mid", "zeta"}) {
 		t.Fatalf("List = %v, want sorted", names)
-	}
-	if err := f.Delete("mid"); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Delete("mid"); err != nil { // second delete: no such file is fine
-		t.Fatalf("repeated Delete errored: %v", err)
-	}
-	if _, ok := f.Get("mid"); ok {
-		t.Fatal("deleted entry still readable")
 	}
 }
 
