@@ -4,8 +4,9 @@
 //	go test -bench=. -benchmem
 //
 // reproduces the full study and reports how long each artifact takes to
-// regenerate. Each benchmark iteration builds a fresh Lab (no sweep cache)
-// so the numbers reflect true regeneration cost.
+// regenerate. Each benchmark iteration builds a fresh Lab, whose explorer
+// starts with an empty point store, so the numbers reflect true
+// regeneration cost.
 package repro
 
 import (

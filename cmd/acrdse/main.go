@@ -115,6 +115,10 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
+	metric, err := dse.Objective(o.objective)
+	if err != nil {
+		return err
+	}
 	m, err := pickModel(o.model)
 	if err != nil {
 		return err
@@ -138,11 +142,6 @@ func run(o options) error {
 	}
 
 	tpp, rule, top, traceOut := o.tpp, o.rule, o.top, o.traceOut
-	metric, err := dse.Objective(o.objective)
-	if err != nil {
-		return err
-	}
-
 	devBW := []float64{600}
 	if rule == "oct2023" {
 		devBW = []float64{500, 700, 900}

@@ -7,8 +7,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/acrlint [-json] [-checks memokey,unitsafe,...] [-list] \
-//	    [-baseline file] [-write-baseline file] [packages]
+//	go run ./cmd/acrlint [-json] [-checks memokey,unitsafe,...] [-list] [packages]
 //
 // Packages default to ./... . Diagnostics print as
 // file:line:col: [check] message and make the command exit 1; a clean tree
@@ -17,11 +16,6 @@
 //	//lint:ignore <check>[,<check>] <reason>
 //
 // on the offending line or the line above — the reason is mandatory.
-//
-// For CI ratcheting, -write-baseline records the current findings as
-// accepted debt (and exits 0); a later run with -baseline drops findings
-// already in that file — matched by module-relative file, check and
-// message, not line numbers — so only new findings fail the build.
 package main
 
 import (
@@ -38,11 +32,9 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array")
 	checks := flag.String("checks", "all", "comma-separated analyzer names to run")
 	list := flag.Bool("list", false, "list the available analyzers and exit")
-	baseline := flag.String("baseline", "", "drop findings recorded in this baseline file (CI ratchet)")
-	writeBaseline := flag.String("write-baseline", "", "record current findings to this file and exit 0")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: acrlint [-json] [-checks a,b] [-list] [-baseline f] [-write-baseline f] [packages]\n")
+			"usage: acrlint [-json] [-checks a,b] [-list] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -72,23 +64,6 @@ func main() {
 	}
 
 	diags := prog.Run(analyzers)
-
-	if *writeBaseline != "" {
-		if err := lint.WriteBaseline(*writeBaseline, root, diags); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "acrlint: wrote %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return
-	}
-	if *baseline != "" {
-		entries, err := lint.LoadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		diags = lint.FilterBaseline(diags, root, entries)
-	}
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)

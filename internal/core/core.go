@@ -202,9 +202,8 @@ func OptimizeCompliant(r Rule, tppBudget float64, w model.Workload, obj Objectiv
 
 // OptimizeCompliantContext is OptimizeCompliant with cancellation and an
 // optional shared explorer: a cancelled ctx aborts the sweep early, and a
-// non-nil ex reuses its result cache across calls (the acrserve job queue
-// passes its long-lived explorer here). A nil ex uses a fresh default
-// explorer.
+// non-nil ex reuses its result cache across calls. A nil ex uses a fresh
+// default explorer.
 func OptimizeCompliantContext(ctx context.Context, ex *dse.Explorer, r Rule, tppBudget float64, w model.Workload, obj Objective) (Optimum, error) {
 	metric, err := obj.metric()
 	if err != nil {

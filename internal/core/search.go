@@ -20,8 +20,7 @@ func AdaptiveSearch(engine string, prob search.Problem, budget int, seed uint64)
 // AdaptiveSearchContext is AdaptiveSearch with cancellation and an
 // optional shared explorer: a cancelled ctx aborts the search after the
 // current generation, and a non-nil ex reuses its result cache across
-// calls (the acrserve job queue passes its long-lived explorer here). A
-// nil ex uses a fresh default explorer.
+// calls. A nil ex uses a fresh default explorer.
 func AdaptiveSearchContext(ctx context.Context, ex *dse.Explorer, engine string, prob search.Problem, budget int, seed uint64) (search.Outcome, error) {
 	if seed == 0 {
 		seed = search.DeriveSeed(engine, prob.Space)

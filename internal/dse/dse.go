@@ -138,11 +138,13 @@ func product(lens ...int) int {
 
 // Expand materialises the grid into configurations. Combinations whose
 // smallest possible device (one core) already exceeds the TPP budget are
-// skipped. Names follow "<grid>/<dim>x<dim>-l<lanes>-L1:<kb>-L2:<mb>-m<gbs>-d<gbs>".
+// skipped, and so are those whose core count an int cannot hold (which a
+// grid sweep refuses instead). Names follow
+// "<grid>/<dim>x<dim>-l<lanes>-L1:<kb>-L2:<mb>-m<gbs>-d<gbs>".
 // It is a grid cursor run over the whole grid, the walk a grid sweep
 // makes a window at a time, so names are built in one place.
 func (g Grid) Expand() []arch.Config {
-	gw := g.walk()
+	gw, _ := g.walk()
 	configs := make([]arch.Config, gw.n)
 	if gw.n == 0 {
 		return configs
@@ -173,13 +175,22 @@ type gridWalk struct {
 // gridPair is one usable (systolic dim, lanes) pair and its core count.
 type gridPair struct{ dim, lanes, cores int }
 
-// walk prepares g for cursors.
-func (g Grid) walk() gridWalk {
+// walk prepares g for cursors. It skips every (dim, lanes) pair whose
+// one-core device already reaches the TPP budget. It also skips a pair
+// whose core count arch.MaxCoresForTPP cannot hold in an int, and
+// returns the first such pair as an error wrapping arch.ErrOutOfRange.
+func (g Grid) walk() (gridWalk, error) {
+	var rangeErr error
 	gw := gridWalk{g: g, pairs: make([]gridPair, 0, len(g.SystolicDims)*len(g.LanesPerCore))}
 	for _, dim := range g.SystolicDims {
 		for _, lanes := range g.LanesPerCore {
-			if cores, err := arch.MaxCoresForTPP(g.TPPTarget, lanes, dim, dim, g.ClockGHz); err == nil {
+			cores, err := arch.MaxCoresForTPP(g.TPPTarget, lanes, dim, dim, g.ClockGHz)
+			switch {
+			case err == nil:
 				gw.pairs = append(gw.pairs, gridPair{dim, lanes, cores})
+			case rangeErr == nil && errors.Is(err, arch.ErrOutOfRange):
+				rangeErr = fmt.Errorf("dse: %dx%d systolic array with %d lanes per core at TPP budget %g: %w",
+					dim, dim, lanes, g.TPPTarget, err)
 			}
 		}
 	}
@@ -194,7 +205,7 @@ func (g Grid) walk() gridWalk {
 		gw.seg = strconv.AppendFloat(append(gw.seg, "-d"...), dev, 'f', 0, 64)
 		gw.segOff = append(gw.segOff, len(gw.seg))
 	}
-	return gw
+	return gw, rangeErr
 }
 
 // segment returns bandwidth name segment i.
@@ -524,9 +535,14 @@ func (s *Session) Sweep(ctx context.Context, configs []arch.Config, at func(i in
 // steps it through the window, so a sweep holds one window of configs
 // per worker. A design's name is allocated when it is evaluated; a store
 // hit keeps the stored point's name when its bytes are the requested
-// name, and allocates only when they differ.
+// name, and allocates only when they differ. A grid with a (dim, lanes)
+// pair whose core count an int cannot hold is refused before the sweep
+// starts, with an error wrapping arch.ErrOutOfRange.
 func (s *Session) SweepGrid(ctx context.Context, g Grid, at func(i int) *Point, visit Visitor) error {
-	gw := g.walk()
+	gw, err := g.walk()
+	if err != nil {
+		return err
+	}
 	return s.sweep(ctx, source{grid: &gw}, at, visit)
 }
 
@@ -972,9 +988,13 @@ func (e *Explorer) Run(g Grid, w model.Workload) ([]Point, error) {
 
 // RunContext evaluates a grid under a context, a window at a time
 // without expanding it (Session.SweepGrid); see EvaluateContext for
-// cancellation and partial-result semantics.
+// cancellation and partial-result semantics. It refuses an out-of-range
+// grid before sweeping, as SweepGrid does.
 func (e *Explorer) RunContext(ctx context.Context, g Grid, w model.Workload) ([]Point, error) {
-	gw := g.walk()
+	gw, err := g.walk()
+	if err != nil {
+		return nil, err
+	}
 	return e.NewSession(w).collect(ctx, source{grid: &gw})
 }
 

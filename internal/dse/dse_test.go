@@ -97,6 +97,35 @@ func TestGridDesignsCountsExpansion(t *testing.T) {
 	}
 }
 
+// TestGridSweepsRefuseOutOfRangeBudget pins the grid sweeps' range
+// check: at TPP 1e30 no (dim, lanes) pair's core count fits an int, so
+// RunContext and SweepGrid fail with arch.ErrOutOfRange before sweeping,
+// naming the pair and the budget. At TPP 1 one core of every pair
+// already reaches the budget: that grid is empty, not an error.
+func TestGridSweepsRefuseOutOfRangeBudget(t *testing.T) {
+	w := model.PaperWorkload(model.Llama3_8B())
+	ex := NewExplorer()
+	huge := Table3(1e30, []float64{600})
+	pts, err := ex.RunContext(context.Background(), huge, w)
+	if !errors.Is(err, arch.ErrOutOfRange) || len(pts) != 0 {
+		t.Fatalf("RunContext at TPP 1e30: %d points, err %v; want none and arch.ErrOutOfRange", len(pts), err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "16x16 systolic array with 1 lanes per core at TPP budget 1e+30") {
+		t.Errorf("RunContext at TPP 1e30: error %q does not name the first pair and the budget", msg)
+	}
+	visited := false
+	err = ex.NewSession(w).SweepGrid(context.Background(), huge, nil, func(Window) { visited = true })
+	if !errors.Is(err, arch.ErrOutOfRange) || visited {
+		t.Errorf("SweepGrid at TPP 1e30: visited %v, err %v; want no window and arch.ErrOutOfRange", visited, err)
+	}
+	if pts, err := ex.RunContext(context.Background(), Table3(1, []float64{600}), w); err != nil || len(pts) != 0 {
+		t.Errorf("RunContext at TPP 1: %d points, err %v; want none and no error", len(pts), err)
+	}
+	if st := ex.Cache.Stats(); st.Hits+st.Misses != 0 {
+		t.Errorf("refused and empty sweeps probed the store %d times", st.Hits+st.Misses)
+	}
+}
+
 func TestExpandSkipsOversizedCores(t *testing.T) {
 	// At a tiny TPP budget, large-core combinations are dropped rather than
 	// emitted invalid.

@@ -154,7 +154,7 @@ func TestGridWindowsMatchExpand(t *testing.T) {
 func TestGridCursorSeeksEveryDesign(t *testing.T) {
 	for _, g := range []Grid{Table3(2400, []float64{500, 700, 900}), Table3(100, []float64{600}), Table5()} {
 		want := expandNested(g)
-		gw := g.walk()
+		gw, _ := g.walk()
 		var c gridCursor
 		for i := range want {
 			c.seek(&gw, i)

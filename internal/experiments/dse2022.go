@@ -34,7 +34,7 @@ type Fig6Result struct {
 // model.
 func (l *Lab) Fig6(m model.Model) (Fig6Result, error) {
 	w := model.PaperWorkload(m)
-	pts, err := l.sweep(dse.Table3(4800, []float64{600}), w)
+	pts, err := l.Explorer.Run(dse.Table3(4800, []float64{600}), w)
 	if err != nil {
 		return Fig6Result{}, err
 	}

@@ -53,7 +53,7 @@ func (l *Lab) Fig7(m model.Model) (Fig7Result, error) {
 		FastestTBTGain:      map[int]float64{},
 	}
 	for _, tpp := range Oct2023TPPTargets {
-		pts, err := l.sweep(dse.Table3(tpp, Oct2023DeviceBWs), w)
+		pts, err := l.Explorer.Run(dse.Table3(tpp, Oct2023DeviceBWs), w)
 		if err != nil {
 			return Fig7Result{}, err
 		}
@@ -153,7 +153,7 @@ type Table4Result struct {
 // manufacturable 2400-TPP designs for GPT-3 and compares their economics.
 func (l *Lab) Table4() (Table4Result, error) {
 	w := model.PaperWorkload(model.GPT3_175B())
-	pts, err := l.sweep(dse.Table3(2400, Oct2023DeviceBWs), w)
+	pts, err := l.Explorer.Run(dse.Table3(2400, Oct2023DeviceBWs), w)
 	if err != nil {
 		return Table4Result{}, err
 	}
@@ -254,7 +254,7 @@ func (l *Lab) Fig8(m model.Model) (Fig8Result, error) {
 // Llama 3).
 func (l *Lab) CostRatios(m model.Model) (ttftRatio, tbtRatio float64, err error) {
 	w := model.PaperWorkload(m)
-	pts, err := l.sweep(dse.Table3(2400, Oct2023DeviceBWs), w)
+	pts, err := l.Explorer.Run(dse.Table3(2400, Oct2023DeviceBWs), w)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -7,15 +7,15 @@
 //
 // Each experiment has a typed entry point returning structured results, and
 // the Registry exposes them uniformly for the cmd/experiments CLI and the
-// benchmark harness. A Lab caches the expensive sweeps so experiments that
-// share a DSE (Fig 7, Table 4, Fig 8, Fig 11) run it once.
+// benchmark harness. A Lab shares one explorer, so experiments that repeat
+// a DSE (Fig 7, Table 4, Fig 8, Fig 11) are served from its point store
+// while the designs stay in it.
 package experiments
 
 import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/dse"
@@ -23,23 +23,15 @@ import (
 	"repro/internal/sim"
 )
 
-// Lab holds the shared simulator state and sweep cache for one experiment
-// session. A zero Lab is not usable; construct with NewLab.
+// Lab holds the explorer one experiment session shares. A zero Lab is
+// not usable; construct with NewLab.
 type Lab struct {
 	Explorer *dse.Explorer
-
-	mu     sync.Mutex
-	sweeps map[string][]dse.Point
-	a100   map[string]sim.Result
 }
 
 // NewLab returns a Lab with the calibrated simulator and cost models.
 func NewLab() *Lab {
-	return &Lab{
-		Explorer: dse.NewExplorer(),
-		sweeps:   make(map[string][]dse.Point),
-		a100:     make(map[string]sim.Result),
-	}
+	return &Lab{Explorer: dse.NewExplorer()}
 }
 
 // Workloads returns the two paper workloads (Table 2, §3.2 settings).
@@ -50,41 +42,9 @@ func Workloads() []model.Workload {
 	}
 }
 
-// A100Baseline simulates (and caches) the modeled A100 for a workload.
+// A100Baseline simulates the modeled A100 for a workload.
 func (l *Lab) A100Baseline(w model.Workload) (sim.Result, error) {
-	l.mu.Lock()
-	r, ok := l.a100[w.Model.Name]
-	l.mu.Unlock()
-	if ok {
-		return r, nil
-	}
-	r, err := l.Explorer.Sim.Simulate(arch.A100(), w)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	l.mu.Lock()
-	l.a100[w.Model.Name] = r
-	l.mu.Unlock()
-	return r, nil
-}
-
-// sweep runs (and caches) a grid for a workload.
-func (l *Lab) sweep(g dse.Grid, w model.Workload) ([]dse.Point, error) {
-	key := g.Name + "/" + w.Model.Name
-	l.mu.Lock()
-	pts, ok := l.sweeps[key]
-	l.mu.Unlock()
-	if ok {
-		return pts, nil
-	}
-	pts, err := l.Explorer.Run(g, w)
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	l.sweeps[key] = pts
-	l.mu.Unlock()
-	return pts, nil
+	return l.Explorer.Sim.Simulate(arch.A100(), w)
 }
 
 // Experiment is one regenerable paper artifact.

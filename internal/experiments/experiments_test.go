@@ -9,8 +9,8 @@ import (
 	"repro/internal/policy"
 )
 
-// lab is shared across tests: the sweeps are cached, so the whole file runs
-// in a few hundred milliseconds.
+// lab is shared across tests: its explorer's point store serves repeated
+// sweeps, so the whole file runs in a few hundred milliseconds.
 var lab = NewLab()
 
 func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
@@ -348,17 +348,21 @@ func TestExternalityScopedPolicyStrictlyBetter(t *testing.T) {
 	}
 }
 
-func TestLabSweepCaching(t *testing.T) {
+// TestLabRepeatedSweepServedByStore checks that a Lab's explorer store
+// serves a repeated sweep: the second Fig 6 run of a model probes all
+// 512 of its designs and simulates none.
+func TestLabRepeatedSweepServedByStore(t *testing.T) {
 	l := NewLab()
 	if _, err := l.Fig6(model.Llama3_8B()); err != nil {
 		t.Fatal(err)
 	}
-	before := len(l.sweeps)
+	before := l.Explorer.Cache.Stats()
 	if _, err := l.Fig6(model.Llama3_8B()); err != nil {
 		t.Fatal(err)
 	}
-	if len(l.sweeps) != before {
-		t.Error("second Fig6 call should hit the cache")
+	after := l.Explorer.Cache.Stats()
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 512 || misses != 0 {
+		t.Errorf("repeated Fig6 sweep: %d store hits, %d misses; want 512 and 0", hits, misses)
 	}
 }
 

@@ -112,7 +112,7 @@ func GroupByName(groups []stats.Group, name string) (stats.Group, bool) {
 // 10.7×; fixed device bandwidth narrows almost nothing.
 func (l *Lab) Fig11(m model.Model) (IndicatorResult, error) {
 	w := model.PaperWorkload(m)
-	pts, err := l.sweep(dse.Table3(4800, Oct2023DeviceBWs), w)
+	pts, err := l.Explorer.Run(dse.Table3(4800, Oct2023DeviceBWs), w)
 	if err != nil {
 		return IndicatorResult{}, err
 	}
@@ -127,7 +127,7 @@ func (l *Lab) Fig11(m model.Model) (IndicatorResult, error) {
 // 110%/58.7% slower median TBT with 41.8×/42.4× narrower distributions.
 func (l *Lab) Fig12(m model.Model) (IndicatorResult, error) {
 	w := model.PaperWorkload(m)
-	pts, err := l.sweep(dse.Table5(), w)
+	pts, err := l.Explorer.Run(dse.Table5(), w)
 	if err != nil {
 		return IndicatorResult{}, err
 	}

@@ -10,30 +10,25 @@ import (
 )
 
 // parseFuncCFG type-checks a synthetic single-function file and returns
-// the function's CFG plus everything needed to interrogate it.
-func parseFuncCFG(t *testing.T, src string) (*CFG, *ast.FuncDecl, *types.Info) {
+// the function's CFG.
+func parseFuncCFG(t *testing.T, src string) *CFG {
 	t.Helper()
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, "synthetic.go", src, parser.ParseComments)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	info := &types.Info{
-		Defs:  make(map[*ast.Ident]types.Object),
-		Uses:  make(map[*ast.Ident]types.Object),
-		Types: make(map[ast.Expr]types.TypeAndValue),
-	}
 	conf := types.Config{}
-	if _, err := conf.Check("synthetic", fset, []*ast.File{file}, info); err != nil {
+	if _, err := conf.Check("synthetic", fset, []*ast.File{file}, nil); err != nil {
 		t.Fatalf("typecheck: %v", err)
 	}
 	for _, d := range file.Decls {
 		if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-			return buildCFG(fd.Body), fd, info
+			return buildCFG(fd.Body)
 		}
 	}
 	t.Fatal("no function in source")
-	return nil, nil, nil
+	return nil
 }
 
 // blocksOfKind returns reachable blocks whose Kind matches.
@@ -58,7 +53,7 @@ func oneBlock(t *testing.T, c *CFG, kind string) *Block {
 }
 
 func TestCFGIfElse(t *testing.T) {
-	cfg, _, _ := parseFuncCFG(t, `package p
+	cfg := parseFuncCFG(t, `package p
 func f(x int) int {
 	if x > 0 {
 		x++
@@ -91,7 +86,7 @@ func f(x int) int {
 }
 
 func TestCFGIfNoElse(t *testing.T) {
-	cfg, _, _ := parseFuncCFG(t, `package p
+	cfg := parseFuncCFG(t, `package p
 func f(x int) int {
 	if x > 0 {
 		x++
@@ -109,7 +104,7 @@ func f(x int) int {
 }
 
 func TestCFGForLoop(t *testing.T) {
-	cfg, _, _ := parseFuncCFG(t, `package p
+	cfg := parseFuncCFG(t, `package p
 func f(n int) int {
 	s := 0
 	for i := 0; i < n; i++ {
@@ -153,7 +148,7 @@ func f(n int) int {
 }
 
 func TestCFGRange(t *testing.T) {
-	cfg, _, _ := parseFuncCFG(t, `package p
+	cfg := parseFuncCFG(t, `package p
 func f(xs []int) int {
 	s := 0
 	for _, x := range xs {
@@ -180,7 +175,7 @@ func f(xs []int) int {
 }
 
 func TestCFGLabeledBreak(t *testing.T) {
-	cfg, _, _ := parseFuncCFG(t, `package p
+	cfg := parseFuncCFG(t, `package p
 func f(m [][]int) int {
 	s := 0
 outer:
@@ -224,7 +219,7 @@ outer:
 }
 
 func TestCFGLabeledContinueAndGoto(t *testing.T) {
-	cfg, _, _ := parseFuncCFG(t, `package p
+	cfg := parseFuncCFG(t, `package p
 func f(n int) int {
 	s := 0
 	if n < 0 {
@@ -285,7 +280,7 @@ done:
 }
 
 func TestCFGDeferAndReturn(t *testing.T) {
-	cfg, _, _ := parseFuncCFG(t, `package p
+	cfg := parseFuncCFG(t, `package p
 func f(x int) (int, error) {
 	defer func() {}()
 	if x < 0 {
@@ -321,7 +316,7 @@ func f(x int) (int, error) {
 }
 
 func TestCFGSwitchFallthrough(t *testing.T) {
-	cfg, _, _ := parseFuncCFG(t, `package p
+	cfg := parseFuncCFG(t, `package p
 func f(x int) int {
 	s := 0
 	switch x {
@@ -360,7 +355,7 @@ func f(x int) int {
 }
 
 func TestCFGSelect(t *testing.T) {
-	cfg, _, _ := parseFuncCFG(t, `package p
+	cfg := parseFuncCFG(t, `package p
 func f(a, b chan int) int {
 	select {
 	case v := <-a:
@@ -380,7 +375,7 @@ func f(a, b chan int) int {
 }
 
 func TestCFGPanicTerminates(t *testing.T) {
-	cfg, _, _ := parseFuncCFG(t, `package p
+	cfg := parseFuncCFG(t, `package p
 func f(x int) int {
 	if x < 0 {
 		panic("neg")
@@ -394,7 +389,7 @@ func f(x int) int {
 }
 
 func TestCFGUnreachableAfterReturn(t *testing.T) {
-	cfg, _, _ := parseFuncCFG(t, `package p
+	cfg := parseFuncCFG(t, `package p
 func f() int {
 	return 1
 	x := 2
@@ -414,135 +409,10 @@ func f() int {
 }
 
 func TestCFGStringRendering(t *testing.T) {
-	cfg, _, _ := parseFuncCFG(t, `package p
+	cfg := parseFuncCFG(t, `package p
 func f() {}`)
 	s := cfg.String()
 	if !strings.Contains(s, "b0 entry") || !strings.Contains(s, "exit") {
 		t.Errorf("rendering missing entry/exit:\n%s", s)
-	}
-}
-
-// ---- reaching definitions ----
-
-func lookupVar(t *testing.T, info *types.Info, name string) *types.Var {
-	t.Helper()
-	for _, obj := range info.Defs {
-		if v, ok := obj.(*types.Var); ok && v.Name() == name {
-			return v
-		}
-	}
-	t.Fatalf("no variable %q", name)
-	return nil
-}
-
-func TestReachingDefsBranch(t *testing.T) {
-	cfg, fd, info := parseFuncCFG(t, `package p
-func f(c bool) int {
-	x := 1
-	if c {
-		x = 2
-	}
-	return x
-}`)
-	r := reachingDefs(cfg, fd, info)
-	x := lookupVar(t, info, "x")
-	join := oneBlock(t, cfg, "if.join")
-	// Both x:=1 and x=2 reach the join — the branch may or may not run.
-	if got := r.reachingAt(join, x); len(got) != 2 {
-		t.Errorf("at join, %d defs of x reach, want 2 (both branches)\n%s", len(got), cfg)
-	}
-	then := oneBlock(t, cfg, "if.then")
-	// Only x:=1 reaches the then-block entry (x=2 happens inside it).
-	if got := r.reachingAt(then, x); len(got) != 1 {
-		t.Errorf("at then entry, %d defs of x reach, want 1", len(got))
-	}
-}
-
-func TestReachingDefsBothArms(t *testing.T) {
-	cfg, fd, info := parseFuncCFG(t, `package p
-func f(c bool) int {
-	x := 1
-	if c {
-		x = 2
-	} else {
-		x = 3
-	}
-	return x
-}`)
-	r := reachingDefs(cfg, fd, info)
-	x := lookupVar(t, info, "x")
-	join := oneBlock(t, cfg, "if.join")
-	// x:=1 is killed on both arms; only x=2 and x=3 survive to the join.
-	got := r.reachingAt(join, x)
-	if len(got) != 2 {
-		t.Fatalf("at join, %d defs of x reach, want 2 (one per arm)", len(got))
-	}
-	fset := token.NewFileSet()
-	_ = fset
-	for _, pos := range got {
-		for _, d := range r.defs {
-			if d.pos == pos && d.obj == x {
-				break
-			}
-		}
-	}
-}
-
-func TestReachingDefsLoopFixpoint(t *testing.T) {
-	cfg, fd, info := parseFuncCFG(t, `package p
-func f(n int) int {
-	s := 0
-	for i := 0; i < n; i++ {
-		s = s + i
-	}
-	return s
-}`)
-	r := reachingDefs(cfg, fd, info)
-	s := lookupVar(t, info, "s")
-	head := oneBlock(t, cfg, "for.head")
-	// The fixpoint must propagate the loop-body redefinition of s around
-	// the back edge: both s:=0 and s=s+i reach the head.
-	if got := r.reachingAt(head, s); len(got) != 2 {
-		t.Errorf("at loop head, %d defs of s reach, want 2 (init + back edge)", len(got))
-	}
-	join := oneBlock(t, cfg, "for.join")
-	if got := r.reachingAt(join, s); len(got) != 2 {
-		t.Errorf("at loop join, %d defs of s reach, want 2 (zero-trip + loop)", len(got))
-	}
-}
-
-func TestReachingDefsRangeBinding(t *testing.T) {
-	cfg, fd, info := parseFuncCFG(t, `package p
-func f(xs []int) int {
-	v := -1
-	for _, x := range xs {
-		v = x
-	}
-	return v
-}`)
-	r := reachingDefs(cfg, fd, info)
-	x := lookupVar(t, info, "x")
-	body := oneBlock(t, cfg, "range.body")
-	// The range binding of x is a definition reaching the body.
-	if got := r.reachingAt(body, x); len(got) != 1 {
-		t.Errorf("at range body, %d defs of x reach, want 1 (range binding)", len(got))
-	}
-}
-
-func TestReachingDefsParams(t *testing.T) {
-	cfg, fd, info := parseFuncCFG(t, `package p
-func f(a int) int {
-	if a > 0 {
-		a = -a
-	}
-	return a
-}`)
-	r := reachingDefs(cfg, fd, info)
-	a := lookupVar(t, info, "a")
-	// Parameter def reaches entry's successors.
-	join := oneBlock(t, cfg, "if.join")
-	got := r.reachingAt(join, a)
-	if len(got) != 2 {
-		t.Errorf("at join, %d defs of a reach, want 2 (param + reassignment)", len(got))
 	}
 }

@@ -1,14 +1,7 @@
 package lint
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-)
-
 // This file is the forward-dataflow half of the v2 engine: a worklist
-// fixpoint over CFG blocks with dense bit-vector facts, plus the one
-// classical instance the tests pin — reaching definitions. Analyzers
+// fixpoint over CFG blocks with dense bit-vector facts. Analyzers
 // instantiate the engine with their own gen/kill semantics (spanflow
 // tracks "span started, End not yet seen"); the fixpoint loop and the
 // meet discipline live here once.
@@ -50,9 +43,9 @@ func (s bitset) equal(t bitset) bool {
 }
 
 // flowProblem is one forward may-analysis: facts merge by union at join
-// points and transfer block-locally. (The v2 analyzers all want may
-// semantics — "a definition reaches", "a span may still be open"; a must
-// variant would intersect instead and nothing here needs one.)
+// points and transfer block-locally. (spanflow wants may semantics — "a
+// span may still be open"; a must variant would intersect instead and
+// nothing here needs one.)
 type flowProblem struct {
 	// nbits is the fact-space size.
 	nbits int
@@ -110,182 +103,4 @@ func (c *CFG) forward(p flowProblem) (in, out map[*Block]bitset) {
 		}
 	}
 	return in, out
-}
-
-// ---- reaching definitions ----
-
-// defSite is one definition (assignment, declaration, range binding, or
-// parameter) of one variable.
-type defSite struct {
-	obj *types.Var
-	pos token.Pos
-}
-
-// reaching is the reaching-definitions result for one function body:
-// which definitions may still be live at each block's entry.
-type reaching struct {
-	cfg  *CFG
-	defs []defSite
-	// in[blk] has bit i set when defs[i] reaches blk's entry.
-	in map[*Block]bitset
-}
-
-// reachingDefs computes reaching definitions over the CFG of fd's body.
-// Parameters (and named results) count as definitions at entry.
-func reachingDefs(cfg *CFG, fd *ast.FuncDecl, info *types.Info) *reaching {
-	r := &reaching{cfg: cfg}
-	defIdx := make(map[*types.Var][]int) // var -> indices into defs
-
-	addDef := func(obj *types.Var, pos token.Pos) int {
-		i := len(r.defs)
-		r.defs = append(r.defs, defSite{obj: obj, pos: pos})
-		defIdx[obj] = append(defIdx[obj], i)
-		return i
-	}
-
-	// Entry definitions: parameters, receiver, named results.
-	var entryDefs []int
-	declParams := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			for _, name := range f.Names {
-				if v, ok := info.Defs[name].(*types.Var); ok {
-					entryDefs = append(entryDefs, addDef(v, name.Pos()))
-				}
-			}
-		}
-	}
-	declParams(fd.Recv)
-	declParams(fd.Type.Params)
-	declParams(fd.Type.Results)
-
-	// Block-local definitions, in node order. gen keeps only each block's
-	// last definition per variable (earlier ones are killed within the
-	// block).
-	type blockDefs struct {
-		ordered []int // all defs in the block, in order
-	}
-	perBlock := make(map[*Block]*blockDefs)
-	collect := func(blk *Block, n ast.Node) {
-		record := func(id *ast.Ident) {
-			if id == nil || id.Name == "_" {
-				return
-			}
-			var v *types.Var
-			if d, ok := info.Defs[id].(*types.Var); ok {
-				v = d
-			} else if u, ok := info.Uses[id].(*types.Var); ok {
-				v = u
-			}
-			if v == nil {
-				return
-			}
-			bd := perBlock[blk]
-			if bd == nil {
-				bd = &blockDefs{}
-				perBlock[blk] = bd
-			}
-			bd.ordered = append(bd.ordered, addDef(v, id.Pos()))
-		}
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
-					record(id)
-				}
-			}
-		case *ast.IncDecStmt:
-			if id, ok := ast.Unparen(n.X).(*ast.Ident); ok {
-				record(id)
-			}
-		case *ast.DeclStmt:
-			if gd, ok := n.Decl.(*ast.GenDecl); ok {
-				for _, spec := range gd.Specs {
-					if vs, ok := spec.(*ast.ValueSpec); ok {
-						for _, name := range vs.Names {
-							record(name)
-						}
-					}
-				}
-			}
-		case *ast.RangeStmt:
-			if id, ok := n.Key.(*ast.Ident); ok {
-				record(id)
-			}
-			if id, ok := n.Value.(*ast.Ident); ok {
-				record(id)
-			}
-		}
-	}
-	for _, blk := range cfg.Blocks {
-		for _, n := range blk.Nodes {
-			// Nested statements (an if's init recorded in the cond block)
-			// are the block's own nodes; bodies live in other blocks, so a
-			// shallow per-node walk that stops at nested bodies would be
-			// ideal. Statement nodes recorded on a block never contain
-			// bodies (the builder splits those out), so Inspect is safe —
-			// except for the RangeStmt head, whose body hangs off the same
-			// node; handle it without descending.
-			if rs, ok := n.(*ast.RangeStmt); ok {
-				collect(blk, rs)
-				continue
-			}
-			ast.Inspect(n, func(m ast.Node) bool {
-				if m == nil {
-					return false
-				}
-				if _, isBody := m.(*ast.BlockStmt); isBody {
-					return false
-				}
-				if _, isLit := m.(*ast.FuncLit); isLit {
-					return false
-				}
-				collect(blk, m)
-				return true
-			})
-		}
-	}
-
-	nbits := len(r.defs)
-	boundary := newBitset(nbits)
-	for _, i := range entryDefs {
-		boundary.set(i)
-	}
-	in, _ := cfg.forward(flowProblem{
-		nbits:    nbits,
-		boundary: boundary,
-		transfer: func(blk *Block, in bitset) bitset {
-			out := in.copy()
-			bd := perBlock[blk]
-			if bd == nil {
-				return out
-			}
-			for _, di := range bd.ordered {
-				// A definition kills every other definition of its
-				// variable, then generates itself.
-				for _, other := range defIdx[r.defs[di].obj] {
-					out.clear(other)
-				}
-				out.set(di)
-			}
-			return out
-		},
-	})
-	r.in = in
-	return r
-}
-
-// reachingAt returns the positions of the definitions of obj that reach
-// blk's entry, for tests.
-func (r *reaching) reachingAt(blk *Block, obj *types.Var) []token.Pos {
-	var out []token.Pos
-	set := r.in[blk]
-	for i, d := range r.defs {
-		if d.obj == obj && set.has(i) {
-			out = append(out, d.pos)
-		}
-	}
-	return out
 }

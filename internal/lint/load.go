@@ -69,9 +69,6 @@ type funcDecl struct {
 	pkg  *Package
 }
 
-// Package returns the loaded package with the given import path, or nil.
-func (p *Program) Package(path string) *Package { return p.byPath[path] }
-
 // FuncDecl returns the syntax and owning package of fn when fn is declared
 // in one of the program's packages, or nil syntax otherwise (standard
 // library, interface methods).

@@ -45,6 +45,27 @@ func LeakOnError(ctx context.Context, n int) error {
 	return nil
 }
 
+// LeakInLoop starts a span on every iteration and never ends it: the
+// open span reaches the return only around the loop's back edge, so the
+// dataflow must iterate to its fixpoint to see the leak.
+func LeakInLoop(ctx context.Context, n int) {
+	for i := 0; i < n; i++ {
+		_, sp := obs.Start(ctx, "iter") // want "may reach a return without End"
+		_ = sp
+	}
+}
+
+// EndsAcrossIterations ends each iteration's span at the top of the
+// next iteration and the last one after the loop, so no path leaks.
+func EndsAcrossIterations(ctx context.Context, n int) {
+	var sp *obs.Span
+	for i := 0; i < n; i++ {
+		sp.End()
+		_, sp = obs.Start(ctx, "iter")
+	}
+	sp.End()
+}
+
 // Uninstrumented forwards its context into the module but no call path
 // ever starts a span — its work is invisible in traces.
 func Uninstrumented(ctx context.Context, n int) error { // want "no call path starts a span"

@@ -6,6 +6,8 @@ import (
 	"math/rand/v2"
 	"slices"
 	"sync"
+
+	"repro/internal/num"
 )
 
 // nsga2 is the elitist non-dominated-sorting genetic algorithm (Deb's
@@ -182,8 +184,8 @@ func (e *nsga2) crossover(a, b Genome) (Genome, Genome) {
 			} else {
 				beta = math.Pow(1/(2*(1-u)), 1/(e.etaC+1))
 			}
-			c1[i] = clampUnit(0.5 * ((1+beta)*x + (1-beta)*y))
-			c2[i] = clampUnit(0.5 * ((1-beta)*x + (1+beta)*y))
+			c1[i] = num.Clamp01(0.5 * ((1+beta)*x + (1-beta)*y))
+			c2[i] = num.Clamp01(0.5 * ((1-beta)*x + (1+beta)*y))
 		} else {
 			c1[i], c2[i] = x, y
 		}
@@ -209,18 +211,8 @@ func (e *nsga2) mutate(g Genome) {
 		} else {
 			delta = 1 - math.Pow(2*(1-u), 1/(e.etaM+1))
 		}
-		g[i] = clampUnit(g[i] + delta)
+		g[i] = num.Clamp01(g[i] + delta)
 	}
-}
-
-func clampUnit(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
 }
 
 func (e *nsga2) Observe(results []Result) {

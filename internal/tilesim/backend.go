@@ -17,9 +17,6 @@ type Backend struct {
 	Engine *perf.Engine
 }
 
-// NewBackend returns a tile-scheduler backend over the calibrated engine.
-func NewBackend() Backend { return Backend{Engine: perf.Default()} }
-
 // Time implements ir.Backend. For matmul nodes only Seconds and FLOPs are
 // populated: the event model produces one makespan with compute, feed and
 // DRAM contention interleaved, so there are no separable bound components
