@@ -124,6 +124,13 @@ func run(o options) error {
 		return err
 	}
 	w := model.PaperWorkload(m)
+	if o.space == "table3" {
+		// A -tpp budget whose core counts an int cannot hold fails here,
+		// on every engine, before any work and before a trace exists.
+		if _, err := table3(o).Designs(); err != nil {
+			return err
+		}
+	}
 
 	// Tracing is opt-in: without -trace the sweep runs on the obs nil
 	// fast path and records nothing.
@@ -142,11 +149,7 @@ func run(o options) error {
 	}
 
 	tpp, rule, top, traceOut := o.tpp, o.rule, o.top, o.traceOut
-	devBW := []float64{600}
-	if rule == "oct2023" {
-		devBW = []float64{500, 700, 900}
-	}
-	points, err := dse.NewExplorer().RunContext(ctx, dse.Table3(tpp, devBW), w)
+	points, err := dse.NewExplorer().RunContext(ctx, table3(o), w)
 	if rec != nil {
 		if derr := dumpTrace(rec, traceOut); derr != nil {
 			return fmt.Errorf("writing trace: %w", derr)
@@ -189,6 +192,18 @@ func run(o options) error {
 	return nil
 }
 
+// table3 returns the paper's Table 3 grid at the -tpp budget that a
+// table3-space run covers: the exhaustive sweep under the October 2023
+// rule spans that rule's three device bandwidths, every other run 600
+// GB/s.
+func table3(o options) dse.Grid {
+	devBW := []float64{600}
+	if o.engine == "grid" && o.rule == "oct2023" {
+		devBW = []float64{500, 700, 900}
+	}
+	return dse.Table3(o.tpp, devBW)
+}
+
 // runAdaptive drives one of the pluggable search engines over the chosen
 // space and prints the Pareto front it recovers within the budget.
 func runAdaptive(ctx context.Context, o options, w model.Workload, rec *obs.Recorder) error {
@@ -196,7 +211,7 @@ func runAdaptive(ctx context.Context, o options, w model.Workload, rec *obs.Reco
 	switch o.space {
 	case "table3":
 		prob = search.Problem{
-			Space:      search.FromGrid(dse.Table3(o.tpp, []float64{600})),
+			Space:      search.FromGrid(table3(o)),
 			Workload:   w,
 			Objectives: search.ObjectivesLatencyArea(),
 		}

@@ -31,21 +31,27 @@ func TestRunRejectsUnknownObjectiveBeforeWork(t *testing.T) {
 }
 
 // TestRunRefusesOutOfRangeBudget checks that a TPP budget whose core
-// counts an int cannot hold fails the run, so acrdse exits non-zero
-// instead of printing an empty design table.
+// counts an int cannot hold fails the run with arch.ErrOutOfRange on the
+// exhaustive sweep and on an adaptive engine alike, before any work, so
+// acrdse exits non-zero instead of printing an empty design table or a
+// search of no designs, and -trace writes no file.
 func TestRunRefusesOutOfRangeBudget(t *testing.T) {
-	err := run(options{
-		tpp: 1e30, model: "gpt3", rule: "oct2022", objective: "ttft", top: 5,
-		engine: "grid", budget: 256, space: "table3", eval: "scalar",
-	})
-	if !errors.Is(err, arch.ErrOutOfRange) {
-		t.Fatalf("run with tpp 1e30: err = %v, want arch.ErrOutOfRange", err)
+	for _, o := range []options{
+		{tpp: 1e30, model: "gpt3", rule: "oct2022", objective: "ttft", top: 5,
+			engine: "grid", budget: 256, space: "table3", eval: "scalar"},
+		{tpp: 1e30, model: "gpt3", rule: "oct2022", objective: "ttft", top: 5,
+			engine: "nsga2", budget: 8, space: "table3", eval: "scalar"},
+	} {
+		err := rejectsBeforeWork(t, o, "at TPP budget 1e+30")
+		if !errors.Is(err, arch.ErrOutOfRange) {
+			t.Errorf("run with engine %s at tpp 1e30: err = %v, want arch.ErrOutOfRange", o.engine, err)
+		}
 	}
 }
 
-// rejectsBeforeWork runs o with -trace set and checks that it fails with
-// an error containing want and writes no trace file.
-func rejectsBeforeWork(t *testing.T, o options, want string) {
+// rejectsBeforeWork runs o with -trace set, checks that it fails with an
+// error containing want and writes no trace file, and returns the error.
+func rejectsBeforeWork(t *testing.T, o options, want string) error {
 	t.Helper()
 	o.traceOut = filepath.Join(t.TempDir(), "tr.json")
 	err := run(o)
@@ -55,4 +61,5 @@ func rejectsBeforeWork(t *testing.T, o options, want string) {
 	if _, serr := os.Stat(o.traceOut); !errors.Is(serr, fs.ErrNotExist) {
 		t.Errorf("run(%+v) left a trace file (stat: %v)", o, serr)
 	}
+	return err
 }

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -21,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/arch"
 	"repro/internal/area"
@@ -102,21 +102,41 @@ func (g Grid) Size() int {
 		len(g.L2MB), len(g.HBMBandwidthGBs), len(g.DeviceBWGBs))
 }
 
-// Designs returns the number of configurations Expand yields: Size less
-// the combinations of every (systolic dim, lanes) pair whose one-core
-// device already reaches the TPP budget. It solves the core count once
-// per pair and builds no configuration; like Size, it saturates at
+// Designs returns the number of designs a sweep of g delivers, the
+// configurations Expand yields: Size less the combinations of every
+// (systolic dim, lanes) pair whose one-core device already reaches the
+// TPP budget. A grid with a pair whose core count an int cannot hold is
+// one a sweep refuses: Designs returns 0 and the error the sweep refuses
+// it with, which wraps arch.ErrOutOfRange. It solves the core count once
+// per pair and allocates only that error; like Size, it saturates at
 // math.MaxInt, so check Size against a limit before paying for the pairs.
-func (g Grid) Designs() int {
+func (g Grid) Designs() (int, error) {
 	pairs := 0
+	if err := g.eachPair(func(gridPair) { pairs++ }); err != nil {
+		return 0, err
+	}
+	return product(pairs, len(g.L1KB), len(g.L2MB), len(g.HBMBandwidthGBs), len(g.DeviceBWGBs)), nil
+}
+
+// eachPair calls f with every (systolic dim, lanes) pair of g whose
+// one-core device stays under the TPP budget, and its core count. It
+// stops at the first pair whose core count arch.MaxCoresForTPP cannot
+// hold in an int, and returns an error naming it that wraps
+// arch.ErrOutOfRange.
+func (g Grid) eachPair(f func(gridPair)) error {
 	for _, dim := range g.SystolicDims {
 		for _, lanes := range g.LanesPerCore {
-			if _, err := arch.MaxCoresForTPP(g.TPPTarget, lanes, dim, dim, g.ClockGHz); err == nil {
-				pairs++
+			cores, err := arch.MaxCoresForTPP(g.TPPTarget, lanes, dim, dim, g.ClockGHz)
+			switch {
+			case err == nil:
+				f(gridPair{dim, lanes, cores})
+			case errors.Is(err, arch.ErrOutOfRange):
+				return fmt.Errorf("dse: %dx%d systolic array with %d lanes per core at TPP budget %g: %w",
+					dim, dim, lanes, g.TPPTarget, err)
 			}
 		}
 	}
-	return product(pairs, len(g.L1KB), len(g.L2MB), len(g.HBMBandwidthGBs), len(g.DeviceBWGBs))
+	return nil
 }
 
 // product multiplies axis lengths, saturating at math.MaxInt instead of
@@ -138,13 +158,15 @@ func product(lens ...int) int {
 
 // Expand materialises the grid into configurations. Combinations whose
 // smallest possible device (one core) already exceeds the TPP budget are
-// skipped, and so are those whose core count an int cannot hold (which a
-// grid sweep refuses instead). Names follow
+// skipped; a grid a sweep refuses (see Designs) yields none. Names follow
 // "<grid>/<dim>x<dim>-l<lanes>-L1:<kb>-L2:<mb>-m<gbs>-d<gbs>".
 // It is a grid cursor run over the whole grid, the walk a grid sweep
 // makes a window at a time, so names are built in one place.
 func (g Grid) Expand() []arch.Config {
-	gw, _ := g.walk()
+	gw, err := g.walk()
+	if err != nil {
+		return nil
+	}
 	configs := make([]arch.Config, gw.n)
 	if gw.n == 0 {
 		return configs
@@ -176,23 +198,12 @@ type gridWalk struct {
 type gridPair struct{ dim, lanes, cores int }
 
 // walk prepares g for cursors. It skips every (dim, lanes) pair whose
-// one-core device already reaches the TPP budget. It also skips a pair
-// whose core count arch.MaxCoresForTPP cannot hold in an int, and
-// returns the first such pair as an error wrapping arch.ErrOutOfRange.
+// one-core device already reaches the TPP budget, and returns the error
+// of a grid a sweep refuses (see eachPair).
 func (g Grid) walk() (gridWalk, error) {
-	var rangeErr error
 	gw := gridWalk{g: g, pairs: make([]gridPair, 0, len(g.SystolicDims)*len(g.LanesPerCore))}
-	for _, dim := range g.SystolicDims {
-		for _, lanes := range g.LanesPerCore {
-			cores, err := arch.MaxCoresForTPP(g.TPPTarget, lanes, dim, dim, g.ClockGHz)
-			switch {
-			case err == nil:
-				gw.pairs = append(gw.pairs, gridPair{dim, lanes, cores})
-			case rangeErr == nil && errors.Is(err, arch.ErrOutOfRange):
-				rangeErr = fmt.Errorf("dse: %dx%d systolic array with %d lanes per core at TPP budget %g: %w",
-					dim, dim, lanes, g.TPPTarget, err)
-			}
-		}
+	if err := g.eachPair(func(p gridPair) { gw.pairs = append(gw.pairs, p) }); err != nil {
+		return gridWalk{}, err
 	}
 	gw.n = product(len(gw.pairs), len(g.L1KB), len(g.L2MB), len(g.HBMBandwidthGBs), len(g.DeviceBWGBs))
 	segs := len(g.HBMBandwidthGBs) + len(g.DeviceBWGBs)
@@ -205,7 +216,7 @@ func (g Grid) walk() (gridWalk, error) {
 		gw.seg = strconv.AppendFloat(append(gw.seg, "-d"...), dev, 'f', 0, 64)
 		gw.segOff = append(gw.segOff, len(gw.seg))
 	}
-	return gw, rangeErr
+	return gw, nil
 }
 
 // segment returns bandwidth name segment i.
@@ -367,25 +378,24 @@ type Explorer struct {
 	Wafer cost.Wafer
 	// Parallelism bounds a sweep's window workers; 0 means GOMAXPROCS.
 	Parallelism int
-	// Cache memoises evaluated points by PointKey in the content-addressed
-	// store (a sharded LRU over store.Key) so overlapping grids (and
-	// repeated service requests) skip re-simulation. Concurrent sweeps
-	// that miss the same design each evaluate it, bit-identically, and
-	// the later Put refreshes the entry. The key covers the config and
-	// workload only: explorers whose Sim engine or Wafer model differ from
-	// the defaults must not share a cache (set it to nil, or give each
-	// explorer its own). Nil disables caching.
-	Cache *store.Tiered[Point]
+	// Cache memoises evaluated designs by PointKey (see PointStore) so
+	// overlapping grids (and repeated service requests) skip
+	// re-simulation. Concurrent sweeps that miss the same design each
+	// evaluate it, bit-identically, and the later Put refreshes the entry.
+	// The key covers the config and workload only: explorers whose Sim
+	// engine or Wafer model differ from the defaults must not share a
+	// cache (set it to nil, or give each explorer its own). Nil disables
+	// caching.
+	Cache *PointStore
 }
 
-// DefaultCacheEntries bounds the explorer's result cache: larger than the
+// DefaultCacheEntries bounds the explorer's point store: larger than the
 // biggest paper sweep (Table 5's 2304 designs) so a full grid fits. Full
-// of GPT-3 Table 5 points it holds about 4.3 MB (about 23 MB when points
-// still carried per-operator profiles).
+// of GPT-3 Table 5 designs it holds about 2.2 MB.
 const DefaultCacheEntries = 8192
 
 // NewExplorer returns an Explorer with the calibrated simulator, the 7 nm
-// wafer model, and a result cache of DefaultCacheEntries points.
+// wafer model, and a point store of DefaultCacheEntries designs.
 func NewExplorer() *Explorer {
 	return &Explorer{
 		Sim:   sim.New(),
@@ -403,21 +413,92 @@ func PointKey(cfg arch.Config, w model.Workload) store.Key {
 	return store.Key{Hi: ir.ConfigHash(cfg), Lo: ir.WorkloadHash(w)}
 }
 
-// NewPointStore returns the result store the explorer and the serving
-// layer share: the store's sharded LRU bounded to entries points
-// and byte-accounted with pointSize.
-func NewPointStore(entries int) *store.Tiered[Point] {
-	return store.NewTiered(entries, pointSize)
+// PointStore is the point memo the explorer and the serving layer share:
+// a store.Tiered LRU from PointKey to one compact record per design. A
+// record holds the design's config and the scalars a sweep ranks,
+// streams and finishes: TTFT, TBT, both MFUs, TPP, area, PD, reticle
+// fit, October 2023 class and both die costs. It keeps no workload,
+// which the key's workload hash names, and no per-operator profiles,
+// which no sweep point has. A sweep serving a design from the store
+// takes the config it asked for and its own workload, so a served point
+// equals a freshly evaluated one field for field.
+//
+// A PointStore is a store.Tiered of records under the point methods
+// below, so a pointer to one converts to the other and an explorer's
+// store is one allocation.
+type PointStore store.Tiered[record]
+
+// lru returns ps as the store.Tiered it is.
+func (ps *PointStore) lru() *store.Tiered[record] { return (*store.Tiered[record])(ps) }
+
+// record is what the point store keeps of one design: its config, whose
+// Name is the record's only pointer, and the point's scalars.
+type record struct {
+	cfg                              arch.Config
+	ttft, tbt, prefillMFU, decodeMFU float64
+	tpp, area, pd                    float64
+	class                            policy.Classification
+	dieCost, goodDieCost             float64
+	fits                             bool
 }
 
-var pointStaticSize = int(reflect.TypeOf(Point{}).Size())
+// recordBytes is the size of a record; with its key and its name it is
+// what the store charges a design.
+const recordBytes = int(unsafe.Sizeof(record{}))
 
-// pointSize is what one point owns, for the point store's accounting: the
-// struct and its display name. Result.Config.Name shares the name's
-// bytes, the workload's model name is a shared constant, and a sweep
-// point holds no per-operator profiles.
-func pointSize(p Point) int {
-	return pointStaticSize + len(p.Config.Name)
+// NewPointStore returns a point store bounded to entries designs, each
+// charged its 16-byte key, its record and its config's name.
+func NewPointStore(entries int) *PointStore {
+	return (*PointStore)(store.NewTiered(entries, func(r record) int { return recordBytes + len(r.cfg.Name) }))
+}
+
+// Get returns the point stored under k, counting the probe as a hit or
+// a miss: the stored config, named as it was stored, in Config and
+// Result.Config, and the stored scalars. The store keeps no workload, so
+// Result.Workload is zero, and no per-operator profiles. ctx is not
+// used.
+func (ps *PointStore) Get(_ context.Context, k store.Key) (Point, bool) {
+	var r record
+	if !ps.lru().GetInto(k, &r) {
+		return Point{}, false
+	}
+	var p Point
+	r.point(&p, &r.cfg, &model.Workload{})
+	return p, true
+}
+
+// Put stores p's config and scalars under k, replacing what k held. ctx
+// is not used.
+func (ps *PointStore) Put(_ context.Context, k store.Key, p Point) { ps.put(k, &p) }
+
+// put is Put without copying the point.
+func (ps *PointStore) put(k store.Key, p *Point) {
+	r := &p.Result
+	ps.lru().Put(k, record{
+		cfg:  p.Config,
+		ttft: r.TTFTSeconds, tbt: r.TBTSeconds, prefillMFU: r.PrefillMFU, decodeMFU: r.DecodeMFU,
+		tpp: p.TPP, area: p.AreaMM2, pd: p.PD, class: p.Oct2023Class,
+		dieCost: p.DieCostUSD, goodDieCost: p.GoodDieCostUSD, fits: p.FitsReticle,
+	})
+}
+
+// Stats snapshots the store's counters (see store.Tiered.Stats).
+func (ps *PointStore) Stats() store.Stats { return ps.lru().Stats() }
+
+// point writes r into *dst as the point of design cfg on workload w,
+// every field once: a sweep serves thousands of designs, and assigning a
+// whole Point literal through a pointer builds it in a temporary first.
+func (r *record) point(dst *Point, cfg *arch.Config, w *model.Workload) {
+	dst.Config = *cfg
+	res := &dst.Result
+	res.Config = *cfg
+	res.Workload = *w
+	res.TTFTSeconds, res.TBTSeconds = r.ttft, r.tbt
+	res.PrefillMFU, res.DecodeMFU = r.prefillMFU, r.decodeMFU
+	res.PrefillOps, res.DecodeOps = nil, nil
+	dst.TPP, dst.AreaMM2, dst.PD = r.tpp, r.area, r.pd
+	dst.FitsReticle, dst.Oct2023Class = r.fits, r.class
+	dst.DieCostUSD, dst.GoodDieCostUSD = r.dieCost, r.goodDieCost
 }
 
 // EvaluateContext simulates every configuration for the workload. On full
@@ -801,12 +882,13 @@ func (w *window) run(lo, hi int) {
 	w.hits, w.misses = 0, 0
 	w.miss, w.keys = w.miss[:0], w.keys[:0]
 	cache := sw.e.Cache
+	var rec record
 	for k := 0; k < n; k++ {
 		if cache != nil {
 			key := store.Key{Hi: ir.ConfigHash(w.cfgs[k]), Lo: sw.wh} // == PointKey(cfg, workload)
-			if cache.GetInto(key, w.pts[k]) {
-				w.name(k, w.pts[k].Config.Name)
-				w.serve(k)
+			if cache.lru().GetInto(key, &rec) {
+				w.name(k, rec.cfg.Name)
+				w.serve(k, &rec)
 				w.hits++
 				continue
 			}
@@ -882,13 +964,11 @@ func (w *window) name(k int, stored string) {
 	}
 }
 
-// serve completes the stored point at window position k. It may have
-// been evaluated under a different grid's display name; the requested
-// one is restored.
-func (w *window) serve(k int) {
-	p, cfg := w.pts[k], &w.cfgs[k]
-	p.Config = *cfg
-	p.Result.Config = *cfg
+// serve writes the store's record of window position k's design into its
+// point. The record may have been stored under a different grid's display
+// name; the point takes the requested config and the session's workload.
+func (w *window) serve(k int, r *record) {
+	r.point(w.pts[k], &w.cfgs[k], &w.sw.g.Workload)
 	w.done[k] = true
 }
 
@@ -933,7 +1013,7 @@ func (w *window) evaluate(ctx context.Context) {
 			sw.fail(w.lo+k, w.cfgs[k].Name, out.Errs[j])
 			w.misses++
 		} else if out.Done[j] {
-			w.finish(ctx, j, &out.Results[j])
+			w.finish(j, &out.Results[j])
 			w.misses++
 		}
 	}
@@ -942,13 +1022,13 @@ func (w *window) evaluate(ctx context.Context) {
 
 // finish completes the missed design at position j of w.miss from its
 // simulated profile and stores it.
-func (w *window) finish(ctx context.Context, j int, r *sim.Result) {
+func (w *window) finish(j int, r *sim.Result) {
 	sw := w.sw
 	k := w.miss[j]
 	p := w.pts[k]
 	sw.e.finishPoint(p, w.cfgs[k], r)
 	if sw.e.Cache != nil {
-		sw.e.Cache.Put(ctx, w.keys[j], *p)
+		sw.e.Cache.put(w.keys[j], p)
 	}
 	w.done[k] = true
 }

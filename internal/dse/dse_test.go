@@ -88,7 +88,7 @@ func TestGridDesignsCountsExpansion(t *testing.T) {
 		{Table5(), 2304},
 		{empty, 0},
 	} {
-		if got := c.g.Designs(); got != c.want {
+		if got := designs(t, c.g); got != c.want {
 			t.Errorf("%s: Designs() = %d, want %d", c.g.Name, got, c.want)
 		}
 		if got := len(c.g.Expand()); got != c.want {
@@ -98,25 +98,43 @@ func TestGridDesignsCountsExpansion(t *testing.T) {
 }
 
 // TestGridSweepsRefuseOutOfRangeBudget pins the grid sweeps' range
-// check: at TPP 1e30 no (dim, lanes) pair's core count fits an int, so
-// RunContext and SweepGrid fail with arch.ErrOutOfRange before sweeping,
-// naming the pair and the budget. At TPP 1 one core of every pair
+// check. At TPP 1e30 no (dim, lanes) pair's core count fits an int; in
+// Table 3 at TPP 4800 with a 4000000000x4000000000 array beside the
+// 16x16 one only the large array's pairs overflow. RunContext and
+// SweepGrid refuse both grids with arch.ErrOutOfRange before sweeping,
+// naming the first such pair and the budget; Designs reports the same
+// error and Expand yields no configs. At TPP 1 one core of every pair
 // already reaches the budget: that grid is empty, not an error.
 func TestGridSweepsRefuseOutOfRangeBudget(t *testing.T) {
 	w := model.PaperWorkload(model.Llama3_8B())
 	ex := NewExplorer()
-	huge := Table3(1e30, []float64{600})
-	pts, err := ex.RunContext(context.Background(), huge, w)
-	if !errors.Is(err, arch.ErrOutOfRange) || len(pts) != 0 {
-		t.Fatalf("RunContext at TPP 1e30: %d points, err %v; want none and arch.ErrOutOfRange", len(pts), err)
-	}
-	if msg := err.Error(); !strings.Contains(msg, "16x16 systolic array with 1 lanes per core at TPP budget 1e+30") {
-		t.Errorf("RunContext at TPP 1e30: error %q does not name the first pair and the budget", msg)
-	}
-	visited := false
-	err = ex.NewSession(w).SweepGrid(context.Background(), huge, nil, func(Window) { visited = true })
-	if !errors.Is(err, arch.ErrOutOfRange) || visited {
-		t.Errorf("SweepGrid at TPP 1e30: visited %v, err %v; want no window and arch.ErrOutOfRange", visited, err)
+	mixed := Table3(4800, []float64{600})
+	mixed.SystolicDims = []int{16, 4000000000}
+	for _, c := range []struct {
+		g    Grid
+		pair string
+	}{
+		{Table3(1e30, []float64{600}), "16x16 systolic array with 1 lanes per core at TPP budget 1e+30"},
+		{mixed, "4000000000x4000000000 systolic array with 1 lanes per core at TPP budget 4800"},
+	} {
+		pts, err := ex.RunContext(context.Background(), c.g, w)
+		if !errors.Is(err, arch.ErrOutOfRange) || len(pts) != 0 {
+			t.Fatalf("RunContext on %s: %d points, err %v; want none and arch.ErrOutOfRange", c.g.Name, len(pts), err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, c.pair) {
+			t.Errorf("RunContext on %s: error %q does not name %q", c.g.Name, msg, c.pair)
+		}
+		if n, derr := c.g.Designs(); n != 0 || derr == nil || derr.Error() != err.Error() {
+			t.Errorf("%s: Designs() = %d, %v; want 0 and the sweep's error", c.g.Name, n, derr)
+		}
+		if cfgs := c.g.Expand(); len(cfgs) != 0 {
+			t.Errorf("%s: Expand() yields %d configs of a grid the sweep refuses", c.g.Name, len(cfgs))
+		}
+		visited := false
+		err = ex.NewSession(w).SweepGrid(context.Background(), c.g, nil, func(Window) { visited = true })
+		if !errors.Is(err, arch.ErrOutOfRange) || visited {
+			t.Errorf("SweepGrid on %s: visited %v, err %v; want no window and arch.ErrOutOfRange", c.g.Name, visited, err)
+		}
 	}
 	if pts, err := ex.RunContext(context.Background(), Table3(1, []float64{600}), w); err != nil || len(pts) != 0 {
 		t.Errorf("RunContext at TPP 1: %d points, err %v; want none and no error", len(pts), err)
@@ -355,6 +373,96 @@ func TestCacheSkipsReSimulation(t *testing.T) {
 	}
 }
 
+// TestServedPointsEqualFreshOnes pins what a store hit delivers: after a
+// cold sweep, a sweep of the same grid under a new name is served wholly
+// from the store, and its points equal, field for field, those of an
+// explorer without a store sweeping the renamed grid: names,
+// Result.Config, Result.Workload and every scalar.
+func TestServedPointsEqualFreshOnes(t *testing.T) {
+	for _, c := range []struct {
+		g Grid
+		m model.Model
+	}{
+		{Table3(4800, []float64{600}), model.Llama3_8B()},
+		{Table5(), model.GPT3_175B()},
+	} {
+		w := model.PaperWorkload(c.m)
+		ex := NewExplorer()
+		if _, err := ex.Run(c.g, w); err != nil {
+			t.Fatal(err)
+		}
+		renamed := c.g
+		renamed.Name = c.g.Name + "-renamed"
+		warm, err := ex.Run(renamed, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := ex.Cache.Stats(); st.Hits != uint64(len(warm)) {
+			t.Fatalf("%s: renamed sweep hit the store %d times, want %d", c.g.Name, st.Hits, len(warm))
+		}
+		ref := NewExplorer()
+		ref.Cache = nil
+		fresh, err := ref.Run(renamed, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(warm, fresh) {
+			for i := range fresh {
+				if !reflect.DeepEqual(warm[i], fresh[i]) {
+					t.Fatalf("%s: served point %d differs from a fresh one:\n got %+v\nwant %+v", c.g.Name, i, warm[i], fresh[i])
+				}
+			}
+			t.Fatalf("%s: %d served points, want %d", c.g.Name, len(warm), len(fresh))
+		}
+	}
+}
+
+// TestPointStoreGet pins Get's contract: a stored design comes back with
+// the config it was stored under in Config and Result.Config and its
+// scalars, but with no workload and no per-operator profiles, whatever
+// the point that was put held; the key ignores the display name, so a
+// renamed config's key finds the stored name. Each Get counts once, and
+// a miss returns the zero Point.
+func TestPointStoreGet(t *testing.T) {
+	w := model.PaperWorkload(model.Llama3_8B())
+	cfg := Table3(4800, []float64{600}).Expand()[7]
+	res, err := sim.New().Simulate(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p Point
+	NewExplorer().finishPoint(&p, cfg, &res)
+	p.Result = res // with its workload and op profiles
+	if p.Result.Workload.Model.Name == "" || len(p.Result.PrefillOps) == 0 {
+		t.Fatal("the simulated result carries no workload or no op profiles")
+	}
+
+	ps := NewPointStore(64)
+	ctx := context.Background()
+	renamed := cfg
+	renamed.Name = "other-name"
+	if got, ok := ps.Get(ctx, PointKey(renamed, w)); ok || !reflect.DeepEqual(got, Point{}) {
+		t.Errorf("Get before Put: %v, %+v; want a miss and the zero Point", ok, got)
+	}
+	ps.Put(ctx, PointKey(cfg, w), p)
+	got, ok := ps.Get(ctx, PointKey(renamed, w))
+	if !ok {
+		t.Fatal("Get after Put missed")
+	}
+	want := p
+	want.Result = sim.Result{
+		Config:      cfg,
+		TTFTSeconds: res.TTFTSeconds, TBTSeconds: res.TBTSeconds,
+		PrefillMFU: res.PrefillMFU, DecodeMFU: res.DecodeMFU,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Get = %+v\nwant %+v", got, want)
+	}
+	if st := ps.Stats(); st.Hits != 1 || st.Misses != 1 || st.Len != 1 {
+		t.Errorf("Stats after a miss, a Put and a hit: %+v", st)
+	}
+}
+
 // TestConcurrentIdenticalSweepsMatchSerial releases 8 cold Table 3
 // sweeps onto one explorer at once. The store does not deduplicate their
 // misses, so each sweep evaluates what it misses; every sweep must still
@@ -499,7 +607,7 @@ func TestSweepPointsCarryNoOpProfiles(t *testing.T) {
 
 // TestPointStoreChargesWhatAPointOwns pins the store's accounting of
 // scalar points: after a Table 5 GPT-3 sweep each entry is charged its
-// key, the Point struct and its display name, at most 550 bytes.
+// key, its record and its display name, at most 280 bytes.
 func TestPointStoreChargesWhatAPointOwns(t *testing.T) {
 	ex := NewExplorer()
 	if _, err := ex.Run(Table5(), model.PaperWorkload(model.GPT3_175B())); err != nil {
@@ -509,8 +617,8 @@ func TestPointStoreChargesWhatAPointOwns(t *testing.T) {
 	if st.Len != 2304 {
 		t.Fatalf("store holds %d points, want 2304", st.Len)
 	}
-	if per := st.Bytes / int64(st.Len); per > 550 {
-		t.Errorf("store charges %d bytes per point, want at most 550", per)
+	if per := st.Bytes / int64(st.Len); per > 280 {
+		t.Errorf("store charges %d bytes per point, want at most 280", per)
 	}
 	t.Logf("%d points, %d bytes (%d per point)", st.Len, st.Bytes, st.Bytes/int64(st.Len))
 }

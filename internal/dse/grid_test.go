@@ -58,7 +58,7 @@ func expandNested(g Grid) []arch.Config {
 // many of them the store served.
 func sweepGridConfigs(t *testing.T, ex *Explorer, g Grid, w model.Workload) ([]arch.Config, int) {
 	t.Helper()
-	got := make([]arch.Config, g.Designs())
+	got := make([]arch.Config, designs(t, g))
 	sess := ex.NewSession(w)
 	err := sess.SweepGrid(context.Background(), g, nil, func(win Window) {
 		for k, p := range win.Points {
@@ -74,6 +74,16 @@ func sweepGridConfigs(t *testing.T, ex *Explorer, g Grid, w model.Workload) ([]a
 	}
 	hits, _ := sess.CacheCounts()
 	return got, int(hits)
+}
+
+// designs returns g.Designs(), failing t on a grid a sweep refuses.
+func designs(t testing.TB, g Grid) int {
+	t.Helper()
+	n, err := g.Designs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // diffConfigs reports the first design where got and want differ.
@@ -112,7 +122,7 @@ func TestGridWindowsMatchExpand(t *testing.T) {
 			if err := diffConfigs(c.g.Expand(), want); err != nil {
 				t.Fatalf("Expand: %v", err)
 			}
-			if got := c.g.Designs(); got != len(want) {
+			if got := designs(t, c.g); got != len(want) {
 				t.Fatalf("Designs() = %d, want %d", got, len(want))
 			}
 			ex := NewExplorer()
@@ -190,14 +200,15 @@ func TestWarmGridSweepKeepsStoredNames(t *testing.T) {
 			}
 		}
 	}
-	windows := (g.Designs() + 31) / 32
+	n := designs(t, g)
+	windows := (n + 31) / 32
 	if allocs := testing.AllocsPerRun(5, sweep(g)); allocs >= float64(windows) {
 		t.Errorf("warm grid sweep under the stored names: %v allocs, want fewer than its %d windows", allocs, windows)
 	}
 	renamed := g
 	renamed.Name = "renamed"
-	if allocs := testing.AllocsPerRun(5, sweep(renamed)); allocs < float64(g.Designs()) {
-		t.Errorf("warm grid sweep under new names: %v allocs, want one name per design (%d)", allocs, g.Designs())
+	if allocs := testing.AllocsPerRun(5, sweep(renamed)); allocs < float64(n) {
+		t.Errorf("warm grid sweep under new names: %v allocs, want one name per design (%d)", allocs, n)
 	}
 }
 
@@ -255,7 +266,7 @@ func FuzzGridWindows(f *testing.F) {
 		if err := diffConfigs(g.Expand(), want); err != nil {
 			t.Fatalf("Expand: %v", err)
 		}
-		if got := g.Designs(); got != len(want) {
+		if got := designs(t, g); got != len(want) {
 			t.Fatalf("Designs() = %d, want %d", got, len(want))
 		}
 		ex := NewExplorer()

@@ -258,8 +258,7 @@ func (s Space) At(idx []int) (arch.Config, error) {
 	if stackGB == 0 {
 		stackGB = 16
 	}
-	// The label renders each level as "/<role><%g of value>"; strconv's
-	// shortest 'g' form is the same bytes as fmt's %g.
+	// The label renders each level as "/<role><%g of value>" (appendLevel).
 	var buf [128]byte
 	label := append(buf[:0], s.Name...)
 	for i, a := range s.Axes {
@@ -271,7 +270,7 @@ func (s Space) At(idx []int) (arch.Config, error) {
 		v := a.Values[j]
 		label = append(label, '/')
 		label = append(label, a.Role.String()...)
-		label = strconv.AppendFloat(label, v, 'g', -1, 64)
+		label = appendLevel(label, v)
 		switch a.Role {
 		case RoleSystolicDim:
 			dim = int(v)
@@ -315,6 +314,18 @@ func (s Space) At(idx []int) (arch.Config, error) {
 		ClockGHz:        clockGHz,
 		Process:         process,
 	}, nil
+}
+
+// appendLevel appends v in strconv's shortest 'g' form, the same bytes
+// as fmt's %g. An integral level under 1e6 in magnitude, other than −0,
+// has neither exponent nor fraction in that form, so strconv.AppendInt
+// writes those bytes without formatting a float; every jan2025 level is
+// one.
+func appendLevel(b []byte, v float64) []byte {
+	if _, frac := math.Modf(v); frac == 0 && math.Abs(v) < 1e6 && (v != 0 || !math.Signbit(v)) {
+		return strconv.AppendInt(b, int64(v), 10)
+	}
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // FromGrid wraps one of the paper's enumeration grids as a Space whose

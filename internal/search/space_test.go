@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -47,6 +48,26 @@ func TestFromGridLatticeMatchesExpand(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAppendLevelMatchesFloatFormat pins design labels to strconv's
+// shortest 'g' form: appendLevel writes its bytes for every level of the
+// jan2025 space and of the spaces built from Table 3 and Table 5, and
+// for values at and around the edges of its integer path.
+func TestAppendLevelMatchesFloatFormat(t *testing.T) {
+	var vals []float64
+	for _, s := range []Space{Jan2025Space(), FromGrid(dse.Table3(4800, []float64{600})), FromGrid(dse.Table5())} {
+		for _, a := range s.Axes {
+			vals = append(vals, a.Values...)
+		}
+	}
+	vals = append(vals, 0, math.Copysign(0, -1), 999999, 1e6, 0.5, 1200.5, -3)
+	for _, v := range vals {
+		got := string(appendLevel([]byte("/"), v))
+		if want := string(strconv.AppendFloat([]byte("/"), v, 'g', -1, 64)); got != want {
+			t.Errorf("appendLevel(%v) = %q, want %q", v, got, want)
+		}
 	}
 }
 

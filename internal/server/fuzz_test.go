@@ -40,7 +40,10 @@ func FuzzParseDSE(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted %q, but its grid fails: %v", body, err)
 		}
-		n := g.Designs()
+		n, err := g.Designs()
+		if err != nil {
+			t.Fatalf("accepted %q, but a sweep refuses its grid: %v", body, err)
+		}
 		if n != js.designs {
 			t.Fatalf("accepted %q announcing %d designs, but its grid has %d", body, js.designs, n)
 		}

@@ -559,7 +559,10 @@ func (s *Server) parseDSE(req DSERequest) (*jobSpec, error) {
 	}
 	// What the sweep will evaluate: expansion drops the combinations
 	// whose one-core device already reaches the TPP budget.
-	designs := grid.Designs()
+	designs, err := grid.Designs()
+	if err != nil {
+		return nil, err
+	}
 	rule, objective := cmp.Or(req.Rule, "none"), cmp.Or(req.Objective, "ttft")
 	metric, err := dse.Objective(objective)
 	if err != nil {

@@ -6,7 +6,8 @@
 // result.
 //
 // The point store is one type, Tiered: a sharded LRU over map[Key],
-// bounded in entries and byte-accounted, per process. It does not
+// bounded in entries and byte-accounted, per process; dse.PointStore
+// keeps one compact record per evaluated design in it. It does not
 // deduplicate concurrent computations: on the analytic model a design
 // costs microseconds, so two sweeps that miss the same key each evaluate
 // it, and the second Put refreshes the entry the first wrote.

@@ -1,9 +1,6 @@
 package store
 
-import (
-	"context"
-	"sync"
-)
+import "sync"
 
 // shardBits fixes the store's lock count at shards = 32, so the window
 // workers and request handlers sharing one store rarely wait on the
@@ -16,11 +13,11 @@ const (
 // keyBytes is what the store charges for an entry's Key.
 const keyBytes = 16
 
-// Tiered is the point store consumers use: a least-recently-used map
-// from Key to value, bounded in entries and byte-accounted. Keys are
-// split by their top bits over independently locked shards, each with
-// its own recency list, so concurrent sweeps do not serialise on one
-// mutex.
+// Tiered is the LRU the point store (dse.PointStore) is built on: a
+// least-recently-used map from Key to value, bounded in entries and
+// byte-accounted. Keys are split by their top bits over independently
+// locked shards, each with its own recency list, so concurrent sweeps do
+// not serialise on one mutex.
 //
 // The store times nothing itself: a probe or a write takes well under a
 // microsecond, so a clock read and a histogram sample per call would
@@ -83,9 +80,8 @@ func (t *Tiered[V]) shardOf(k Key) *shard[V] {
 }
 
 // Get returns the value stored for k, counting the lookup as a hit or a
-// miss. ctx is not used; the parameter stays for the callers that pass
-// one.
-func (t *Tiered[V]) Get(_ context.Context, k Key) (V, bool) {
+// miss.
+func (t *Tiered[V]) Get(k Key) (V, bool) {
 	var v V
 	ok := t.GetInto(k, &v)
 	return v, ok
@@ -116,10 +112,9 @@ func (t *Tiered[V]) GetInto(k Key, dst *V) bool {
 // Put inserts or refreshes k, evicting the least recently used entry of
 // k's shard when the shard is full. A refresh replaces the value and
 // re-charges its size, so writing one key twice never charges it twice.
-// ctx is not used; the parameter stays for the callers that pass one.
 //
 //acr:hotpath
-func (t *Tiered[V]) Put(_ context.Context, k Key, v V) {
+func (t *Tiered[V]) Put(k Key, v V) {
 	bytes := int64(keyBytes + t.size(v))
 	s := t.shardOf(k)
 	s.mu.Lock()

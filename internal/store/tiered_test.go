@@ -1,7 +1,6 @@
 package store
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,25 +14,24 @@ func intSize(int) int { return 8 }
 func spreadKey(n int) Key { return Key{Hi: uint64(n) * 0x9e3779b97f4a7c15} }
 
 func TestGetPutAndEviction(t *testing.T) {
-	ctx := context.Background()
 	// Two entries per shard; a, b and c share shard 0, so its eviction
 	// order is deterministic.
 	ts := NewTiered(2*shards, intSize)
 	a, b, c := Key{Hi: 1}, Key{Hi: 2}, Key{Hi: 3}
-	ts.Put(ctx, a, 1)
-	ts.Put(ctx, b, 2)
-	if v, ok := ts.Get(ctx, a); !ok || v != 1 {
+	ts.Put(a, 1)
+	ts.Put(b, 2)
+	if v, ok := ts.Get(a); !ok || v != 1 {
 		t.Fatalf("Get(a) = %v, %v", v, ok)
 	}
 	// a is now most recent; inserting c must evict b.
-	ts.Put(ctx, c, 3)
-	if _, ok := ts.Get(ctx, b); ok {
+	ts.Put(c, 3)
+	if _, ok := ts.Get(b); ok {
 		t.Error("b should have been evicted")
 	}
-	if _, ok := ts.Get(ctx, a); !ok {
+	if _, ok := ts.Get(a); !ok {
 		t.Error("a should have survived (recently used)")
 	}
-	if _, ok := ts.Get(ctx, c); !ok {
+	if _, ok := ts.Get(c); !ok {
 		t.Error("c should be present")
 	}
 	if got := ts.Stats().Len; got != 2 {
@@ -42,12 +40,11 @@ func TestGetPutAndEviction(t *testing.T) {
 }
 
 func TestPutRefreshesExisting(t *testing.T) {
-	ctx := context.Background()
 	ts := NewTiered(2*shards, func(v string) int { return len(v) })
 	k := Key{Hi: 1}
-	ts.Put(ctx, k, "v1")
-	ts.Put(ctx, k, "v2")
-	if v, _ := ts.Get(ctx, k); v != "v2" {
+	ts.Put(k, "v1")
+	ts.Put(k, "v2")
+	if v, _ := ts.Get(k); v != "v2" {
 		t.Errorf("refresh failed: %q", v)
 	}
 	if n := ts.Stats().Len; n != 1 {
@@ -56,11 +53,10 @@ func TestPutRefreshesExisting(t *testing.T) {
 }
 
 func TestStatsCounters(t *testing.T) {
-	ctx := context.Background()
 	ts := NewTiered(4*shards, intSize)
-	ts.Put(ctx, Key{Hi: 1}, 1)
-	ts.Get(ctx, Key{Hi: 1})
-	ts.Get(ctx, Key{Hi: 2})
+	ts.Put(Key{Hi: 1}, 1)
+	ts.Get(Key{Hi: 1})
+	ts.Get(Key{Hi: 2})
 	s := ts.Stats()
 	if s.Hits != 1 || s.Misses != 1 {
 		t.Errorf("stats = %+v, want 1 hit 1 miss", s)
@@ -77,10 +73,9 @@ func TestStatsCounters(t *testing.T) {
 }
 
 func TestCapacityRaisedToShardCount(t *testing.T) {
-	ctx := context.Background()
 	ts := NewTiered(1, intSize)
 	for i := 0; i < shards; i++ {
-		ts.Put(ctx, spreadKey(i), i)
+		ts.Put(spreadKey(i), i)
 	}
 	if s := ts.Stats(); s.Capacity != shards {
 		t.Errorf("capacity = %d, want %d (one per shard)", s.Capacity, shards)
@@ -106,7 +101,6 @@ func TestHitRatioEmptyCache(t *testing.T) {
 // that a later-read Hits had not yet seen, breaking
 // Hits+Misses <= lookups-started.
 func TestStatsConsistentSnapshot(t *testing.T) {
-	ctx := context.Background()
 	ts := NewTiered(shards, intSize) // 64 keys over 32 slots: evictions too
 	var started atomic.Uint64
 	stop := make(chan struct{})
@@ -123,8 +117,8 @@ func TestStatsConsistentSnapshot(t *testing.T) {
 				}
 				key := spreadKey((g*17 + i) % 64)
 				started.Add(1)
-				if _, ok := ts.Get(ctx, key); !ok {
-					ts.Put(ctx, key, i)
+				if _, ok := ts.Get(key); !ok {
+					ts.Put(key, i)
 				}
 			}
 		}(g)
@@ -154,7 +148,6 @@ func TestStatsConsistentSnapshot(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	ctx := context.Background()
 	ts := NewTiered(128, intSize)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
@@ -164,11 +157,11 @@ func TestConcurrentAccess(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				n := (g*31 + i) % 200
 				key := spreadKey(n)
-				if v, ok := ts.Get(ctx, key); ok && v != n {
+				if v, ok := ts.Get(key); ok && v != n {
 					t.Errorf("corrupt value for key %d: %d", n, v)
 					return
 				}
-				ts.Put(ctx, key, n)
+				ts.Put(key, n)
 			}
 		}(g)
 	}
@@ -187,19 +180,18 @@ func TestConcurrentAccess(t *testing.T) {
 // evictions and overwrites debit exactly what was credited — so a cache
 // cycled through many generations of entries never drifts.
 func TestBytesAccounting(t *testing.T) {
-	ctx := context.Background()
 	// Two entries per shard; every key below shares shard 0.
 	ts := NewTiered(2*shards, func(v string) int { return len(v) })
-	ts.Put(ctx, Key{Hi: 1}, "xxxx") // 16 + 4
-	ts.Put(ctx, Key{Hi: 2}, "yy")   // 16 + 2
+	ts.Put(Key{Hi: 1}, "xxxx") // 16 + 4
+	ts.Put(Key{Hi: 2}, "yy")   // 16 + 2
 	if got := ts.Stats().Bytes; got != 38 {
 		t.Fatalf("bytes after two inserts = %d, want 38", got)
 	}
-	ts.Put(ctx, Key{Hi: 1}, "x") // update: 20 -> 17
+	ts.Put(Key{Hi: 1}, "x") // update: 20 -> 17
 	if got := ts.Stats().Bytes; got != 35 {
 		t.Fatalf("bytes after shrinking update = %d, want 35", got)
 	}
-	ts.Put(ctx, Key{Hi: 3}, "zzzz") // evicts the LRU entry Hi:2 (18), adds 20
+	ts.Put(Key{Hi: 3}, "zzzz") // evicts the LRU entry Hi:2 (18), adds 20
 	s := ts.Stats()
 	if s.Evictions != 1 || s.Bytes != 37 {
 		t.Fatalf("after eviction: %+v, want 1 eviction and 37 bytes", s)
@@ -207,7 +199,7 @@ func TestBytesAccounting(t *testing.T) {
 	// Cycle many generations: the total must equal the resident entries'
 	// charge, not accumulate residue from evicted ones.
 	for i := 0; i < 100; i++ {
-		ts.Put(ctx, Key{Hi: uint64(10 + i)}, "vvvv")
+		ts.Put(Key{Hi: uint64(10 + i)}, "vvvv")
 	}
 	s = ts.Stats()
 	if s.Len != 2 || s.Bytes != 2*(16+4) {
@@ -223,7 +215,6 @@ func TestBytesAccounting(t *testing.T) {
 // charge it twice.
 func TestTieredStressConcurrent(t *testing.T) {
 	ts := NewTiered(shards, intSize) // one entry per shard: forces evictions
-	ctx := context.Background()
 	const goroutines, windows, width = 8, 200, 4
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -238,7 +229,7 @@ func TestTieredStressConcurrent(t *testing.T) {
 				keys[3] = keys[0] // a repeat within one window
 				var miss []Key
 				for _, k := range keys {
-					if v, ok := ts.Get(ctx, k); ok {
+					if v, ok := ts.Get(k); ok {
 						if want := int(k.Hi>>32) + 1000; v != want {
 							t.Errorf("key %x = %d, want %d", k.Hi, v, want)
 						}
@@ -247,7 +238,7 @@ func TestTieredStressConcurrent(t *testing.T) {
 					miss = append(miss, k)
 				}
 				for _, k := range miss {
-					ts.Put(ctx, k, int(k.Hi>>32)+1000)
+					ts.Put(k, int(k.Hi>>32)+1000)
 				}
 			}
 		}(g)
